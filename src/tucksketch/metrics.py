@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import ApproxConfig
-from .tensor import frobenius_norm, unfold
+from .tensor import unfold
 
 __all__ = [
     "SpectrumSummary",
@@ -52,23 +52,71 @@ def spectrum_summary(x: np.ndarray) -> SpectrumSummary:
     )
 
 
+# Elements per block of the fused scoring pass: the float64 work buffer
+# (256 KiB) stays in cache while each block is squared and summed.
+_BLOCK = 1 << 15
+
+
+def _sum_squares(x: np.ndarray, xhat: np.ndarray) -> tuple[float, float]:
+    """Sums of x**2 and of (x - xhat)**2 in float64, in one blocked read.
+
+    The iterator walks both operands in their common memory order and
+    gathers or casts at most one block of each at a time, so mixed layouts,
+    strided views and integer inputs never cost a full-size copy. Each block
+    is reduced by NumPy's pairwise sum and the block sums are added exactly
+    by math.fsum, so the result depends only on the values and their layout.
+    """
+    it = np.nditer(
+        [x, xhat],
+        flags=["buffered", "external_loop", "zerosize_ok"],
+        op_flags=[["readonly"], ["readonly"]],
+        op_dtypes=[np.float64, np.float64],
+        casting="safe",
+        buffersize=_BLOCK,
+    )
+    buf = np.empty(min(_BLOCK, x.size))
+    ref_parts: list[float] = []
+    err_parts: list[float] = []
+    with it:
+        for a, b in it:
+            d = buf[: a.size]
+            np.square(a, out=d)
+            ref_parts.append(float(np.sum(d)))
+            np.subtract(a, b, out=d)
+            np.square(d, out=d)
+            err_parts.append(float(np.sum(d)))
+    return math.fsum(ref_parts), math.fsum(err_parts)
+
+
 def relative_error(x: np.ndarray, xhat: np.ndarray) -> float:
-    """Frobenius-norm error of xhat relative to x."""
+    """Frobenius-norm error of xhat relative to x.
+
+    Both norms come from one blocked pass of pairwise float64 sums (integer
+    inputs are converted, never wrapped). The result is deterministic for a
+    given input layout but may differ in the last bits from a ratio of
+    sorted-sum `frobenius_norm` values, which alone is bitwise invariant
+    under rearranging the entries.
+    """
     if x.shape != xhat.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {xhat.shape}")
-    ref = frobenius_norm(x)
-    if ref == 0.0:
+    ref_sq, err_sq = _sum_squares(x, xhat)
+    if ref_sq == 0.0:
         raise ValueError("relative error is undefined for a zero reference tensor")
-    return frobenius_norm(x - xhat) / ref
+    return math.sqrt(err_sq) / math.sqrt(ref_sq)
 
 
 def psnr(x: np.ndarray, xhat: np.ndarray, peak: float) -> float:
-    """Peak signal-to-noise ratio in dB; +inf when the inputs are identical."""
+    """Peak signal-to-noise ratio in dB; +inf when the inputs are identical.
+
+    The mean squared error uses the same blocked pairwise float64 sums as
+    `relative_error`: deterministic for a given input layout, and possibly
+    different in the last bits from one computed with `frobenius_norm`.
+    """
     if peak <= 0:
         raise ValueError("peak must be positive")
     if x.shape != xhat.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {xhat.shape}")
-    mse = frobenius_norm(x - xhat) ** 2 / x.size
+    mse = _sum_squares(x, xhat)[1] / x.size
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)

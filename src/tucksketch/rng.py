@@ -34,7 +34,13 @@ class RngStream:
     def uniform(self, n: int) -> np.ndarray:
         """n doubles, i.i.d. uniform on the open interval (0, 1)."""
         raw = self._bits.random_raw(int(n))
-        return ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+        raw >>= np.uint64(12)
+        # Convert in place: the doubles overwrite the integers they come from,
+        # which NumPy allows for an elementwise operation on identical memory.
+        u = raw.view(np.float64)
+        np.add(raw, 0.5, out=u)
+        u *= 2.0**-52
+        return u
 
     def normal(self, rows: int, cols: int | None = None) -> np.ndarray:
         """Standard normal draws via Box-Muller.
@@ -45,9 +51,19 @@ class RngStream:
         count = int(rows) if cols is None else int(rows) * int(cols)
         pairs = (count + 1) // 2
         u = self.uniform(2 * pairs)
-        radius = np.sqrt(-2.0 * np.log(u[:pairs]))
-        angle = (2.0 * np.pi) * u[pairs:]
-        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+        # In place: the first half becomes radius * cos(angle) and the second
+        # radius * sin(angle), the same operations in the same order as
+        # forming each factor separately, so the draws are unchanged.
+        radius, angle = u[:pairs], u[pairs:]
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * np.pi
+        cos = np.cos(angle)
+        np.sin(angle, out=angle)
+        angle *= radius
+        radius *= cos
+        z = u[:count]
         if cols is None:
             return z
         return z.reshape((rows, cols), order="F")

@@ -73,12 +73,15 @@ def mode_n_product(x: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
 
 
 def frobenius_norm(x: np.ndarray) -> float:
-    """Square root of the sum of squared entries.
+    """Square root of the sum of squared entries, computed in float64.
 
     The squares are summed in sorted order, so the result is bit-identical
-    under any rearrangement of the entries (unfoldings in particular).
+    under any rearrangement of the entries (unfoldings in particular). The
+    sort makes it several times slower than the blocked pairwise sums that
+    `relative_error` and `psnr` use, which may differ from it in the last
+    bits.
     """
-    sq = np.square(np.ravel(x))
+    sq = np.square(np.ravel(x), dtype=np.float64)
     sq.sort()
     return float(np.sqrt(np.sum(sq)))
 

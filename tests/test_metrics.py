@@ -9,6 +9,7 @@ from tucksketch.config import ApproxConfig
 from tucksketch.datagen import hilbert_tensor
 from tucksketch.linalg import truncated_svd
 from tucksketch.metrics import (
+    _BLOCK,
     bound_oracle,
     f_factor,
     mode_tail_delta,
@@ -59,6 +60,68 @@ def test_psnr_matches_direct_formula():
     noisy = x + rng.standard_normal(x.shape)
     mse = np.mean((x - noisy) ** 2)
     assert psnr(x, noisy, 255.0) == pytest.approx(10 * math.log10(255.0**2 / mse), rel=1e-12)
+
+
+def test_integer_inputs_do_not_wrap():
+    # squares and differences of small unsigned or large signed integers
+    # overflow their dtype; scoring must happen in float64
+    x = np.array([20, 3], dtype=np.uint8)
+    xhat = np.array([4, 3], dtype=np.uint8)
+    assert relative_error(x, xhat) == pytest.approx(math.sqrt(256 / 409), rel=1e-15)
+    assert psnr(x, xhat, 255.0) == pytest.approx(10 * math.log10(255.0**2 / 128), rel=1e-15)
+    assert frobenius_norm(x) == pytest.approx(math.sqrt(409), rel=1e-15)
+    big = np.array([4 * 10**9, -(10**9)], dtype=np.int64)
+    ref = math.hypot(4e9, 1e9)
+    assert frobenius_norm(big) == pytest.approx(ref, rel=1e-15)
+    assert relative_error(big, np.zeros_like(big)) == pytest.approx(1.0, rel=1e-15)
+    assert relative_error(big, -big) == pytest.approx(2.0, rel=1e-15)
+
+
+def _pair(shape, layout, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    xhat = x + 1e-3 * rng.standard_normal(shape)
+    if layout == "F":
+        return np.asfortranarray(x), np.asfortranarray(xhat)
+    if layout == "mixed":
+        return x, np.asfortranarray(xhat)
+    if layout == "transposed":
+        return x.transpose(2, 0, 1), np.asfortranarray(xhat).transpose(2, 0, 1)
+    if layout == "sliced":
+        return x[::2, :, ::-1], xhat[::2, :, ::-1]
+    return x, xhat
+
+
+# sizes in elements: below one block, one block, one past it, many blocks
+BLOCK_SHAPES = [(5, 7, 11), (8, 64, _BLOCK // 512), (_BLOCK + 1, 1, 1), (50, 60, 70)]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+@pytest.mark.parametrize("layout", ["C", "F", "mixed", "transposed", "sliced"])
+def test_scores_match_dense_reference(shape, layout):
+    x, xhat = _pair(shape, layout, seed=sum(shape))
+    x0, xhat0 = x.copy(), xhat.copy()
+    d = x - xhat
+    ref_err = np.linalg.norm(d) / np.linalg.norm(x)
+    ref_psnr = 10 * math.log10(4.0 / (np.linalg.norm(d) ** 2 / x.size))
+    err = relative_error(x, xhat)
+    quality = psnr(x, xhat, 2.0)
+    assert abs(err - ref_err) <= 1e-13 * ref_err
+    assert abs(quality - ref_psnr) <= 1e-13 * abs(ref_psnr)
+    # deterministic, and the inputs are left untouched
+    assert relative_error(x, xhat) == err
+    assert psnr(x, xhat, 2.0) == quality
+    assert np.array_equal(x, x0) and np.array_equal(xhat, xhat0)
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_scores_of_identical_and_zero_inputs(shape):
+    x, _ = _pair(shape, "C", seed=1)
+    assert relative_error(x, x) == 0.0
+    assert relative_error(x, np.asfortranarray(x)) == 0.0
+    assert psnr(x, x, 255.0) == math.inf
+    with pytest.raises(ValueError):
+        relative_error(np.zeros(shape), x)
 
 
 # ------------------------------------------------------------- tail energies

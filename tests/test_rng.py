@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,52 @@ def test_index_sample_roughly_uniform():
         counts[s.index_sample(10, 3)] += 1
     freq = counts / (3 * trials)
     assert np.all(np.abs(freq - 0.1) < 0.02)
+
+
+# sha256 of the raw bytes of each draw, recorded from the original
+# concatenate-based Box-Muller; any change to the bit stream fails here
+GOLDEN_DRAWS = {
+    (0, 0): {
+        "uniform(1001)": "ce711c3b1dc84b3de1a5f081f31b43ccd7447b58266d642a705b565e8785a7ff",
+        "normal(1001)": "37bf1a30f4656879ca6aeaed3042f943dad6e677ebe46457b90a6725a7d8af38",
+        "normal(1000)": "40aeb25d5af6d0ae8618cffa37ae9961132b177f6e911acf3fe4501cf9763a11",
+        "normal(37,11)": "d0aa9946e05c80adb3758533c24c44faedfffe5c084d28ee1c6165a6744a59e9",
+        "normal(5);normal(8,3)": "df8fb08e2416397e8eb2cb9bd959117a70dafb2a2fba98f52aa26712a9424acf",
+    },
+    (7, 3): {
+        "uniform(1001)": "e400ceb4df83826f49421eab064f83644d8388e9f11c9308aea84c9db988bfc2",
+        "normal(1001)": "bd06b9548fc45afca5c2329d0237bc253e8ae9c854d0241d7b4a09cdd8d12ba5",
+        "normal(1000)": "9f66ec71661b2f908c0948cb863bb06519c8f1deb32aa9dbba8bddc8cdd4032b",
+        "normal(37,11)": "d8f6cfb222a0cb10c9f382053acb7983f0c19ad3d82394c64303185cb5aa6656",
+        "normal(5);normal(8,3)": "5c9198190920b345c6fd56486074000db7d9d5ddd6f88a3b12bc51f09a8cd0e3",
+    },
+    (2**64 - 1, 12345): {
+        "uniform(1001)": "492c17881ba34ce60135d22c181a740bf30d0b86b89f25262718f362d8473910",
+        "normal(1001)": "aad366ed5460779c2ff6da27cd8f05b8758b6ff55172c95cd67e520126b63251",
+        "normal(1000)": "3daa6124324fcd3574a531bc107e7df96ccbe8bcd7ea29400d5b05178a1e5af1",
+        "normal(37,11)": "000e7b8a3f4b280e24889cd59eb7e31469c9a9289a8f6b8ceb38fd4555ec73f6",
+        "normal(5);normal(8,3)": "381760703846ac79274f671d7e5f8c551a851b65d84aa89688d9bda6e9fcf710",
+    },
+    (11, 2): {
+        "normal(1)": "776d0a3a62ddd6c3019c22fec1b22b18d28a055a794ef3fc27993118a02bb056",
+        "normal(100001)": "72a9f38097681c2af6ec6da7e2f3bbe092c624035387e7ceae338aa44d4a5434",
+    },
+}
+
+
+def _draw(key, what):
+    s = RngStream(*key)
+    if what == "normal(5);normal(8,3)":
+        s.normal(5)
+        return s.normal(8, 3)
+    name, args = what.rstrip(")").split("(")
+    return getattr(s, name)(*(int(a) for a in args.split(",")))
+
+
+@pytest.mark.parametrize(
+    "key,what", [(k, w) for k, draws in GOLDEN_DRAWS.items() for w in draws]
+)
+def test_draws_match_golden_hashes(key, what):
+    out = _draw(key, what)
+    assert out.dtype == np.float64
+    assert hashlib.sha256(out.tobytes()).hexdigest() == GOLDEN_DRAWS[key][what]
