@@ -32,7 +32,7 @@ from .metrics import (
     tail_energy,
 )
 from .rng import RngStream, gaussian_matrix
-from .tensor import fold, frobenius_norm, kronecker, mode_n_product, unfold
+from .tensor import fold, frobenius_norm, mode_n_product, unfold
 from .tucker import (
     TuckerModel,
     load_model,
@@ -77,7 +77,6 @@ __all__ = [
     "gaussian_matrix",
     "fold",
     "frobenius_norm",
-    "kronecker",
     "mode_n_product",
     "unfold",
     "TuckerModel",

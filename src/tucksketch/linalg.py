@@ -1,7 +1,11 @@
 """Matrix kernels: thin QR/SVD, truncated SVD, and randomized low-rank schemes.
 
-The deterministic factorizations are thin wrappers over LAPACK. The
-randomized ones are the interesting part:
+The deterministic factorizations are thin wrappers over LAPACK with one
+layout rule. LAPACK factors the tall orientation: a wide matrix (m < n) is
+factored as its transpose, which is a view, and the factors are swapped
+back. Every product or triangular solve that touches the long side of a
+matrix reads it in its stored layout, through a transposed view rather than
+a full-size copy. The randomized ones are the interesting part:
 
 * rsvd          -- range finder (A @ Gaussian), then SVD of the projection.
 * sketch        -- two-sided sketch: a column sketch Y = A @ Omega and a row
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrsm
 
 from .rng import RngStream, gaussian_matrix
 
@@ -58,13 +63,26 @@ class SketchResult:
 
 
 def thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Economy-size QR: a = q @ r with q of shape (m, min(m, n))."""
-    return np.linalg.qr(a, mode="reduced")
+    """Economy-size QR: a = q @ r with q of shape (m, min(m, n)).
+
+    Householder QR by LAPACK through SciPy, without the finiteness scan.
+    Callers factor tall matrices: the power step hands it (q.T @ a).T, a
+    transposed view of a product that read a in its stored layout.
+    """
+    return scipy.linalg.qr(a, mode="economic", check_finite=False)
+
+
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD a = u @ diag(s) @ vt, with LAPACK factoring the tall side."""
+    if a.shape[0] < a.shape[1]:
+        v, s, ut = np.linalg.svd(a.T, full_matrices=False)
+        return ut.T, s, v.T
+    return np.linalg.svd(a, full_matrices=False)
 
 
 def orthonormalize(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of range(a); a zero matrix yields an (m, 0) result."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    u, s, _ = _svd(a)
     if s.size == 0 or s[0] == 0.0:
         return u[:, :0]
     tol = max(a.shape) * np.finfo(np.float64).eps * s[0]
@@ -73,8 +91,12 @@ def orthonormalize(a: np.ndarray) -> np.ndarray:
 
 
 def thin_svd(a: np.ndarray) -> SvdTriple:
-    """All min(m, n) singular triplets of a."""
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    """All min(m, n) singular triplets of a.
+
+    A wide a is factored as a.T with u and v swapped: LAPACK's divide and
+    conquer SVD is faster on the tall orientation of the same matrix.
+    """
+    u, s, vt = _svd(a)
     return SvdTriple(u, s, vt.T)
 
 
@@ -147,13 +169,18 @@ def _check_sketch_params(m: int, n: int, k: int, l: int) -> None:
 def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least-squares solve of a @ x = b via QR, never an explicit pseudo-inverse.
 
+    With a = q @ r, x solves r @ x = q.T @ b. The wide right-hand side b is
+    read once, in its stored layout, by the product q.T @ b; the triangular
+    solve then runs from the right on its transpose, x.T @ r.T = (q.T @ b).T,
+    which is a Fortran-ordered view that BLAS overwrites in place.
+
     A rank-deficient a (probability-zero event for the sketch systems) falls
     back to a minimum-norm solve through complete orthogonal factorization.
     """
-    q, r = np.linalg.qr(a, mode="reduced")
+    q, r = thin_qr(a)
     diag = np.abs(np.diagonal(r))
     if diag.size and diag.min() > max(a.shape) * np.finfo(np.float64).eps * diag.max():
-        return scipy.linalg.solve_triangular(r, q.T @ b, check_finite=False)
+        return dtrsm(1.0, r, (q.T @ b).T, side=1, trans_a=1, overwrite_b=1).T
     warnings.warn(
         "rank-deficient system in sketch correction solve; "
         "minimum-norm solution returned",
@@ -164,13 +191,14 @@ def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _two_sided_sketch(a: np.ndarray, k: int, l: int, power_iters: int, rng: RngStream) -> SketchResult:
     m, n = a.shape
-    omega = orthonormalize(gaussian_matrix(rng, n, k))
+    # Omega is used raw and Psi gets orthonormal rows; `sketch` says why.
+    omega = gaussian_matrix(rng, n, k)
     psi = orthonormalize(gaussian_matrix(rng, l, m).T).T
     y = a @ omega
     w = psi @ a
     q, _ = thin_qr(y)
     for _ in range(power_iters):
-        q_hat, _ = thin_qr(a.T @ q)
+        q_hat, _ = thin_qr((q.T @ a).T)
         q, _ = thin_qr(a @ q_hat)
     xc = _min_norm_lstsq(psi @ q, w)
     return SketchResult(q, xc)
@@ -179,8 +207,11 @@ def _two_sided_sketch(a: np.ndarray, k: int, l: int, power_iters: int, rng: RngS
 def sketch(a: np.ndarray, k: int, l: int, rng: RngStream) -> SketchResult:
     """Two-sided sketch giving a rank-<=k approximation q @ xc of a.
 
-    Requires k <= min(l, n) and l <= m. Both test matrices are
-    orthonormalized before use, which improves accuracy over raw Gaussians.
+    Requires k <= min(l, n) and l <= m. The column test matrix Omega is a
+    raw Gaussian: orthonormalizing it would not change range(a @ Omega), so
+    q, and q @ xc, are the same up to rounding. The row test matrix Psi is
+    given orthonormal rows, because re-weighting the rows of Psi does change
+    the least-squares solution xc = (Psi @ q)^+ (Psi @ a).
     """
     _check_sketch_params(*a.shape, k, l)
     return _two_sided_sketch(a, k, l, 0, rng)

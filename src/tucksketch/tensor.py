@@ -16,7 +16,6 @@ __all__ = [
     "fold",
     "mode_n_product",
     "frobenius_norm",
-    "kronecker",
 ]
 
 
@@ -84,8 +83,3 @@ def frobenius_norm(x: np.ndarray) -> float:
     sq = np.square(np.ravel(x), dtype=np.float64)
     sq.sort()
     return float(np.sqrt(np.sum(sq)))
-
-
-def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product: block (i, j) of the result is a[i, j] * b."""
-    return np.kron(a, b)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tucksketch.linalg import (
     _min_norm_lstsq,
@@ -11,7 +12,7 @@ from tucksketch.linalg import (
     thin_svd,
     truncated_svd,
 )
-from tucksketch.rng import RngStream
+from tucksketch.rng import RngStream, gaussian_matrix
 
 
 def gram_singular_values(a):
@@ -36,6 +37,23 @@ def matrix_with_spectrum(m, n, sigma, seed):
 
 def f_ratio(s, t):
     return s / (t - s - 1)
+
+
+def laid_out(shape, layout, seed):
+    """A random matrix of the given shape stored C-ordered, F-ordered, as the
+    transposed view of a C-ordered array, or as a strided slice of a larger one."""
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    if layout == "C":
+        return rng.standard_normal(shape)
+    if layout == "F":
+        return np.asfortranarray(rng.standard_normal(shape))
+    if layout == "T":
+        return rng.standard_normal((n, m)).T
+    return rng.standard_normal((2 * m + 1, 3 * n))[1::2, ::3]
+
+
+LAYOUTS = ["C", "F", "T", "strided"]
 
 
 # ---------------------------------------------------------------- thin_qr
@@ -120,6 +138,44 @@ def test_thin_svd_reconstruction_and_gram_oracle():
     assert np.linalg.norm(a - t.matrix()) <= 1e-12 * norm
     oracle = gram_singular_values(a)
     assert np.allclose(t.s, oracle, atol=1e-10 * oracle[0])
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("shape", [(40, 15), (15, 40)])
+def test_thin_svd_layouts(shape, layout):
+    a = laid_out(shape, layout, seed=40)
+    t = thin_svd(a)
+    k = min(shape)
+    assert t.u.shape == (shape[0], k) and t.v.shape == (shape[1], k)
+    assert np.linalg.norm(a - t.matrix()) <= 1e-12 * np.linalg.norm(a)
+    assert np.linalg.norm(t.u.T @ t.u - np.eye(k)) <= 1e-12
+    assert np.linalg.norm(t.v.T @ t.v - np.eye(k)) <= 1e-12
+    assert np.all(np.diff(t.s) <= 0.0)
+    assert np.allclose(t.s, scipy.linalg.svdvals(a), rtol=0.0, atol=1e-13 * t.s[0])
+
+
+@pytest.mark.parametrize("shape", [(40, 15), (15, 40)])
+def test_thin_svd_of_transpose_swaps_factors(shape):
+    a = laid_out(shape, "C", seed=41)
+    t, tt = thin_svd(a), thin_svd(a.T)
+    assert np.allclose(tt.s, t.s, rtol=0.0, atol=1e-13 * t.s[0])
+    for x, y in ((tt.u, t.v), (tt.v, t.u)):
+        signs = np.sign(np.sum(x * y, axis=0))
+        assert np.allclose(x, y * signs, atol=1e-12)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("shape", [(40, 15), (15, 40)])
+def test_thin_qr_layouts(shape, layout):
+    a = laid_out(shape, layout, seed=42)
+    before = a.copy()
+    q, r = thin_qr(a)
+    k = min(shape)
+    assert q.shape == (shape[0], k) and r.shape == (k, shape[1])
+    assert np.linalg.norm(a - q @ r) <= 1e-12 * np.linalg.norm(a)
+    assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-12
+    assert np.array_equal(r, np.triu(r))
+    assert np.array_equal(a, before)
 
 
 # ------------------------------------------------------------ truncated_svd
@@ -341,3 +397,53 @@ def test_min_norm_lstsq_rank_deficient_warns():
         x = _min_norm_lstsq(a, b)
     expected = np.linalg.lstsq(a, b, rcond=None)[0]
     assert np.allclose(x, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_min_norm_lstsq_matches_lstsq_on_any_layout(layout):
+    # the sketch system: a tall l x k matrix, a wide l x n right-hand side
+    a = laid_out((15, 6), "C", seed=43)
+    b = laid_out((15, 90), layout, seed=44)
+    before = b.copy()
+    x = _min_norm_lstsq(a, b)
+    expected = scipy.linalg.lstsq(a, b)[0]
+    assert x.shape == (6, 90)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.array_equal(b, before)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_min_norm_lstsq_rank_deficient_falls_back_on_any_layout(layout):
+    rng = np.random.default_rng(45)
+    a = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 5))
+    b = laid_out((12, 30), layout, seed=46)
+    with pytest.warns(RuntimeWarning):
+        x = _min_norm_lstsq(a, b)
+    expected = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.allclose(x, expected, atol=1e-10 * np.linalg.norm(expected))
+
+
+def _sketch_with_orthonormal_omega(a, k, l, power_iters, seed):
+    """The two-sided sketch with Omega orthonormalized, from the same draws."""
+    m, n = a.shape
+    rng = RngStream(seed)
+    omega = orthonormalize(gaussian_matrix(rng, n, k))
+    psi = orthonormalize(gaussian_matrix(rng, l, m).T).T
+    q = np.linalg.qr(a @ omega)[0]
+    for _ in range(power_iters):
+        q = np.linalg.qr(a @ np.linalg.qr(a.T @ q)[0])[0]
+    return q @ scipy.linalg.lstsq(psi @ q, psi @ a)[0]
+
+
+@pytest.mark.parametrize("power_iters", [0, 1])
+def test_sketch_does_not_depend_on_the_basis_of_omega(power_iters):
+    # q spans range(a @ omega), which orthonormalizing omega does not move
+    a = matrix_with_spectrum(60, 45, 1.0 / np.arange(1, 46), seed=47)
+    k, l, seed = 6, 13, 48
+    res = (
+        sketch(a, k, l, RngStream(seed))
+        if power_iters == 0
+        else sub_sketch(a, k, l, power_iters, RngStream(seed))
+    )
+    expected = _sketch_with_orthonormal_omega(a, k, l, power_iters, seed)
+    assert np.linalg.norm(res.matrix() - expected) <= 1e-10 * np.linalg.norm(expected)

@@ -9,7 +9,6 @@ from tucksketch.tensor import (
     as_tensor,
     fold,
     frobenius_norm,
-    kronecker,
     mode_n_product,
     unfold,
 )
@@ -170,16 +169,10 @@ def test_frobenius_matches_unfoldings(dims, seed):
         assert frobenius_norm(x) == frobenius_norm(unfold(x, mode))
 
 
-def test_kronecker_identities():
-    assert np.array_equal(kronecker(np.eye(2), np.eye(2)), np.eye(4))
-    a = np.arange(6, dtype=float).reshape(2, 3)
-    assert np.array_equal(kronecker(a, np.array([[1.0]])), a)
-
-
 def test_kronecker_block_structure():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.arange(6, dtype=float).reshape(3, 2)
-    k = kronecker(a, b)
+    k = np.kron(a, b)
     assert k.shape == (6, 4)
     for i in range(2):
         for j in range(2):
@@ -198,7 +191,7 @@ def test_unfolding_kronecker_reconstruction_identity():
         others = [factors[i] for i in reversed(range(3)) if i != n - 1]
         chain = others[0]
         for u in others[1:]:
-            chain = kronecker(chain, u)
+            chain = np.kron(chain, u)
         expected = factors[n - 1] @ unfold(core, n) @ chain.T
         assert np.allclose(unfold(x, n), expected, atol=1e-10 * frobenius_norm(x))
 

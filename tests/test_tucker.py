@@ -9,7 +9,7 @@ from tucksketch.datagen import hilbert_tensor
 from tucksketch.linalg import truncated_svd
 from tucksketch.metrics import bound_oracle, relative_error, spectrum_summary, tail_energy
 from tucksketch.rng import RngStream
-from tucksketch.tensor import frobenius_norm, fold, kronecker, mode_n_product, unfold
+from tucksketch.tensor import frobenius_norm, fold, mode_n_product, unfold
 from tucksketch.tucker import (
     TuckerModel,
     load_model,
@@ -193,7 +193,7 @@ def test_reconstruct_matches_kronecker_route():
         others = [factors[i] for i in reversed(range(3)) if i != n - 1]
         chain = others[0]
         for u in others[1:]:
-            chain = kronecker(chain, u)
+            chain = np.kron(chain, u)
         via_kron = factors[n - 1] @ unfold(core, n) @ chain.T
         dims = x.shape
         assert np.allclose(
