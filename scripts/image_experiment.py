@@ -11,31 +11,12 @@ algorithm, writes the reconstructions next to the report:
 
 import argparse
 import pathlib
-import time
 
 import numpy as np
 
-from tucksketch.bench import ALGORITHMS, BenchReport, BenchRow, write_csv
+from tucksketch.bench import ALGORITHMS, BenchReport, run_trial, write_csv
 from tucksketch.config import ApproxConfig
 from tucksketch.imageio import load_image_tensor, save_image_tensor
-from tucksketch.metrics import psnr, relative_error
-from tucksketch.rng import RngStream
-from tucksketch.tucker import (
-    r_sthosvd,
-    reconstruct,
-    sketch_sthosvd,
-    sthosvd,
-    sub_sketch_sthosvd,
-    thosvd,
-)
-
-RUNNERS = {
-    "thosvd": lambda x, cfg, rng: thosvd(x, cfg),
-    "sthosvd": lambda x, cfg, rng: sthosvd(x, cfg),
-    "rsthosvd": r_sthosvd,
-    "sketch": sketch_sthosvd,
-    "subsketch": sub_sketch_sthosvd,
-}
 
 
 def main():
@@ -61,27 +42,11 @@ def main():
     )
 
     rows = []
-    for key, runner in RUNNERS.items():
-        start = time.perf_counter()
-        model = runner(x, cfg, RngStream(args.seed))
-        wall_ms = (time.perf_counter() - start) * 1e3
-        xhat = reconstruct(model)
-        quality = psnr(x, xhat, 255.0)
+    for key in ALGORITHMS:
+        _, xhat, row = run_trial(f"image-r{args.rank}", key, x, cfg, 255.0, args.seed)
         save_image_tensor(np.clip(xhat, 0, 255), out_dir / f"{key}.ppm")
-        rows.append(
-            BenchRow(
-                experiment=f"image-r{args.rank}",
-                algorithm=ALGORITHMS[key],
-                ranks=ranks,
-                sketch_sizes=cfg.sketch_sizes if key in ("sketch", "subsketch") else None,
-                q=args.q if key == "subsketch" else None,
-                seed=args.seed,
-                rel_error=relative_error(x, xhat),
-                psnr=quality,
-                wall_ms=wall_ms,
-            )
-        )
-        print(f"{ALGORITHMS[key]:>20s}: psnr={quality:7.2f} dB  time={wall_ms:8.1f} ms")
+        rows.append(row)
+        print(f"{row.algorithm:>20s}: psnr={row.psnr:7.2f} dB  time={row.wall_ms:8.1f} ms")
     write_csv(BenchReport(rows), out_dir / "report.csv")
     print(f"reconstructions and report.csv written to {out_dir}/")
 

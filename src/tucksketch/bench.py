@@ -20,7 +20,7 @@ from .datagen import SparseGenConfig, add_awgn, add_scaled_noise, gaussian_tenso
 from .imageio import load_image_tensor
 from .metrics import psnr, relative_error
 from .rng import RngStream
-from .tucker import r_sthosvd, reconstruct, sketch_sthosvd, sthosvd, sub_sketch_sthosvd, thosvd
+from .tucker import TuckerModel, decompose, reconstruct
 
 __all__ = [
     "ALGORITHMS",
@@ -29,6 +29,7 @@ __all__ = [
     "BenchReport",
     "ExperimentConfig",
     "run_bench",
+    "run_trial",
     "write_csv",
     "read_csv",
 ]
@@ -42,6 +43,7 @@ ALGORITHMS = {
 }
 
 _RANDOMIZED = {"rsthosvd", "sketch", "subsketch"}
+_SKETCHED = {"sketch", "subsketch"}
 
 # Tensor generation draws from a stream id far away from the per-trial
 # pipeline streams so the data never shares draws with the algorithms.
@@ -144,16 +146,31 @@ def build_source_tensor(cfg: ExperimentConfig) -> tuple[np.ndarray, float | None
     return x, peak
 
 
-def _decompose(key: str, x: np.ndarray, acfg: ApproxConfig, rng: RngStream):
-    if key == "thosvd":
-        return thosvd(x, acfg)
-    if key == "sthosvd":
-        return sthosvd(x, acfg)
-    if key == "rsthosvd":
-        return r_sthosvd(x, acfg, rng)
-    if key == "sketch":
-        return sketch_sthosvd(x, acfg, rng)
-    return sub_sketch_sthosvd(x, acfg, rng)
+def run_trial(
+    experiment: str, key: str, x: np.ndarray, acfg: ApproxConfig, peak: float | None = None, seed: int | None = None
+) -> tuple[TuckerModel, np.ndarray, BenchRow]:
+    """Time one decomposition, reconstruct it and score it as a report row.
+
+    Only the ``decompose`` call is timed. The row reports ``acfg.sketch_sizes``
+    for the sketch pipelines and ``acfg.power_iters`` for sub-Sketch; ``seed``
+    goes to its seed column as given, and ``peak`` (if any) adds the PSNR.
+    """
+    start = time.perf_counter()
+    model = decompose(key, x, acfg)
+    wall_ms = (time.perf_counter() - start) * 1e3
+    xhat = reconstruct(model)
+    row = BenchRow(
+        experiment=experiment,
+        algorithm=ALGORITHMS[key],
+        ranks=acfg.target_ranks,
+        sketch_sizes=acfg.sketch_sizes if key in _SKETCHED else None,
+        q=acfg.power_iters if key == "subsketch" else None,
+        seed=seed,
+        rel_error=relative_error(x, xhat),
+        psnr=psnr(x, xhat, peak) if peak is not None else None,
+        wall_ms=wall_ms,
+    )
+    return model, xhat, row
 
 
 def run_bench(cfg: ExperimentConfig) -> BenchReport:
@@ -163,35 +180,20 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
     for ranks in cfg.rank_sets:
         sizes = tuple(r + cfg.sketch_extra for r in ranks)
         for key in cfg.algorithms:
-            uses_sketch = key in ("sketch", "subsketch")
             for trial in range(cfg.trials):
                 seed = cfg.base_seed ^ trial
                 acfg = ApproxConfig(
                     target_ranks=ranks,
                     processing_order=cfg.order,
                     oversample=cfg.oversample,
-                    sketch_sizes=sizes if uses_sketch else None,
+                    sketch_sizes=sizes,
                     power_iters=cfg.power_iters,
                     seed=seed,
                 )
-                rng = RngStream(seed)
-                start = time.perf_counter()
-                model = _decompose(key, x, acfg, rng)
-                wall_ms = (time.perf_counter() - start) * 1e3
-                xhat = reconstruct(model)
-                rows.append(
-                    BenchRow(
-                        experiment=cfg.experiment,
-                        algorithm=ALGORITHMS[key],
-                        ranks=ranks,
-                        sketch_sizes=sizes if uses_sketch else None,
-                        q=cfg.power_iters if key == "subsketch" else None,
-                        seed=seed if key in _RANDOMIZED else None,
-                        rel_error=relative_error(x, xhat),
-                        psnr=psnr(x, xhat, peak) if peak is not None else None,
-                        wall_ms=wall_ms,
-                    )
+                _, _, row = run_trial(
+                    cfg.experiment, key, x, acfg, peak, seed if key in _RANDOMIZED else None
                 )
+                rows.append(row)
     report = BenchReport(rows)
     if cfg.aggregate == "mean":
         report = _aggregate_mean(report)

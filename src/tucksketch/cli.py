@@ -8,17 +8,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
+import zipfile
 
 import numpy as np
 
-from .bench import ALGORITHMS, BenchReport, BenchRow, ExperimentConfig, run_bench, write_csv
+from .bench import ALGORITHMS, BenchReport, ExperimentConfig, run_bench, run_trial, write_csv
 from .config import ApproxConfig
 from .datagen import SparseGenConfig, hilbert_tensor, sparse_lowrank_tensor
 from .imageio import ImageFormatError, load_image_tensor, save_image_tensor
-from .metrics import psnr, relative_error
-from .rng import RngStream
-from .tucker import r_sthosvd, reconstruct, save_model, sketch_sthosvd, sthosvd, sub_sketch_sthosvd, thosvd
+from .tucker import save_model
 
 __all__ = ["main"]
 
@@ -71,26 +69,15 @@ def _load_tensor(path: str) -> np.ndarray:
     if path.endswith((".ppm", ".pgm")):
         return load_image_tensor(path)
     try:
-        return np.asarray(np.load(path), dtype=np.float64)
-    except ValueError as exc:
+        with open(path, "rb") as f:
+            data = np.load(f)
+            if not isinstance(data, np.ndarray):
+                raise ValueError("an .npz archive, not one array")
+            if np.iscomplexobj(data):
+                raise ValueError("complex entries")
+            return np.asarray(data, dtype=np.float64)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise OSError(f"unreadable tensor file {path}: {exc}") from exc
-
-
-def _decompose_once(key: str, x, acfg: ApproxConfig):
-    rng = RngStream(acfg.seed)
-    start = time.perf_counter()
-    if key == "thosvd":
-        model = thosvd(x, acfg)
-    elif key == "sthosvd":
-        model = sthosvd(x, acfg)
-    elif key == "rsthosvd":
-        model = r_sthosvd(x, acfg, rng)
-    elif key == "sketch":
-        model = sketch_sthosvd(x, acfg, rng)
-    else:
-        model = sub_sketch_sthosvd(x, acfg, rng)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return model, wall_ms
 
 
 def _approx_config(args, ranks: tuple[int, ...]) -> ApproxConfig:
@@ -123,9 +110,8 @@ def _cmd_decompose(args) -> int:
     if len(key) != 1:
         raise _UsageError("decompose takes exactly one algorithm")
     x = _load_tensor(getattr(args, "in"))
-    model, wall_ms = _decompose_once(key[0], x, _approx_config(args, ranks))
-    err = relative_error(x, reconstruct(model))
-    print(f"algorithm={ALGORITHMS[key[0]]} rel_error={err:.6e} wall_ms={wall_ms:.6e}")
+    model, _, row = run_trial("decompose", key[0], x, _approx_config(args, ranks))
+    print(f"algorithm={row.algorithm} rel_error={row.rel_error:.6e} wall_ms={row.wall_ms:.6e}")
     if args.out:
         save_model(model, args.out)
     return 0
@@ -163,39 +149,23 @@ def _cmd_image_compress(args) -> int:
     if len(key) != 1:
         raise _UsageError("image-compress takes exactly one algorithm")
     x = load_image_tensor(getattr(args, "in"))
-    model, wall_ms = _decompose_once(key[0], x, _approx_config(args, ranks))
-    xhat = reconstruct(model)
+    model, xhat, row = run_trial(
+        "image-compress", key[0], x, _approx_config(args, ranks), 255.0, args.seed
+    )
     save_image_tensor(xhat, args.out)
-    quality = psnr(x, xhat, 255.0)
-    err = relative_error(x, xhat)
     print(
-        f"algorithm={ALGORITHMS[key[0]]} psnr={quality:.4f} "
-        f"rel_error={err:.6e} wall_ms={wall_ms:.6e}"
+        f"algorithm={row.algorithm} psnr={row.psnr:.4f} "
+        f"rel_error={row.rel_error:.6e} wall_ms={row.wall_ms:.6e}"
     )
     if args.model:
         save_model(model, args.model)
     if args.csv:
-        row = BenchRow(
-            experiment="image-compress",
-            algorithm=ALGORITHMS[key[0]],
-            ranks=ranks,
-            sketch_sizes=(
-                tuple(r + args.sketch_extra for r in ranks)
-                if key[0] in ("sketch", "subsketch")
-                else None
-            ),
-            q=args.q if key[0] == "subsketch" else None,
-            seed=args.seed,
-            rel_error=err,
-            psnr=quality,
-            wall_ms=wall_ms,
-        )
         write_csv(BenchReport([row]), args.csv)
     return 0
 
 
-def _add_approx_flags(sub) -> None:
-    sub.add_argument("--ranks", required=True, help="target ranks, e.g. 10x10x10")
+def _add_approx_flags(sub, ranks_help: str = "target ranks, e.g. 10x10x10") -> None:
+    sub.add_argument("--ranks", required=True, help=ranks_help)
     sub.add_argument("--order", default=None, help="processing order, e.g. 1,2,3")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--oversample", type=int, default=5)
@@ -239,15 +209,8 @@ def _build_parser() -> _Parser:
     ben.add_argument("--dims", default=None, help="e.g. 100x100x100")
     ben.add_argument("--image", default=None, help="PPM/PGM path for source=image")
     ben.add_argument("--algo", default="all", help="all or comma list")
-    ben.add_argument(
-        "--ranks", required=True, help="comma list of rank tuples, e.g. 10x10x10,20x20x20"
-    )
+    _add_approx_flags(ben, "comma list of rank tuples, e.g. 10x10x10,20x20x20")
     ben.add_argument("--trials", type=int, default=1)
-    ben.add_argument("--order", default=None)
-    ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--oversample", type=int, default=5)
-    ben.add_argument("--sketch-extra", dest="sketch_extra", type=int, default=2)
-    ben.add_argument("--q", type=int, default=1)
     ben.add_argument("--gamma", type=float, default=10.0)
     ben.add_argument("--density", type=float, default=0.05)
     ben.add_argument("--delta", type=float, default=None, help="additive noise scale")

@@ -9,6 +9,19 @@ factors):
 * r_sthosvd         -- sequential truncation with a randomized SVD per mode.
 * sketch_sthosvd    -- sequential truncation with a two-sided sketch per mode.
 * sub_sketch_sthosvd-- as above with subspace power iteration.
+
+The four sequential pipelines share one loop, ``_sequential``, and differ
+only in their per-mode step. In processing order, mode n's unfolding of the
+current core goes to ``step(unfolding, n, r_n)``, which returns the factor
+U_n (I_n x r_n, orthonormal columns) and the new core unfolding (r_n x the
+unfolding's columns); the loop folds it back into a core whose mode n now
+has size r_n. A randomized step falls back to the deterministic truncated
+SVD on a mode it cannot sample. ``thosvd`` factors the unshrunk unfoldings
+and needs no core per mode, so it keeps its own loop.
+
+``PIPELINES`` maps each CLI/bench algorithm key to a pipeline, and
+``decompose(key, x, cfg)`` runs it with the randomized pipelines drawing
+from ``RngStream(cfg.seed)``.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ApproxConfig
-from .linalg import rsvd, sketch, sub_sketch, truncated_svd
+from .linalg import SvdTriple, rsvd, sketch, sub_sketch, truncated_svd
 from .rng import RngStream
 from .tensor import as_tensor, fold, mode_n_product, unfold
 
@@ -32,6 +45,8 @@ __all__ = [
     "r_sthosvd",
     "sketch_sthosvd",
     "sub_sketch_sthosvd",
+    "PIPELINES",
+    "decompose",
     "reconstruct",
     "save_model",
     "load_model",
@@ -72,8 +87,24 @@ def _validate(x, cfg: ApproxConfig):
     return x, ranks, order
 
 
-def _shrunk(dims: tuple[int, ...], mode: int, r: int) -> tuple[int, ...]:
-    return dims[: mode - 1] + (r,) + dims[mode:]
+def _sequential(x: np.ndarray, ranks, order, step) -> TuckerModel:
+    """The ST-HOSVD loop; the module docstring states the step contract."""
+    core = x
+    factors: list[np.ndarray | None] = [None] * x.ndim
+    for n in order:
+        r = ranks[n - 1]
+        factors[n - 1], c = step(unfold(core, n), n, r)
+        core = fold(c, n, core.shape[: n - 1] + (r,) + core.shape[n:])
+    return TuckerModel(core, factors)
+
+
+def _svd_pair(t: SvdTriple) -> tuple[np.ndarray, np.ndarray]:
+    """(U, new core unfolding) of a truncated factorization u diag(s) v^T."""
+    return t.u, t.s[:, None] * t.v.T
+
+
+def _svd_step(m: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    return _svd_pair(truncated_svd(m, r))
 
 
 def thosvd(x: np.ndarray, cfg: ApproxConfig) -> TuckerModel:
@@ -88,15 +119,7 @@ def thosvd(x: np.ndarray, cfg: ApproxConfig) -> TuckerModel:
 
 def sthosvd(x: np.ndarray, cfg: ApproxConfig) -> TuckerModel:
     """Sequentially truncated pipeline; the core shrinks after each mode."""
-    x, ranks, order = _validate(x, cfg)
-    core = x
-    factors: list[np.ndarray | None] = [None] * x.ndim
-    for n in order:
-        r = ranks[n - 1]
-        t = truncated_svd(unfold(core, n), r)
-        factors[n - 1] = t.u
-        core = fold(t.s[:, None] * t.v.T, n, _shrunk(core.shape, n, r))
-    return TuckerModel(core, factors)
+    return _sequential(*_validate(x, cfg), _svd_step)
 
 
 def r_sthosvd(x: np.ndarray, cfg: ApproxConfig, rng: RngStream | None = None) -> TuckerModel:
@@ -108,35 +131,25 @@ def r_sthosvd(x: np.ndarray, cfg: ApproxConfig, rng: RngStream | None = None) ->
     """
     x, ranks, order = _validate(x, cfg)
     rng = rng if rng is not None else RngStream(cfg.seed)
-    core = x
-    factors: list[np.ndarray | None] = [None] * x.ndim
-    for n in order:
-        r = ranks[n - 1]
-        m = unfold(core, n)
+
+    def step(m, n, r):
         p = min(cfg.oversample, min(m.shape) - r)
-        t = rsvd(m, r, p, rng) if p >= 0 else truncated_svd(m, r)
-        factors[n - 1] = t.u
-        core = fold(t.s[:, None] * t.v.T, n, _shrunk(core.shape, n, r))
-    return TuckerModel(core, factors)
+        return _svd_pair(rsvd(m, r, p, rng) if p >= 0 else truncated_svd(m, r))
+
+    return _sequential(x, ranks, order, step)
 
 
 def _sketch_pipeline(x, cfg: ApproxConfig, rng: RngStream | None, power_iters: int) -> TuckerModel:
     x, ranks, order = _validate(x, cfg)
     plan = cfg.sketch_plan(x.shape)
     rng = rng if rng is not None else RngStream(cfg.seed)
-    core = x
-    factors: list[np.ndarray | None] = [None] * x.ndim
-    for n in order:
-        r = ranks[n - 1]
-        m = unfold(core, n)
+
+    def step(m, n, r):
         l = plan[n - 1]
         if l is None:
             # Full-rank or otherwise unsketchable mode: l_n > r_n cannot hold
             # within the unfolding's shape, so truncate deterministically.
-            t = truncated_svd(m, r)
-            factors[n - 1] = t.u
-            core = fold(t.s[:, None] * t.v.T, n, _shrunk(core.shape, n, r))
-            continue
+            return _svd_step(m, n, r)
         if l == r + 1:
             warnings.warn(
                 f"mode {n}: sketch size clamped to rank + 1; expected-error "
@@ -148,9 +161,9 @@ def _sketch_pipeline(x, cfg: ApproxConfig, rng: RngStream | None, power_iters: i
             if power_iters == 0
             else sub_sketch(m, r, l, power_iters, rng)
         )
-        factors[n - 1] = result.q
-        core = fold(result.xc, n, _shrunk(core.shape, n, r))
-    return TuckerModel(core, factors)
+        return result.q, result.xc
+
+    return _sequential(x, ranks, order, step)
 
 
 def sketch_sthosvd(x: np.ndarray, cfg: ApproxConfig, rng: RngStream | None = None) -> TuckerModel:
@@ -161,6 +174,25 @@ def sketch_sthosvd(x: np.ndarray, cfg: ApproxConfig, rng: RngStream | None = Non
 def sub_sketch_sthosvd(x: np.ndarray, cfg: ApproxConfig, rng: RngStream | None = None) -> TuckerModel:
     """Sequential truncation with a power-iterated two-sided sketch per mode."""
     return _sketch_pipeline(x, cfg, rng, cfg.power_iters)
+
+
+# CLI/bench algorithm key -> pipeline function name in this module.
+PIPELINES = {
+    "thosvd": "thosvd",
+    "sthosvd": "sthosvd",
+    "rsthosvd": "r_sthosvd",
+    "sketch": "sketch_sthosvd",
+    "subsketch": "sub_sketch_sthosvd",
+}
+
+
+def decompose(key: str, x: np.ndarray, cfg: ApproxConfig) -> TuckerModel:
+    """Run the pipeline registered under ``key``; randomized ones draw from RngStream(cfg.seed).
+
+    The function is looked up by name at call time, so a wrapper bound to
+    that name in this module (a tracer, a profiler) sees the call.
+    """
+    return globals()[PIPELINES[key]](x, cfg)
 
 
 _MAGIC = b"TUCK"
@@ -190,6 +222,8 @@ def load_model(path) -> TuckerModel:
         blob = f.read()
     if blob[:4] != _MAGIC:
         raise ValueError("not a Tucker model container (bad magic)")
+    if len(blob) < 12:
+        raise ValueError("container truncated inside its header")
     version, ndim = struct.unpack_from("<II", blob, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported container version {version}")

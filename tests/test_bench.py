@@ -16,7 +16,7 @@ from tucksketch.bench import (
 )
 from tucksketch.imageio import save_image_tensor
 from tucksketch.metrics import psnr
-from tucksketch.tucker import reconstruct
+from tucksketch.tucker import PIPELINES, reconstruct
 
 
 def small_hilbert_config(**overrides):
@@ -66,6 +66,10 @@ def test_algorithm_names_canonical():
         "Sketch-STHOSVD",
         "sub-Sketch-STHOSVD",
     }
+
+
+def test_registry_covers_every_algorithm():
+    assert set(PIPELINES) == set(ALGORITHMS)
 
 
 def test_errors_descend_with_rank():

@@ -120,6 +120,17 @@ def test_io_error_exit_code(tmp_path):
         main(["decompose", "--in", str(missing), "--algo", "sthosvd", "--ranks", "2x2x2"])
         == 2
     )
+    # an empty file, a non-zip behind the zip magic, complex entries
+    bad_npy = {
+        "empty.npy": b"",
+        "zip.npy": b"PK\x03\x04" + b"\x00" * 40,
+    }
+    for name, blob in bad_npy.items():
+        (tmp_path / name).write_bytes(blob)
+    np.save(tmp_path / "complex.npy", np.ones((3, 3, 3)) * (1 + 2j))
+    for name in (*bad_npy, "complex.npy"):
+        src = str(tmp_path / name)
+        assert main(["decompose", "--in", src, "--algo", "sthosvd", "--ranks", "2x2x2"]) == 2
     bad_img = tmp_path / "bad.ppm"
     bad_img.write_bytes(b"P6\n2 2\n255\nxx")  # truncated payload
     assert (

@@ -6,12 +6,14 @@ import pytest
 
 from tucksketch.config import ApproxConfig
 from tucksketch.datagen import hilbert_tensor
-from tucksketch.linalg import truncated_svd
+from tucksketch.linalg import rsvd, sketch, sub_sketch, truncated_svd
 from tucksketch.metrics import bound_oracle, relative_error, spectrum_summary, tail_energy
 from tucksketch.rng import RngStream
 from tucksketch.tensor import frobenius_norm, fold, mode_n_product, unfold
 from tucksketch.tucker import (
+    PIPELINES as REGISTRY,
     TuckerModel,
+    decompose,
     load_model,
     r_sthosvd,
     reconstruct,
@@ -157,13 +159,75 @@ def test_randomized_pipelines_bit_deterministic(name):
         assert np.array_equal(ua, ub)
 
 
+def assert_same_model(a: TuckerModel, b: TuckerModel) -> None:
+    assert np.array_equal(a.core, b.core)
+    assert len(a.factors) == len(b.factors)
+    for ua, ub in zip(a.factors, b.factors):
+        assert np.array_equal(ua, ub)
+
+
 def test_seed_comes_from_config_when_rng_omitted():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((10, 10, 10))
     cfg = ApproxConfig(target_ranks=(3, 3, 3), seed=41)
-    a = sketch_sthosvd(x, cfg)
-    b = sketch_sthosvd(x, cfg, RngStream(41))
-    assert np.array_equal(a.core, b.core)
+    for name in ("r_sthosvd", "sketch_sthosvd", "sub_sketch_sthosvd"):
+        assert_same_model(PIPELINES[name](x, cfg, None), PIPELINES[name](x, cfg, RngStream(41)))
+    # the registry relies on rng=None meaning RngStream(cfg.seed)
+    for key, name in REGISTRY.items():
+        assert_same_model(decompose(key, x, cfg), PIPELINES[name](x, cfg, RngStream(41)))
+
+
+def reference_sequential(x, cfg, kernel, rng):
+    """A plain ST-HOSVD loop over the public kernels, with both fallback rules.
+
+    kernel is "rsvd", "sketch" or "sub_sketch". R-STHOSVD clamps its
+    oversampling to the smaller unfolding side and takes the truncated SVD
+    when even p = 0 does not fit; the sketches clamp l_n to I_n and take the
+    truncated SVD when r_n >= I_n or r_n exceeds the unfolding's columns.
+    """
+    ranks = cfg.target_ranks
+    sizes = cfg.sketch_sizes_for(x.ndim)
+    core = x
+    factors = [None] * x.ndim
+    for n in cfg.processing_order:
+        r = ranks[n - 1]
+        m = unfold(core, n)
+        rows, cols = m.shape
+        if kernel == "rsvd":
+            p = min(cfg.oversample, rows - r, cols - r)
+            t = rsvd(m, r, p, rng) if p >= 0 else truncated_svd(m, r)
+            u, c = t.u, t.s[:, None] * t.v.T
+        elif r >= rows or r > cols:
+            t = truncated_svd(m, r)
+            u, c = t.u, t.s[:, None] * t.v.T
+        else:
+            l = min(sizes[n - 1], rows)
+            if kernel == "sketch":
+                res = sketch(m, r, l, rng)
+            else:
+                res = sub_sketch(m, r, l, cfg.power_iters, rng)
+            u, c = res.q, res.xc
+        factors[n - 1] = u
+        shape = list(core.shape)
+        shape[n - 1] = r
+        core = fold(c, n, tuple(shape))
+    return TuckerModel(core, factors)
+
+
+@pytest.mark.parametrize(
+    "name, kernel",
+    [("r_sthosvd", "rsvd"), ("sketch_sthosvd", "sketch"), ("sub_sketch_sthosvd", "sub_sketch")],
+)
+def test_pipelines_match_reference_loop(name, kernel):
+    # Mode 2 goes first and mode 3, full rank, goes last. At r = (5, 5, 6)
+    # mode 2's l = 11 clamps to 10, and mode 3's 6 x 25 unfolding gives
+    # R-STHOSVD p = 0 and the sketches the SVD fallback. At r = (2, 2, 6)
+    # mode 3's 6 x 4 unfolding sends every kernel to the SVD fallback.
+    x = np.random.default_rng(16).standard_normal((12, 10, 6))
+    for ranks in ((5, 5, 6), (2, 2, 6)):
+        cfg = ApproxConfig(target_ranks=ranks, processing_order=(2, 1, 3), power_iters=2)
+        got = PIPELINES[name](x, cfg, RngStream(17))
+        assert_same_model(got, reference_sequential(x, cfg, kernel, RngStream(17)))
 
 
 @pytest.mark.parametrize("name", list(PIPELINES))
@@ -326,6 +390,8 @@ def test_model_container_layout(tmp_path):
 
 def test_model_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.tuck"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        load_model(path)
+    # bad magic, then containers cut inside the 12-byte header
+    for blob in (b"NOPE" + b"\x00" * 32, b"TUCK", b"TUCK\x01\x00"):
+        path.write_bytes(blob)
+        with pytest.raises(ValueError):
+            load_model(path)
