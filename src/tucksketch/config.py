@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 __all__ = ["ApproxConfig"]
@@ -25,6 +24,9 @@ class ApproxConfig:
     1 + r_n / (l_n - r_n - 1) (Tropp, Yurtsever, Udell and Cevher, SIMAX
     2017, Thm 4.3): the default l_n = 2 r_n + 1 makes that factor 2, where
     l_n = r_n + 2 makes it r_n + 1. See `sketch_plan` for the clamp to I_n.
+    At l_n = r_n + 1 the factor is infinite: the sketch pipelines warn on
+    each mode that runs there, requested or clamped; the config does not,
+    since most pipelines never sketch.
     """
 
     target_ranks: tuple[int, ...]
@@ -55,12 +57,6 @@ class ApproxConfig:
             for r, l in zip(self.target_ranks, sizes):
                 if l <= r:
                     raise ValueError(f"sketch size {l} must exceed target rank {r}")
-                if l == r + 1:
-                    warnings.warn(
-                        f"sketch size {l} = rank + 1 makes the expected-error "
-                        "bound vacuous",
-                        RuntimeWarning,
-                    )
 
     def ranks_for(self, ndim: int) -> tuple[int, ...]:
         if len(self.target_ranks) != ndim:

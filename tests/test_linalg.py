@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from tucksketch.config import ApproxConfig
+from tucksketch.datagen import add_scaled_noise, hilbert_tensor
 from tucksketch.linalg import (
+    _canonical_signs,
+    _gram_left_factor,
+    _left_factor,
     _min_norm_lstsq,
+    _qr_left_factor,
     orthonormalize,
     rsvd,
     sketch,
@@ -12,7 +18,10 @@ from tucksketch.linalg import (
     thin_svd,
     truncated_svd,
 )
+from tucksketch.metrics import relative_error
 from tucksketch.rng import RngStream, gaussian_matrix
+from tucksketch.tensor import mode_n_product, unfold
+from tucksketch.tucker import TuckerModel, reconstruct, thosvd
 
 
 def gram_singular_values(a):
@@ -447,3 +456,117 @@ def test_sketch_does_not_depend_on_the_basis_of_omega(power_iters):
     )
     expected = _sketch_with_orthonormal_omega(a, k, l, power_iters, seed)
     assert np.linalg.norm(res.matrix() - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+# ---------------------------------------------------------------- left factor
+
+
+def assert_orthonormal_columns(u, tol=1e-12):
+    assert np.linalg.norm(u.T @ u - np.eye(u.shape[1])) <= tol
+
+
+def test_left_factor_routes_agree_on_separated_spectrum():
+    sigma = 2.0 ** -np.arange(12)
+    a = matrix_with_spectrum(12, 300, sigma, seed=50)
+    gram = _gram_left_factor(a, 5)
+    assert gram is not None
+    qr = _qr_left_factor(a, 5)
+    assert scipy.linalg.svdvals(gram.T @ qr).min() >= 1 - 1e-12
+    gram, qr = _canonical_signs(gram), _canonical_signs(qr)
+    assert np.max(np.abs(gram - qr)) <= 1e-10
+    assert np.array_equal(_left_factor(a, 5), gram)
+    peaks = gram[np.argmax(np.abs(gram), axis=0), np.arange(5)]
+    assert np.all(peaks > 0)
+
+
+def test_left_factor_graded_spectrum_takes_qr_route():
+    a = unfold(hilbert_tensor((40, 40, 40)), 1)
+    # lambda_8 / lambda_1 is about 1e-12, below the sqrt(eps) guard
+    assert _gram_left_factor(a, 8) is None
+    u = _left_factor(a, 8)
+    assert np.array_equal(u, _canonical_signs(_qr_left_factor(a, 8)))
+    ref = truncated_svd(a, 8).u
+    assert scipy.linalg.svdvals(ref.T @ u).min() >= 1 - 1e-12
+    # a rank whose lambda_r clears the guard takes the Gram route
+    assert _gram_left_factor(a, 5) is not None
+
+
+@pytest.mark.parametrize(
+    "a, r",
+    [
+        (np.zeros((6, 20)), 3),
+        (np.zeros((6, 20)), 6),
+        (np.random.default_rng(51).standard_normal((3, 4096)), 3),
+        (np.random.default_rng(52).standard_normal((30, 4)), 7),
+    ],
+    ids=["zero", "zero-full", "full-rank-mode", "tall-r-above-columns"],
+)
+def test_left_factor_orthonormal_columns(a, r):
+    u = _left_factor(a, r)
+    assert u.shape == (a.shape[0], r)
+    assert_orthonormal_columns(u)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("route", ["gram", "qr"])
+def test_left_factor_layouts_and_input_untouched(layout, route):
+    sigma = 2.0 ** -np.arange(10) if route == "gram" else 10.0 ** -np.arange(10)
+    a = matrix_with_spectrum(10, 200, sigma, seed=54)
+    a = np.ascontiguousarray(a) if layout == "C" else np.asfortranarray(a)
+    before = a.copy()
+    r = 8
+    assert (_gram_left_factor(a, r) is None) == (route == "qr")
+    u = _left_factor(a, r)
+    assert np.array_equal(a, before)
+    assert a.flags.c_contiguous == (layout == "C")
+    assert_orthonormal_columns(u)
+    ref = truncated_svd(np.ascontiguousarray(before), r).u
+    assert scipy.linalg.svdvals(ref.T @ u).min() >= 1 - 1e-12
+
+
+def test_left_factor_tall_keeps_truncated_svd():
+    a = np.random.default_rng(55).standard_normal((30, 4))
+    assert np.array_equal(_left_factor(a, 3), _canonical_signs(truncated_svd(a, 3).u))
+
+
+def test_left_factor_rejects_bad_rank():
+    a = np.ones((4, 10))
+    for r in (0, 5):
+        with pytest.raises(ValueError):
+            _left_factor(a, r)
+
+
+def _reference_thosvd(x, ranks):
+    """THOSVD from the full truncated SVD of every unfolding."""
+    factors = [truncated_svd(unfold(x, n), r).u for n, r in enumerate(ranks, start=1)]
+    core = x
+    for n, u in enumerate(factors, start=1):
+        core = mode_n_product(core, u.T, n)
+    return TuckerModel(core, factors)
+
+
+def _noisy_tucker(dims, ranks, seed):
+    rng = np.random.default_rng(seed)
+    core = rng.standard_normal(ranks)
+    factors = [np.linalg.qr(rng.standard_normal((d, r)))[0] for d, r in zip(dims, ranks)]
+    return add_scaled_noise(reconstruct(TuckerModel(core, factors)), 1e-3, RngStream(seed))
+
+
+@pytest.mark.parametrize(
+    "x, ranks",
+    [
+        (_noisy_tucker((24, 20, 30), (4, 3, 5), seed=56), (4, 3, 5)),
+        (hilbert_tensor((30, 30, 30)), (8, 8, 8)),
+    ],
+    ids=["noisy-tucker", "hilbert-30"],
+)
+def test_thosvd_matches_svd_reference(x, ranks):
+    model = thosvd(x, ApproxConfig(target_ranks=ranks))
+    ref = _reference_thosvd(x, ranks)
+    expected = reconstruct(ref)
+    assert relative_error(expected, reconstruct(model)) <= 1e-10
+    assert relative_error(x, reconstruct(model)) == pytest.approx(
+        relative_error(x, expected), rel=1e-10
+    )
+    for u, v in zip(model.factors, ref.factors):
+        assert np.linalg.norm(u @ u.T - v @ v.T) <= 1e-10

@@ -1,5 +1,6 @@
 import itertools
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -309,8 +310,17 @@ def test_invalid_processing_order():
 def test_sketch_size_validation():
     with pytest.raises(ValueError):
         ApproxConfig(target_ranks=(3, 3), sketch_sizes=(3, 5))
-    with pytest.warns(RuntimeWarning):
-        ApproxConfig(target_ranks=(3, 3), sketch_sizes=(4, 5))
+    x = np.random.default_rng(16).standard_normal((8, 9))
+    # l = r + 1 is legal; only a pipeline that sketches at that size warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = ApproxConfig(target_ranks=(3, 3), sketch_sizes=(4, 5))
+        thosvd(x, cfg)
+        sthosvd(x, cfg)
+    with pytest.warns(RuntimeWarning, match=r"mode 1: sketch size 4 = rank \+ 1 as requested"):
+        sketch_sthosvd(x, cfg, RngStream(0))
+    with pytest.warns(RuntimeWarning, match=r"mode 1: sketch size 7 clamped to the mode size 4"):
+        sketch_sthosvd(x[:4], ApproxConfig(target_ranks=(3, 3)), RngStream(0))
 
 
 def test_default_sketch_sizes_and_plan():
