@@ -43,7 +43,7 @@ def main():
 
     rows = []
     for key in ALGORITHMS:
-        _, xhat, row = run_trial(f"image-r{args.rank}", key, x, cfg, 255.0, args.seed)
+        _, xhat, row = run_trial(f"image-r{args.rank}", key, x, cfg, 255.0)
         save_image_tensor(np.clip(xhat, 0, 255), out_dir / f"{key}.ppm")
         rows.append(row)
         print(f"{row.algorithm:>20s}: psnr={row.psnr:7.2f} dB  time={row.wall_ms:8.1f} ms")

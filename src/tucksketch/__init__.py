@@ -10,8 +10,6 @@ from .datagen import (
     sparse_lowrank_tensor,
 )
 from .linalg import (
-    SketchResult,
-    SvdTriple,
     orthonormalize,
     rsvd,
     sketch,
@@ -55,8 +53,6 @@ __all__ = [
     "gaussian_tensor",
     "hilbert_tensor",
     "sparse_lowrank_tensor",
-    "SketchResult",
-    "SvdTriple",
     "orthonormalize",
     "rsvd",
     "sketch",

@@ -147,13 +147,13 @@ def build_source_tensor(cfg: ExperimentConfig) -> tuple[np.ndarray, float | None
 
 
 def run_trial(
-    experiment: str, key: str, x: np.ndarray, acfg: ApproxConfig, peak: float | None = None, seed: int | None = None
+    experiment: str, key: str, x: np.ndarray, acfg: ApproxConfig, peak: float | None = None
 ) -> tuple[TuckerModel, np.ndarray, BenchRow]:
     """Time one decomposition, reconstruct it and score it as a report row.
 
     Only the ``decompose`` call is timed. The row reports ``acfg.sketch_sizes``
-    for the sketch pipelines and ``acfg.power_iters`` for sub-Sketch; ``seed``
-    goes to its seed column as given, and ``peak`` (if any) adds the PSNR.
+    for the sketch pipelines, ``acfg.power_iters`` for sub-Sketch and
+    ``acfg.seed`` for the randomized pipelines; ``peak`` (if any) adds the PSNR.
     """
     start = time.perf_counter()
     model = decompose(key, x, acfg)
@@ -165,7 +165,7 @@ def run_trial(
         ranks=acfg.target_ranks,
         sketch_sizes=acfg.sketch_sizes if key in _SKETCHED else None,
         q=acfg.power_iters if key == "subsketch" else None,
-        seed=seed,
+        seed=acfg.seed if key in _RANDOMIZED else None,
         rel_error=relative_error(x, xhat),
         psnr=psnr(x, xhat, peak) if peak is not None else None,
         wall_ms=wall_ms,
@@ -181,19 +181,15 @@ def run_bench(cfg: ExperimentConfig) -> BenchReport:
         sizes = tuple(r + cfg.sketch_extra for r in ranks)
         for key in cfg.algorithms:
             for trial in range(cfg.trials):
-                seed = cfg.base_seed ^ trial
                 acfg = ApproxConfig(
                     target_ranks=ranks,
                     processing_order=cfg.order,
                     oversample=cfg.oversample,
                     sketch_sizes=sizes,
                     power_iters=cfg.power_iters,
-                    seed=seed,
+                    seed=cfg.base_seed ^ trial,
                 )
-                _, _, row = run_trial(
-                    cfg.experiment, key, x, acfg, peak, seed if key in _RANDOMIZED else None
-                )
-                rows.append(row)
+                rows.append(run_trial(cfg.experiment, key, x, acfg, peak)[2])
     report = BenchReport(rows)
     if cfg.aggregate == "mean":
         report = _aggregate_mean(report)

@@ -149,9 +149,7 @@ def _cmd_image_compress(args) -> int:
     if len(key) != 1:
         raise _UsageError("image-compress takes exactly one algorithm")
     x = load_image_tensor(getattr(args, "in"))
-    model, xhat, row = run_trial(
-        "image-compress", key[0], x, _approx_config(args, ranks), 255.0, args.seed
-    )
+    model, xhat, row = run_trial("image-compress", key[0], x, _approx_config(args, ranks), 255.0)
     save_image_tensor(xhat, args.out)
     print(
         f"algorithm={row.algorithm} psnr={row.psnr:.4f} "

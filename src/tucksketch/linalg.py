@@ -7,6 +7,12 @@ back. Every product or triangular solve that touches the long side of a
 matrix reads it in its stored layout, through a transposed view rather than
 a full-size copy.
 
+Every rank-r kernel returns one plain pair (U, C) with A ~= U @ C and U of
+orthonormal columns: ``truncated_svd`` and ``rsvd`` give C = diag(s) @ V^T,
+``sketch`` and ``sub_sketch`` give the correction X_c. ``thin_svd`` returns
+NumPy's (u, s, vt). No kernel fixes signs; ``_canonical_signs`` does, for
+THOSVD's factors here and for every step of ``tucker._sequential``.
+
 ``_left_factor`` gives THOSVD the r leading left singular vectors of a wide
 unfolding without forming V. It takes the Gram route of Vannieuwenhoven,
 Vandebril and Meerbergen (SISC 2012), ``eigh`` of A A^T for the r largest
@@ -15,12 +21,12 @@ rounding of the Gram matrix, about eps lambda_1, stays below sqrt(eps)
 lambda_r; a guard of 100 eps let the Hilbert 100^3 unfoldings through
 (lambda_r / lambda_1 = 6e-14) and moved THOSVD's error by 4e-5 relative.
 Otherwise it falls back to an R-only QR of A^T and the SVD of the small
-triangle. Its columns carry a
-canonical sign (largest-magnitude entry positive), so both routes and any
-LAPACK build give the same factor up to rounding. STHOSVD stays on
-``truncated_svd``: a Gram-route STHOSVD would run at about 1.5x the time of
-Sketch-STHOSVD on the acceptance suite's speed-ordering tensor, where the
-paper's claim (criterion 6) needs Sketch at most half of STHOSVD.
+triangle. Its columns carry the canonical sign (largest-magnitude entry
+positive), so both routes and any LAPACK build give the same factor up to
+rounding. STHOSVD stays on ``truncated_svd``: a Gram-route STHOSVD would
+run at about 1.5x the time of Sketch-STHOSVD on the acceptance suite's
+speed-ordering tensor, where the paper's claim (criterion 6) needs Sketch at
+most half of STHOSVD.
 
 The randomized kernels are the interesting part:
 
@@ -35,7 +41,6 @@ The randomized kernels are the interesting part:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -44,8 +49,6 @@ from scipy.linalg.blas import dtrsm
 from .rng import RngStream, gaussian_matrix
 
 __all__ = [
-    "SvdTriple",
-    "SketchResult",
     "thin_qr",
     "orthonormalize",
     "thin_svd",
@@ -54,29 +57,6 @@ __all__ = [
     "sketch",
     "sub_sketch",
 ]
-
-
-@dataclass
-class SvdTriple:
-    """Factorization A ~= u @ diag(s) @ v.T with orthonormal u, v columns."""
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
-
-
-@dataclass
-class SketchResult:
-    """Rank-k approximation q @ xc with q orthonormal and xc the correction."""
-
-    q: np.ndarray
-    xc: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return self.q @ self.xc
 
 
 def thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,8 +69,12 @@ def thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scipy.linalg.qr(a, mode="economic", check_finite=False)
 
 
-def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD a = u @ diag(s) @ vt, with LAPACK factoring the tall side."""
+def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD a = u @ diag(s) @ vt, returned as NumPy's (u, s, vt).
+
+    A wide a is factored as a.T with u and vt swapped back: LAPACK's divide
+    and conquer SVD is faster on the tall orientation of the same matrix.
+    """
     if a.shape[0] < a.shape[1]:
         v, s, ut = np.linalg.svd(a.T, full_matrices=False)
         return ut.T, s, v.T
@@ -99,7 +83,7 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def orthonormalize(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of range(a); a zero matrix yields an (m, 0) result."""
-    u, s, _ = _svd(a)
+    u, s, _ = thin_svd(a)
     if s.size == 0 or s[0] == 0.0:
         return u[:, :0]
     tol = max(a.shape) * np.finfo(np.float64).eps * s[0]
@@ -107,20 +91,16 @@ def orthonormalize(a: np.ndarray) -> np.ndarray:
     return u[:, :rank]
 
 
-def thin_svd(a: np.ndarray) -> SvdTriple:
-    """All min(m, n) singular triplets of a.
+def _canonical_signs(u: np.ndarray, c: np.ndarray | None = None):
+    """u with each column flipped so that its entry of largest magnitude is positive.
 
-    A wide a is factored as a.T with u and v swapped: LAPACK's divide and
-    conquer SVD is faster on the tall orientation of the same matrix.
+    Given c, the rows of c that match flipped columns are negated as well,
+    and the pair (u, c) is returned with u @ c unchanged. This is the sign
+    rule of Bro, Acar and Kolda (J. Chemometrics 2008).
     """
-    u, s, vt = _svd(a)
-    return SvdTriple(u, s, vt.T)
-
-
-def _canonical_signs(u: np.ndarray) -> np.ndarray:
-    """u with each column flipped so that its entry of largest magnitude is positive."""
     peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    return u * np.where(peak < 0, -1.0, 1.0)
+    signs = np.where(peak < 0, -1.0, 1.0)
+    return u * signs if c is None else (u * signs, c * signs[:, None])
 
 
 def _gram_left_factor(a: np.ndarray, r: int) -> np.ndarray | None:
@@ -155,14 +135,14 @@ def _left_factor(a: np.ndarray, r: int) -> np.ndarray:
 
     A wide a (m <= n) takes the Gram route when its spectrum allows and the
     R-only QR route otherwise; neither forms the n x r right factor. A tall
-    a, which includes every r above the column count, keeps
-    ``truncated_svd(a, r).u``.
+    a, which includes every r above the column count, keeps the u of
+    ``truncated_svd(a, r)``.
     """
     m, n = a.shape
     if not 1 <= r <= m:
         raise ValueError(f"rank {r} out of range for {m} rows")
     if m > n:
-        return _canonical_signs(truncated_svd(a, r).u)
+        return _canonical_signs(truncated_svd(a, r)[0])
     u = _gram_left_factor(a, r)
     return _canonical_signs(u if u is not None else _qr_left_factor(a, r))
 
@@ -178,32 +158,28 @@ def _complete_basis(q: np.ndarray, extra: int) -> np.ndarray:
     return np.hstack([q, full[:, k : k + extra]])
 
 
-def truncated_svd(a: np.ndarray, r: int) -> SvdTriple:
-    """Leading r singular triplets of a.
+def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading r singular triplets of a, as the pair (u, c) with c = diag(s) @ vt.
 
-    When r exceeds min(m, n) the spectrum is padded with zeros, u gains an
-    orthonormal completion, and v gains zero columns (an orthonormal
-    completion of v does not exist once r exceeds the column count; the
-    padded columns only ever multiply zero singular values).
+    When r exceeds min(m, n), u gains an orthonormal completion and c gains
+    zero rows: the padded singular values are zero, and an orthonormal
+    completion of v does not exist once r exceeds the column count.
     """
     m, n = a.shape
     if r < 1:
         raise ValueError("rank must be at least 1")
     if r > m:
         raise ValueError(f"rank {r} exceeds the row count {m}")
-    full = thin_svd(a)
-    k = min(m, n)
-    if r <= k:
-        return SvdTriple(full.u[:, :r].copy(), full.s[:r].copy(), full.v[:, :r].copy())
-    extra = r - k
-    u = _complete_basis(full.u, extra)
-    s = np.concatenate([full.s, np.zeros(extra)])
-    v = np.hstack([full.v, np.zeros((n, extra))])
-    return SvdTriple(u, s, v)
+    u, s, vt = thin_svd(a)
+    c = s[:r, None] * vt[:r]
+    extra = r - s.size
+    if extra <= 0:
+        return u[:, :r], c
+    return _complete_basis(u, extra), np.vstack([c, np.zeros((extra, n))])
 
 
-def rsvd(a: np.ndarray, r: int, p: int, rng: RngStream) -> SvdTriple:
-    """Randomized rank-r SVD with oversampling p.
+def rsvd(a: np.ndarray, r: int, p: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Randomized rank-r SVD with oversampling p, as the pair (u, diag(s) @ vt).
 
     Projects a onto the range of a @ Omega for a Gaussian Omega with r + p
     columns, then takes the SVD of the small projected matrix.
@@ -219,9 +195,8 @@ def rsvd(a: np.ndarray, r: int, p: int, rng: RngStream) -> SvdTriple:
         )
     omega = gaussian_matrix(rng, n, r + p)
     q, _ = thin_qr(a @ omega)
-    b = q.T @ a
-    inner = thin_svd(b)
-    return SvdTriple(q @ inner.u[:, :r], inner.s[:r].copy(), inner.v[:, :r].copy())
+    u, s, vt = thin_svd(q.T @ a)
+    return q @ u[:, :r], s[:r, None] * vt[:r]
 
 
 def _check_sketch_params(m: int, n: int, k: int, l: int) -> None:
@@ -256,7 +231,9 @@ def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.lstsq(a, b, lapack_driver="gelsd")[0]
 
 
-def _two_sided_sketch(a: np.ndarray, k: int, l: int, power_iters: int, rng: RngStream) -> SketchResult:
+def _two_sided_sketch(
+    a: np.ndarray, k: int, l: int, power_iters: int, rng: RngStream
+) -> tuple[np.ndarray, np.ndarray]:
     m, n = a.shape
     # Omega is used raw and Psi gets orthonormal rows; `sketch` says why.
     omega = gaussian_matrix(rng, n, k)
@@ -267,12 +244,11 @@ def _two_sided_sketch(a: np.ndarray, k: int, l: int, power_iters: int, rng: RngS
     for _ in range(power_iters):
         q_hat, _ = thin_qr((q.T @ a).T)
         q, _ = thin_qr(a @ q_hat)
-    xc = _min_norm_lstsq(psi @ q, w)
-    return SketchResult(q, xc)
+    return q, _min_norm_lstsq(psi @ q, w)
 
 
-def sketch(a: np.ndarray, k: int, l: int, rng: RngStream) -> SketchResult:
-    """Two-sided sketch giving a rank-<=k approximation q @ xc of a.
+def sketch(a: np.ndarray, k: int, l: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided sketch: the pair (q, xc), a rank-<=k approximation q @ xc of a.
 
     Requires k <= min(l, n) and l <= m. The column test matrix Omega is a
     raw Gaussian: orthonormalizing it would not change range(a @ Omega), so
@@ -284,7 +260,9 @@ def sketch(a: np.ndarray, k: int, l: int, rng: RngStream) -> SketchResult:
     return _two_sided_sketch(a, k, l, 0, rng)
 
 
-def sub_sketch(a: np.ndarray, k: int, l: int, q: int, rng: RngStream) -> SketchResult:
+def sub_sketch(
+    a: np.ndarray, k: int, l: int, q: int, rng: RngStream
+) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided sketch with q rounds of subspace power iteration.
 
     Each round replaces the basis with an orthonormalized A @ (orthonormalized

@@ -12,16 +12,22 @@ factors):
 
 The four sequential pipelines share one loop, ``_sequential``, and differ
 only in their per-mode step. In processing order, mode n's unfolding of the
-current core goes to ``step(unfolding, n, r_n)``, which returns the factor
-U_n (I_n x r_n, orthonormal columns) and the new core unfolding (r_n x the
-unfolding's columns); the loop folds it back into a core whose mode n now
-has size r_n. A randomized step falls back to the deterministic truncated
-SVD on a mode it cannot sample. ``thosvd`` factors the unshrunk unfoldings
-and needs no core per mode, so it keeps its own loop, and it needs only U of
-each: ``linalg._left_factor`` takes it from ``eigh`` of the Gram matrix
-A A^T when the spectrum passes a sqrt(eps) guard, and from an R-only QR
-otherwise, never forming V. ``sthosvd`` keeps the full truncated SVD for
-now. On the acceptance suite's speed-ordering tensor a Gram-route STHOSVD
+current core goes to ``step(unfolding, n, r_n)``, which returns its linalg
+kernel's pair as it is: the factor U_n (I_n x r_n, orthonormal columns) and
+the new core unfolding C (r_n x the unfolding's columns). The loop then
+fixes the signs, in one place: every column of U_n whose largest-magnitude
+entry is negative is negated, with the matching row of C (Bro, Acar and
+Kolda, J. Chemometrics 2008). So the next mode's random draws act on a core
+that does not carry LAPACK's arbitrary signs, and a kernel swap that only
+moves rounding or signs leaves the model alone. The loop folds C back into
+a core whose mode n now has size r_n. A randomized step falls back to the
+deterministic truncated SVD on a mode it cannot sample. ``thosvd`` factors
+the unshrunk unfoldings and needs no core per mode, so it keeps its own
+loop, and it needs only U of each: ``linalg._left_factor`` takes it from
+``eigh`` of the Gram matrix A A^T when the spectrum passes a sqrt(eps)
+guard, and from an R-only QR otherwise, never forming V, and gives its
+columns the same signs. ``sthosvd`` keeps the full truncated SVD for now.
+On the acceptance suite's speed-ordering tensor a Gram-route STHOSVD
 prototype took 0.22 s against Sketch-STHOSVD's 0.15 s, and criterion 6
 (Sketch at most half of STHOSVD) would fail; that switch waits for a faster
 sketch kernel.
@@ -33,6 +39,7 @@ from ``RngStream(cfg.seed)``.
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ApproxConfig
-from .linalg import SvdTriple, _left_factor, rsvd, sketch, sub_sketch, truncated_svd
+from .linalg import _canonical_signs, _left_factor, rsvd, sketch, sub_sketch, truncated_svd
 from .rng import RngStream
 from .tensor import as_tensor, fold, mode_n_product, unfold
 
@@ -95,23 +102,14 @@ def _validate(x, cfg: ApproxConfig):
 
 
 def _sequential(x: np.ndarray, ranks, order, step) -> TuckerModel:
-    """The ST-HOSVD loop; the module docstring states the step contract."""
+    """The ST-HOSVD loop; the module docstring states the step contract and the sign rule."""
     core = x
     factors: list[np.ndarray | None] = [None] * x.ndim
     for n in order:
         r = ranks[n - 1]
-        factors[n - 1], c = step(unfold(core, n), n, r)
+        factors[n - 1], c = _canonical_signs(*step(unfold(core, n), n, r))
         core = fold(c, n, core.shape[: n - 1] + (r,) + core.shape[n:])
     return TuckerModel(core, factors)
-
-
-def _svd_pair(t: SvdTriple) -> tuple[np.ndarray, np.ndarray]:
-    """(U, new core unfolding) of a truncated factorization u diag(s) v^T."""
-    return t.u, t.s[:, None] * t.v.T
-
-
-def _svd_step(m: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    return _svd_pair(truncated_svd(m, r))
 
 
 def thosvd(x: np.ndarray, cfg: ApproxConfig) -> TuckerModel:
@@ -134,7 +132,7 @@ def thosvd(x: np.ndarray, cfg: ApproxConfig) -> TuckerModel:
 
 def sthosvd(x: np.ndarray, cfg: ApproxConfig) -> TuckerModel:
     """Sequentially truncated pipeline; the core shrinks after each mode."""
-    return _sequential(*_validate(x, cfg), _svd_step)
+    return _sequential(*_validate(x, cfg), lambda m, n, r: truncated_svd(m, r))
 
 
 def r_sthosvd(x: np.ndarray, cfg: ApproxConfig, rng: RngStream | None = None) -> TuckerModel:
@@ -149,7 +147,7 @@ def r_sthosvd(x: np.ndarray, cfg: ApproxConfig, rng: RngStream | None = None) ->
 
     def step(m, n, r):
         p = min(cfg.oversample, min(m.shape) - r)
-        return _svd_pair(rsvd(m, r, p, rng) if p >= 0 else truncated_svd(m, r))
+        return rsvd(m, r, p, rng) if p >= 0 else truncated_svd(m, r)
 
     return _sequential(x, ranks, order, step)
 
@@ -165,7 +163,7 @@ def _sketch_pipeline(x, cfg: ApproxConfig, rng: RngStream | None, power_iters: i
         if l is None:
             # Full-rank or otherwise unsketchable mode: l_n > r_n cannot hold
             # within the unfolding's shape, so truncate deterministically.
-            return _svd_step(m, n, r)
+            return truncated_svd(m, r)
         if l == r + 1:
             how = (
                 f"{l} = rank + 1 as requested"
@@ -177,12 +175,9 @@ def _sketch_pipeline(x, cfg: ApproxConfig, rng: RngStream | None, power_iters: i
                 "vacuous for this mode",
                 RuntimeWarning,
             )
-        result = (
-            sketch(m, r, l, rng)
-            if power_iters == 0
-            else sub_sketch(m, r, l, power_iters, rng)
-        )
-        return result.q, result.xc
+        if power_iters == 0:
+            return sketch(m, r, l, rng)
+        return sub_sketch(m, r, l, power_iters, rng)
 
     return _sequential(x, ranks, order, step)
 
@@ -238,7 +233,13 @@ def save_model(model: TuckerModel, path) -> None:
 
 
 def load_model(path) -> TuckerModel:
-    """Read a model written by save_model."""
+    """Read a model written by save_model.
+
+    A container that no model can have raises ValueError: a bad magic or
+    version, order 0, a zero dimension or rank, a length that does not match
+    its header, or non-finite entries. Element counts are Python ints, so a
+    crafted size cannot overflow.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != _MAGIC:
@@ -248,20 +249,24 @@ def load_model(path) -> TuckerModel:
     version, ndim = struct.unpack_from("<II", blob, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported container version {version}")
-    offset = 12
-    dims = np.frombuffer(blob, dtype="<u8", count=ndim, offset=offset).astype(int)
-    offset += 8 * ndim
-    ranks = np.frombuffer(blob, dtype="<u8", count=ndim, offset=offset).astype(int)
-    offset += 8 * ndim
-
-    def take(count, shape):
-        nonlocal offset
-        flat = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += 8 * count
-        return flat.reshape(shape, order="F").astype(np.float64)
-
-    core = take(int(np.prod(ranks)), tuple(ranks))
-    factors = [take(int(d * r), (int(d), int(r))) for d, r in zip(dims, ranks)]
-    if offset != len(blob):
-        raise ValueError("container has trailing bytes")
+    if ndim == 0:
+        raise ValueError("container holds a tensor of order 0")
+    offset = 12 + 16 * ndim
+    if len(blob) < offset:
+        raise ValueError("container truncated inside its header")
+    header = [int(v) for v in np.frombuffer(blob, dtype="<u8", count=2 * ndim, offset=12)]
+    dims, ranks = header[:ndim], header[ndim:]
+    if 0 in header:
+        raise ValueError(f"container has a zero dimension or rank: dims {dims}, ranks {ranks}")
+    shapes = [tuple(ranks), *zip(dims, ranks)]
+    counts = [math.prod(shape) for shape in shapes]
+    if len(blob) != offset + 8 * sum(counts):
+        raise ValueError("container length does not match its dims and ranks")
+    flat = np.frombuffer(blob, dtype="<f8", offset=offset)
+    if not np.isfinite(flat).all():
+        raise ValueError("container has non-finite entries")
+    parts = np.split(flat, np.cumsum(counts[:-1]))
+    core, *factors = (
+        p.reshape(shape, order="F").astype(np.float64) for p, shape in zip(parts, shapes)
+    )
     return TuckerModel(core, factors)

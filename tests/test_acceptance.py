@@ -143,10 +143,10 @@ def test_criterion_03_decomposition_identity():
     worst = 0.0
     for seed in range(20):
         a = RngStream(100 + seed).normal(80, 60)
-        res = sketch(a, 10, 15, RngStream(seed))
-        total = np.linalg.norm(a - res.matrix()) ** 2
-        proj = np.linalg.norm(a - res.q @ (res.q.T @ a)) ** 2
-        corr = np.linalg.norm(res.xc - res.q.T @ a) ** 2
+        q, xc = sketch(a, 10, 15, RngStream(seed))
+        total = np.linalg.norm(a - q @ xc) ** 2
+        proj = np.linalg.norm(a - q @ (q.T @ a)) ** 2
+        corr = np.linalg.norm(xc - q.T @ a) ** 2
         worst = max(worst, abs(total - (proj + corr)) / np.linalg.norm(a) ** 2)
     check(
         "3 decomposition identity",
@@ -242,10 +242,10 @@ def test_criterion_07_power_iteration_benefit():
     a = matrix_with_spectrum(500, 500, sigma, seed=11)
     plain, powered = [], []
     for seed in range(50):
-        plain.append(np.linalg.norm(a - sketch(a, 10, 12, RngStream(seed)).matrix()))
-        powered.append(
-            np.linalg.norm(a - sub_sketch(a, 10, 12, 2, RngStream(seed)).matrix())
-        )
+        q, xc = sketch(a, 10, 12, RngStream(seed))
+        plain.append(np.linalg.norm(a - q @ xc))
+        q, xc = sub_sketch(a, 10, 12, 2, RngStream(seed))
+        powered.append(np.linalg.norm(a - q @ xc))
     med_plain, med_powered = float(np.median(plain)), float(np.median(powered))
     check(
         "7 power-iteration benefit",

@@ -1,0 +1,42 @@
+"""The public names of the package resolve, and the layer tracer can wrap them."""
+
+import importlib
+import importlib.util
+import pathlib
+import pkgutil
+
+import pytest
+
+import tucksketch
+from tucksketch.rng import RngStream
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(tucksketch.__path__))
+LAYERTRACE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+
+
+@pytest.mark.parametrize("name", ["tucksketch"] + [f"tucksketch.{m}" for m in MODULES])
+def test_every_exported_name_resolves(name):
+    mod = importlib.import_module(name)
+    exported = getattr(mod, "__all__", [])
+    assert len(exported) == len(set(exported))
+    missing = [attr for attr in exported if not hasattr(mod, attr)]
+    assert missing == []
+
+
+def test_layer_tracer_installs_and_restores_every_attribute():
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    owners = [tucksketch, RngStream] + [importlib.import_module(f"tucksketch.{m}") for m in MODULES]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        for owner, attr in ((tucksketch.linalg, "sketch"), (tucksketch.tucker, "truncated_svd")):
+            assert getattr(owner, attr) is not before[owners.index(owner)][attr]
+    finally:
+        tracer.uninstall()
+    for owner, attrs in zip(owners, before):
+        after = dict(vars(owner))
+        assert after.keys() == attrs.keys()
+        assert all(after[key] is value for key, value in attrs.items()), owner

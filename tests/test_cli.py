@@ -108,6 +108,20 @@ def test_image_compress_roundtrip(tmp_path, capsys):
     assert report.rows[0].psnr is not None
 
 
+def test_image_compress_deterministic_row_has_blank_seed(tmp_path, capsys):
+    img = np.clip(120 + 40 * np.random.default_rng(2).standard_normal((12, 10, 3)), 0, 255)
+    src = tmp_path / "in.ppm"
+    save_image_tensor(img, src)
+    csv_path = tmp_path / "row.csv"
+    args = ["image-compress", "--in", str(src), "--ranks", "3x3x3", "--seed", "5",
+            "--out", str(tmp_path / "out.ppm"), "--csv", str(csv_path)]
+    for algo, seed in (("thosvd", ""), ("rsthosvd", "5")):
+        assert main(args + ["--algo", algo]) == 0
+        lines = csv_path.read_text().splitlines()
+        assert lines[1].split(",")[5] == seed
+        assert read_csv(csv_path).rows[0].seed == (int(seed) if seed else None)
+
+
 def test_usage_error_exit_code(tmp_path):
     assert main(["decompose", "--in", "x.npy", "--algo", "bogus", "--ranks", "2x2"]) == 1
     assert main(["bench", "--source", "hilbert", "--ranks", "2x2"]) == 1  # missing --out

@@ -128,47 +128,60 @@ def test_orthonormalize_rank_deficient_and_zero():
 # ----------------------------------------------------------------- thin_svd
 
 
+def row_norms(c):
+    """Row norms of c = diag(s) @ vt, which are the singular values s."""
+    return np.linalg.norm(c, axis=1)
+
+
+def assert_diagonal_gram(c, tol=1e-12):
+    """c @ c.T is diagonal, as it is when c = diag(s) @ vt with orthonormal v."""
+    gram = c @ c.T
+    off = gram - np.diag(np.diagonal(gram))
+    assert np.linalg.norm(off) <= tol * max(np.linalg.norm(gram), 1.0)
+
+
 def test_thin_svd_diag():
-    t = thin_svd(np.diag([3.0, 1.0]))
-    assert np.allclose(t.s, [3.0, 1.0])
+    _, s, _ = thin_svd(np.diag([3.0, 1.0]))
+    assert np.allclose(s, [3.0, 1.0])
 
 
 def test_thin_svd_zero_matrix():
-    t = thin_svd(np.zeros((4, 3)))
-    assert np.allclose(t.s, 0.0)
-    assert np.allclose(t.u.T @ t.u, np.eye(3), atol=1e-14)
+    u, s, _ = thin_svd(np.zeros((4, 3)))
+    assert np.allclose(s, 0.0)
+    assert np.allclose(u.T @ u, np.eye(3), atol=1e-14)
 
 
 def test_thin_svd_reconstruction_and_gram_oracle():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((40, 25))
-    t = thin_svd(a)
+    u, s, vt = thin_svd(a)
     norm = np.linalg.norm(a)
-    assert np.linalg.norm(a - t.matrix()) <= 1e-12 * norm
+    assert np.linalg.norm(a - (u * s) @ vt) <= 1e-12 * norm
     oracle = gram_singular_values(a)
-    assert np.allclose(t.s, oracle, atol=1e-10 * oracle[0])
+    assert np.allclose(s, oracle, atol=1e-10 * oracle[0])
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("shape", [(40, 15), (15, 40)])
 def test_thin_svd_layouts(shape, layout):
     a = laid_out(shape, layout, seed=40)
-    t = thin_svd(a)
+    u, s, vt = thin_svd(a)
     k = min(shape)
-    assert t.u.shape == (shape[0], k) and t.v.shape == (shape[1], k)
-    assert np.linalg.norm(a - t.matrix()) <= 1e-12 * np.linalg.norm(a)
-    assert np.linalg.norm(t.u.T @ t.u - np.eye(k)) <= 1e-12
-    assert np.linalg.norm(t.v.T @ t.v - np.eye(k)) <= 1e-12
-    assert np.all(np.diff(t.s) <= 0.0)
-    assert np.allclose(t.s, scipy.linalg.svdvals(a), rtol=0.0, atol=1e-13 * t.s[0])
+    assert u.shape == (shape[0], k) and vt.shape == (k, shape[1])
+    assert np.linalg.norm(a - (u * s) @ vt) <= 1e-12 * np.linalg.norm(a)
+    assert np.linalg.norm(u.T @ u - np.eye(k)) <= 1e-12
+    assert np.linalg.norm(vt @ vt.T - np.eye(k)) <= 1e-12
+    assert np.all(np.diff(s) <= 0.0)
+    assert np.allclose(s, scipy.linalg.svdvals(a), rtol=0.0, atol=1e-13 * s[0])
 
 
 @pytest.mark.parametrize("shape", [(40, 15), (15, 40)])
 def test_thin_svd_of_transpose_swaps_factors(shape):
     a = laid_out(shape, "C", seed=41)
-    t, tt = thin_svd(a), thin_svd(a.T)
-    assert np.allclose(tt.s, t.s, rtol=0.0, atol=1e-13 * t.s[0])
-    for x, y in ((tt.u, t.v), (tt.v, t.u)):
+    u, s, vt = thin_svd(a)
+    tu, ts, tvt = thin_svd(a.T)
+    assert np.allclose(ts, s, rtol=0.0, atol=1e-13 * s[0])
+    for x, y in ((tu, vt.T), (tvt.T, u)):
         signs = np.sign(np.sum(x * y, axis=0))
         assert np.allclose(x, y * signs, atol=1e-12)
 
@@ -191,23 +204,23 @@ def test_thin_qr_layouts(shape, layout):
 
 
 def test_truncated_svd_tail():
-    t = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
-    assert np.allclose(t.s, [3.0, 2.0])
-    assert abs(np.linalg.norm(np.diag([3.0, 2.0, 1.0]) - t.matrix()) - 1.0) < 1e-12
+    u, c = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
+    assert np.allclose(row_norms(c), [3.0, 2.0])
+    assert abs(np.linalg.norm(np.diag([3.0, 2.0, 1.0]) - u @ c) - 1.0) < 1e-12
 
 
 def test_truncated_svd_full_rank_reconstructs():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((12, 7))
-    t = truncated_svd(a, 7)
-    assert np.linalg.norm(a - t.matrix()) <= 1e-12 * np.linalg.norm(a)
+    u, c = truncated_svd(a, 7)
+    assert np.linalg.norm(a - u @ c) <= 1e-12 * np.linalg.norm(a)
 
 
 def test_truncated_svd_eckart_young_oracle():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((30, 20))
-    t = truncated_svd(a, 5)
-    resid_sq = np.linalg.norm(a - t.matrix()) ** 2
+    u, c = truncated_svd(a, 5)
+    resid_sq = np.linalg.norm(a - u @ c) ** 2
     oracle_tail = tail_sq(gram_singular_values(a), 6)
     assert abs(resid_sq - oracle_tail) <= 1e-10 * oracle_tail
 
@@ -215,13 +228,13 @@ def test_truncated_svd_eckart_young_oracle():
 def test_truncated_svd_padding_beyond_min_dim():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((8, 3))
-    t = truncated_svd(a, 6)
-    assert t.u.shape == (8, 6)
-    assert t.s.shape == (6,)
-    assert t.v.shape == (3, 6)
-    assert np.allclose(t.s[3:], 0.0)
-    assert np.linalg.norm(t.u.T @ t.u - np.eye(6)) <= 1e-12
-    assert np.linalg.norm(a - t.matrix()) <= 1e-12 * np.linalg.norm(a)
+    u, c = truncated_svd(a, 6)
+    assert u.shape == (8, 6)
+    assert c.shape == (6, 3)
+    assert np.allclose(row_norms(c)[3:], 0.0)
+    assert_diagonal_gram(c)
+    assert np.linalg.norm(u.T @ u - np.eye(6)) <= 1e-12
+    assert np.linalg.norm(a - u @ c) <= 1e-12 * np.linalg.norm(a)
 
 
 def test_truncated_svd_rejects_bad_rank():
@@ -237,13 +250,13 @@ def test_truncated_svd_rejects_bad_rank():
 
 def test_rsvd_exact_rank_recovery():
     a = matrix_with_spectrum(40, 30, np.array([5.0, 2.0, 1.0]), seed=8)
-    t = rsvd(a, 3, 2, RngStream(0))
-    assert np.linalg.norm(a - t.matrix()) <= 1e-10 * np.linalg.norm(a)
+    u, c = rsvd(a, 3, 2, RngStream(0))
+    assert np.linalg.norm(a - u @ c) <= 1e-10 * np.linalg.norm(a)
 
 
 def test_rsvd_zero_matrix():
-    t = rsvd(np.zeros((10, 8)), 2, 1, RngStream(0))
-    assert np.allclose(t.s, 0.0)
+    _, c = rsvd(np.zeros((10, 8)), 2, 1, RngStream(0))
+    assert np.allclose(row_norms(c), 0.0)
 
 
 def test_rsvd_rejects_oversized_sketch():
@@ -257,8 +270,8 @@ def test_rsvd_mean_residual_within_tail_regime():
     tail = tail_sq(sigma, 11)
     resid = []
     for seed in range(100):
-        t = rsvd(a, 10, 5, RngStream(seed))
-        resid.append(np.linalg.norm(a - t.matrix()) ** 2)
+        u, c = rsvd(a, 10, 5, RngStream(seed))
+        resid.append(np.linalg.norm(a - u @ c) ** 2)
     assert np.mean(resid) <= 10.0 * tail
 
 
@@ -267,15 +280,15 @@ def test_rsvd_mean_residual_within_tail_regime():
 
 def test_sketch_exact_rank():
     a = matrix_with_spectrum(50, 40, np.array([4.0, 2.0, 1.0]), seed=10)
-    res = sketch(a, 5, 8, RngStream(1))
-    assert res.q.shape == (50, 5)
-    assert res.xc.shape == (5, 40)
-    assert np.linalg.norm(a - res.matrix()) <= 1e-10 * np.linalg.norm(a)
+    q, xc = sketch(a, 5, 8, RngStream(1))
+    assert q.shape == (50, 5)
+    assert xc.shape == (5, 40)
+    assert np.linalg.norm(a - q @ xc) <= 1e-10 * np.linalg.norm(a)
 
 
 def test_sketch_zero_matrix():
-    res = sketch(np.zeros((10, 8)), 2, 4, RngStream(0))
-    assert np.allclose(res.xc, 0.0)
+    _, xc = sketch(np.zeros((10, 8)), 2, 4, RngStream(0))
+    assert np.allclose(xc, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -297,10 +310,10 @@ def test_sketch_expected_error_bound_monte_carlo():
     bound = (1 + f_ratio(k, l)) * min(
         (1 + f_ratio(rho, k)) * tail_sq(sigma, rho + 1) for rho in range(1, k - 1)
     )
-    errs = [
-        np.linalg.norm(a - sketch(a, k, l, RngStream(seed)).matrix()) ** 2
-        for seed in range(200)
-    ]
+    errs = []
+    for seed in range(200):
+        q, xc = sketch(a, k, l, RngStream(seed))
+        errs.append(np.linalg.norm(a - q @ xc) ** 2)
     assert np.mean(errs) <= 1.10 * bound
 
 
@@ -309,20 +322,20 @@ def test_error_decomposition_identity():
     rng = np.random.default_rng(12)
     for seed in range(10):
         a = rng.standard_normal((40, 30))
-        res = sketch(a, 6, 9, RngStream(seed))
-        total = np.linalg.norm(a - res.matrix()) ** 2
-        proj = np.linalg.norm(a - res.q @ (res.q.T @ a)) ** 2
-        corr = np.linalg.norm(res.xc - res.q.T @ a) ** 2
+        q, xc = sketch(a, 6, 9, RngStream(seed))
+        total = np.linalg.norm(a - q @ xc) ** 2
+        proj = np.linalg.norm(a - q @ (q.T @ a)) ** 2
+        corr = np.linalg.norm(xc - q.T @ a) ** 2
         assert abs(total - (proj + corr)) <= 1e-10 * np.linalg.norm(a) ** 2
 
 
 def test_sketch_deterministic():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((30, 20))
-    r1 = sketch(a, 4, 6, RngStream(77))
-    r2 = sketch(a, 4, 6, RngStream(77))
-    assert np.array_equal(r1.q, r2.q)
-    assert np.array_equal(r1.xc, r2.xc)
+    q1, xc1 = sketch(a, 4, 6, RngStream(77))
+    q2, xc2 = sketch(a, 4, 6, RngStream(77))
+    assert np.array_equal(q1, q2)
+    assert np.array_equal(xc1, xc2)
 
 
 # -------------------------------------------------------------- sub_sketch
@@ -330,8 +343,8 @@ def test_sketch_deterministic():
 
 def test_sub_sketch_exact_rank():
     a = matrix_with_spectrum(50, 40, np.array([4.0, 2.0, 1.0]), seed=14)
-    res = sub_sketch(a, 5, 8, 1, RngStream(2))
-    assert np.linalg.norm(a - res.matrix()) <= 1e-10 * np.linalg.norm(a)
+    q, xc = sub_sketch(a, 5, 8, 1, RngStream(2))
+    assert np.linalg.norm(a - q @ xc) <= 1e-10 * np.linalg.norm(a)
 
 
 def test_sub_sketch_flat_projector_spectrum():
@@ -339,17 +352,17 @@ def test_sub_sketch_flat_projector_spectrum():
     rng = np.random.default_rng(15)
     u = np.linalg.qr(rng.standard_normal((30, 4)))[0]
     a = u @ u.T
-    res = sub_sketch(a, 6, 9, 2, RngStream(3))
-    assert np.linalg.norm(a - res.matrix()) <= 1e-10
+    q, xc = sub_sketch(a, 6, 9, 2, RngStream(3))
+    assert np.linalg.norm(a - q @ xc) <= 1e-10
 
 
 def test_sub_sketch_q0_equals_sketch_bitwise():
     rng = np.random.default_rng(16)
     a = rng.standard_normal((25, 18))
-    r1 = sketch(a, 5, 7, RngStream(8))
-    r2 = sub_sketch(a, 5, 7, 0, RngStream(8))
-    assert np.array_equal(r1.q, r2.q)
-    assert np.array_equal(r1.xc, r2.xc)
+    q1, xc1 = sketch(a, 5, 7, RngStream(8))
+    q2, xc2 = sub_sketch(a, 5, 7, 0, RngStream(8))
+    assert np.array_equal(q1, q2)
+    assert np.array_equal(xc1, xc2)
 
 
 def test_sub_sketch_rejects_negative_power():
@@ -362,8 +375,10 @@ def test_power_iteration_improves_slow_decay():
     a = matrix_with_spectrum(200, 200, sigma, seed=17)
     plain, powered = [], []
     for seed in range(30):
-        plain.append(np.linalg.norm(a - sub_sketch(a, 10, 12, 0, RngStream(seed)).matrix()))
-        powered.append(np.linalg.norm(a - sub_sketch(a, 10, 12, 2, RngStream(seed)).matrix()))
+        q, xc = sub_sketch(a, 10, 12, 0, RngStream(seed))
+        plain.append(np.linalg.norm(a - q @ xc))
+        q, xc = sub_sketch(a, 10, 12, 2, RngStream(seed))
+        powered.append(np.linalg.norm(a - q @ xc))
     assert np.median(powered) <= np.median(plain)
 
 
@@ -377,15 +392,15 @@ def test_returned_bases_are_orthonormal():
     candidates = [
         thin_qr(a)[0],
         orthonormalize(a),
-        thin_svd(a).u,
-        thin_svd(a).v,
-        truncated_svd(a, 7).u,
-        truncated_svd(a, 7).v,
-        rsvd(a, 5, 3, stream).u,
-        rsvd(a, 5, 3, stream).v,
-        sketch(a, 5, 8, stream).q,
-        sub_sketch(a, 5, 8, 2, stream).q,
+        thin_svd(a)[0],
+        thin_svd(a)[2].T,
+        truncated_svd(a, 7)[0],
+        rsvd(a, 5, 3, stream)[0],
     ]
+    # the right factor of each SVD kernel is orthonormal: c = diag(s) @ vt
+    assert_diagonal_gram(truncated_svd(a, 7)[1])
+    assert_diagonal_gram(rsvd(a, 5, 3, stream)[1])
+    candidates += [sketch(a, 5, 8, stream)[0], sub_sketch(a, 5, 8, 2, stream)[0]]
     for q in candidates:
         cols = q.shape[1]
         assert np.linalg.norm(q.T @ q - np.eye(cols)) <= 1e-12 * np.sqrt(cols)
@@ -394,9 +409,9 @@ def test_returned_bases_are_orthonormal():
 def test_truncated_singular_values_match_oracle():
     rng = np.random.default_rng(19)
     a = rng.standard_normal((200, 150))
-    t = truncated_svd(a, 20)
+    _, c = truncated_svd(a, 20)
     oracle = gram_singular_values(a)[:20]
-    assert np.allclose(t.s, oracle, rtol=1e-10)
+    assert np.allclose(row_norms(c), oracle, rtol=1e-10)
 
 
 def test_min_norm_lstsq_rank_deficient_warns():
@@ -449,13 +464,13 @@ def test_sketch_does_not_depend_on_the_basis_of_omega(power_iters):
     # q spans range(a @ omega), which orthonormalizing omega does not move
     a = matrix_with_spectrum(60, 45, 1.0 / np.arange(1, 46), seed=47)
     k, l, seed = 6, 13, 48
-    res = (
+    q, xc = (
         sketch(a, k, l, RngStream(seed))
         if power_iters == 0
         else sub_sketch(a, k, l, power_iters, RngStream(seed))
     )
     expected = _sketch_with_orthonormal_omega(a, k, l, power_iters, seed)
-    assert np.linalg.norm(res.matrix() - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert np.linalg.norm(q @ xc - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 # ---------------------------------------------------------------- left factor
@@ -485,7 +500,7 @@ def test_left_factor_graded_spectrum_takes_qr_route():
     assert _gram_left_factor(a, 8) is None
     u = _left_factor(a, 8)
     assert np.array_equal(u, _canonical_signs(_qr_left_factor(a, 8)))
-    ref = truncated_svd(a, 8).u
+    ref, _ = truncated_svd(a, 8)
     assert scipy.linalg.svdvals(ref.T @ u).min() >= 1 - 1e-12
     # a rank whose lambda_r clears the guard takes the Gram route
     assert _gram_left_factor(a, 5) is not None
@@ -520,13 +535,13 @@ def test_left_factor_layouts_and_input_untouched(layout, route):
     assert np.array_equal(a, before)
     assert a.flags.c_contiguous == (layout == "C")
     assert_orthonormal_columns(u)
-    ref = truncated_svd(np.ascontiguousarray(before), r).u
+    ref, _ = truncated_svd(np.ascontiguousarray(before), r)
     assert scipy.linalg.svdvals(ref.T @ u).min() >= 1 - 1e-12
 
 
 def test_left_factor_tall_keeps_truncated_svd():
     a = np.random.default_rng(55).standard_normal((30, 4))
-    assert np.array_equal(_left_factor(a, 3), _canonical_signs(truncated_svd(a, 3).u))
+    assert np.array_equal(_left_factor(a, 3), _canonical_signs(truncated_svd(a, 3)[0]))
 
 
 def test_left_factor_rejects_bad_rank():
@@ -538,7 +553,7 @@ def test_left_factor_rejects_bad_rank():
 
 def _reference_thosvd(x, ranks):
     """THOSVD from the full truncated SVD of every unfolding."""
-    factors = [truncated_svd(unfold(x, n), r).u for n, r in enumerate(ranks, start=1)]
+    factors = [truncated_svd(unfold(x, n), r)[0] for n, r in enumerate(ranks, start=1)]
     core = x
     for n, u in enumerate(factors, start=1):
         core = mode_n_product(core, u.T, n)

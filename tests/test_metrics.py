@@ -174,7 +174,7 @@ def test_mode_tail_delta_matches_projection_oracle():
     summary = spectrum_summary(x)
     r = 5
     for n in (1, 2, 3):
-        u = truncated_svd(unfold(x, n), r).u
+        u, _ = truncated_svd(unfold(x, n), r)
         proj = np.eye(20) - u @ u.T
         err_sq = frobenius_norm(mode_n_product(x, proj, n)) ** 2
         delta = mode_tail_delta(summary, n, r)

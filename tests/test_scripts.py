@@ -54,7 +54,9 @@ def test_image_experiment(tmp_path, monkeypatch):
     assert [r.algorithm for r in rows] == list(ALGORITHMS.values())
     for key, row in zip(ALGORITHMS, rows):
         assert (out_dir / f"{key}.ppm").is_file()
-        assert row.ranks == (4, 4, 3) and row.seed == 3 and row.psnr > 0
+        assert row.ranks == (4, 4, 3) and row.psnr > 0
+        # the seed, too, is reported only where it drives the pipeline
+        assert row.seed == (3 if key in ("rsthosvd", "sketch", "subsketch") else None)
         # the sketch size and power count are reported only where they apply
         assert (row.sketch_sizes is not None) == (key in ("sketch", "subsketch"))
         assert (row.q is not None) == (key == "subsketch")

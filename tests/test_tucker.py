@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tucksketch import tucker
 from tucksketch.config import ApproxConfig
 from tucksketch.datagen import hilbert_tensor
 from tucksketch.linalg import rsvd, sketch, sub_sketch, truncated_svd
@@ -107,9 +108,9 @@ def test_sthosvd_core_energy_identity():
         m = unfold(core, n)
         sigma = np.linalg.svd(m, compute_uv=False)
         discarded += tail_energy(sigma, ranks[n - 1] + 1)
-        t = truncated_svd(m, ranks[n - 1])
+        _, c = truncated_svd(m, ranks[n - 1])
         dims = core.shape[: n - 1] + (ranks[n - 1],) + core.shape[n:]
-        core = fold(t.s[:, None] * t.v.T, n, dims)
+        core = fold(c, n, dims)
     model = sthosvd(x, ApproxConfig(target_ranks=ranks))
     total = frobenius_norm(x) ** 2
     assert frobenius_norm(model.core) ** 2 == pytest.approx(
@@ -185,6 +186,8 @@ def reference_sequential(x, cfg, kernel, rng):
     oversampling to the smaller unfolding side and takes the truncated SVD
     when even p = 0 does not fit; the sketches clamp l_n to I_n and take the
     truncated SVD when r_n >= I_n or r_n exceeds the unfolding's columns.
+    Every column of U_n whose largest-magnitude entry is negative is negated,
+    and so is the matching row of the core unfolding.
     """
     ranks = cfg.target_ranks
     sizes = cfg.sketch_sizes_for(x.ndim)
@@ -196,18 +199,19 @@ def reference_sequential(x, cfg, kernel, rng):
         rows, cols = m.shape
         if kernel == "rsvd":
             p = min(cfg.oversample, rows - r, cols - r)
-            t = rsvd(m, r, p, rng) if p >= 0 else truncated_svd(m, r)
-            u, c = t.u, t.s[:, None] * t.v.T
+            u, c = rsvd(m, r, p, rng) if p >= 0 else truncated_svd(m, r)
         elif r >= rows or r > cols:
-            t = truncated_svd(m, r)
-            u, c = t.u, t.s[:, None] * t.v.T
+            u, c = truncated_svd(m, r)
         else:
             l = min(sizes[n - 1], rows)
             if kernel == "sketch":
-                res = sketch(m, r, l, rng)
+                u, c = sketch(m, r, l, rng)
             else:
-                res = sub_sketch(m, r, l, cfg.power_iters, rng)
-            u, c = res.q, res.xc
+                u, c = sub_sketch(m, r, l, cfg.power_iters, rng)
+        flip = u[np.argmax(np.abs(u), axis=0), np.arange(r)] < 0
+        u, c = u.copy(), c.copy()
+        u[:, flip] = -u[:, flip]
+        c[flip] = -c[flip]
         factors[n - 1] = u
         shape = list(core.shape)
         shape[n - 1] = r
@@ -229,6 +233,40 @@ def test_pipelines_match_reference_loop(name, kernel):
         cfg = ApproxConfig(target_ranks=ranks, processing_order=(2, 1, 3), power_iters=2)
         got = PIPELINES[name](x, cfg, RngStream(17))
         assert_same_model(got, reference_sequential(x, cfg, kernel, RngStream(17)))
+
+
+def _flip_every_other(kernel):
+    """kernel with every other column of U, and the matching row of C, negated."""
+
+    def flipped(*args):
+        u, c = kernel(*args)
+        signs = np.where(np.arange(u.shape[1]) % 2 == 1, -1.0, 1.0)
+        return u * signs, c * signs[:, None]
+
+    return flipped
+
+
+@pytest.mark.parametrize("name", ["sthosvd", "r_sthosvd", "sketch_sthosvd", "sub_sketch_sthosvd"])
+def test_sequential_factor_signs_do_not_depend_on_the_kernel(name, tmp_path, monkeypatch):
+    # Mode 3 is full rank, so every randomized pipeline also takes its
+    # truncated-SVD fallback; the saved model must not see the flipped signs.
+    x = np.random.default_rng(18).standard_normal((12, 10, 4))
+    cfg = ApproxConfig(target_ranks=(4, 3, 4), power_iters=1)
+    save_model(PIPELINES[name](x, cfg, RngStream(5)), tmp_path / "plain.tuck")
+    for kernel in ("truncated_svd", "rsvd", "sketch", "sub_sketch"):
+        monkeypatch.setattr(tucker, kernel, _flip_every_other(getattr(tucker, kernel)))
+    save_model(PIPELINES[name](x, cfg, RngStream(5)), tmp_path / "flipped.tuck")
+    assert (tmp_path / "flipped.tuck").read_bytes() == (tmp_path / "plain.tuck").read_bytes()
+
+
+@pytest.mark.parametrize("name", list(PIPELINES))
+def test_factor_columns_have_positive_peaks(name):
+    noise = 1e-2 * np.random.default_rng(19).standard_normal((12, 10, 8))
+    x = random_tucker_tensor((12, 10, 8), (3, 3, 3), seed=19) + noise
+    model = PIPELINES[name](x, ApproxConfig(target_ranks=(3, 3, 3)), RngStream(6))
+    for u in model.factors:
+        peaks = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+        assert np.all(peaks > 0)
 
 
 @pytest.mark.parametrize("name", list(PIPELINES))
@@ -404,4 +442,34 @@ def test_model_load_rejects_garbage(tmp_path):
     for blob in (b"NOPE" + b"\x00" * 32, b"TUCK", b"TUCK\x01\x00"):
         path.write_bytes(blob)
         with pytest.raises(ValueError):
+            load_model(path)
+
+
+def _container(ndim, dims, ranks, values):
+    head = b"TUCK" + struct.pack("<II", 1, ndim)
+    sizes = struct.pack(f"<{len(dims) + len(ranks)}Q", *dims, *ranks)
+    return head + sizes + np.asarray(values, "<f8").tobytes()
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (_container(0, (), (), []), "order 0"),
+        (_container(2, (0, 3), (1, 1), [1.0, 1.0]), "zero dimension or rank"),
+        (_container(2, (2, 3), (0, 1), [1.0, 1.0, 1.0]), "zero dimension or rank"),
+        (_container(2, (1, 1), (1, 1), [np.nan, 1.0, 1.0]), "non-finite"),
+        (_container(2, (1, 1), (1, 1), [1.0, np.inf, 1.0]), "non-finite"),
+        (_container(1, (2**63,), (2**63,), [1.0]), "does not match"),
+        (_container(2, (2, 3), (1, 1), [1.0] * 5), "does not match"),
+        (_container(2, (2, 3), (1, 1), [1.0] * 7), "does not match"),
+        (_container(3, (2, 3), (1, 1), []), "truncated"),
+    ],
+    ids=["order-0", "zero-dim", "zero-rank", "nan", "inf", "rank-2^63", "short", "long", "header"],
+)
+def test_model_load_rejects_impossible_containers(tmp_path, blob, message):
+    path = tmp_path / "bad.tuck"
+    path.write_bytes(blob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
             load_model(path)
