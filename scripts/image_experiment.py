@@ -14,7 +14,7 @@ import pathlib
 
 import numpy as np
 
-from tucksketch.bench import ALGORITHMS, BenchReport, run_trial, write_csv
+from tucksketch.bench import ALGORITHMS, run_trial, write_csv
 from tucksketch.config import ApproxConfig
 from tucksketch.imageio import load_image_tensor, save_image_tensor
 
@@ -47,7 +47,7 @@ def main():
         save_image_tensor(np.clip(xhat, 0, 255), out_dir / f"{key}.ppm")
         rows.append(row)
         print(f"{row.algorithm:>20s}: psnr={row.psnr:7.2f} dB  time={row.wall_ms:8.1f} ms")
-    write_csv(BenchReport(rows), out_dir / "report.csv")
+    write_csv(rows, out_dir / "report.csv")
     print(f"reconstructions and report.csv written to {out_dir}/")
 
 

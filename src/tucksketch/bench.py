@@ -1,9 +1,12 @@
 """Benchmark harness: run algorithm sweeps over ranks and seeds, emit CSV.
 
-Rows record relative error, PSNR (image experiments only), and the wall time
-of the decomposition call alone; tensor generation and metric evaluation sit
-outside the timed region. Randomized trials use seed = base_seed XOR trial,
-so error columns are reproducible run to run while timings vary.
+An `ExperimentConfig` names the data (source, dims, noise, ``base_seed``) and
+carries one `ApproxConfig` per rank set, which fixes everything the pipelines
+see. Rows record relative error, PSNR (image experiments only), and the wall
+time of the decomposition call alone; tensor generation and metric evaluation
+sit outside the timed region. Trial j runs with seed = config seed XOR j, so
+error columns are reproducible run to run while timings vary; ``base_seed``
+only seeds the data generation.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +29,6 @@ __all__ = [
     "ALGORITHMS",
     "CSV_HEADER",
     "BenchRow",
-    "BenchReport",
     "ExperimentConfig",
     "run_bench",
     "run_trial",
@@ -75,27 +77,18 @@ class BenchRow:
     wall_ms: float
 
 
-@dataclass
-class BenchReport:
-    rows: list[BenchRow] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Descriptor for one benchmark sweep."""
+    """Descriptor for one benchmark sweep: the data, and one ApproxConfig per rank set."""
 
     experiment: str
     source: str  # hilbert | sparse | gaussian | image
     algorithms: tuple[str, ...]
-    rank_sets: tuple[tuple[int, ...], ...]
+    approx: tuple[ApproxConfig, ...]
     dims: tuple[int, ...] | None = None
     image_path: str | None = None
     trials: int = 1
-    base_seed: int = 0
-    order: tuple[int, ...] | None = None
-    oversample: int = 5
-    sketch_extra: int = 2
-    power_iters: int = 1
+    base_seed: int = 0  # seeds the data generation only
     gamma: float = 10.0
     density: float = 0.05
     delta: float | None = None
@@ -108,12 +101,10 @@ class ExperimentConfig:
         for key in self.algorithms:
             if key not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {key!r}")
-        if not self.rank_sets:
-            raise ValueError("at least one rank tuple is required")
+        if not self.approx:
+            raise ValueError("at least one ApproxConfig is required")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.sketch_extra < 1:
-            raise ValueError("sketch_extra must be at least 1")
         if self.aggregate not in ("none", "mean"):
             raise ValueError(f"unknown aggregate mode {self.aggregate!r}")
         if self.source == "image":
@@ -173,52 +164,33 @@ def run_trial(
     return model, xhat, row
 
 
-def run_bench(cfg: ExperimentConfig) -> BenchReport:
-    """One row per (rank tuple, algorithm, trial), in that nesting order."""
+def run_bench(cfg: ExperimentConfig) -> list[BenchRow]:
+    """One row per (ApproxConfig, algorithm, trial), in that nesting order.
+
+    With ``aggregate="mean"`` the trials of each (ApproxConfig, algorithm)
+    pair collapse into one row of mean error, PSNR and time, with a blank seed.
+    """
     x, peak = build_source_tensor(cfg)
     rows: list[BenchRow] = []
-    for ranks in cfg.rank_sets:
-        sizes = tuple(r + cfg.sketch_extra for r in ranks)
+    for acfg in cfg.approx:
         for key in cfg.algorithms:
-            for trial in range(cfg.trials):
-                acfg = ApproxConfig(
-                    target_ranks=ranks,
-                    processing_order=cfg.order,
-                    oversample=cfg.oversample,
-                    sketch_sizes=sizes,
-                    power_iters=cfg.power_iters,
-                    seed=cfg.base_seed ^ trial,
-                )
-                rows.append(run_trial(cfg.experiment, key, x, acfg, peak)[2])
-    report = BenchReport(rows)
-    if cfg.aggregate == "mean":
-        report = _aggregate_mean(report)
-    return report
+            trials = [
+                run_trial(cfg.experiment, key, x, replace(acfg, seed=acfg.seed ^ j), peak)[2]
+                for j in range(cfg.trials)
+            ]
+            rows += [_mean_row(trials)] if cfg.aggregate == "mean" else trials
+    return rows
 
 
-def _aggregate_mean(report: BenchReport) -> BenchReport:
-    """Mean error/PSNR/time over trials, grouped by everything but the seed."""
-    groups: dict[tuple, list[BenchRow]] = {}
-    for row in report.rows:
-        key = (row.experiment, row.algorithm, row.ranks, row.sketch_sizes, row.q)
-        groups.setdefault(key, []).append(row)
-    rows = []
-    for members in groups.values():
-        first = members[0]
-        rows.append(
-            replace(
-                first,
-                seed=None,
-                rel_error=float(np.mean([m.rel_error for m in members])),
-                psnr=(
-                    float(np.mean([m.psnr for m in members]))
-                    if first.psnr is not None
-                    else None
-                ),
-                wall_ms=float(np.mean([m.wall_ms for m in members])),
-            )
-        )
-    return BenchReport(rows)
+def _mean_row(trials: list[BenchRow]) -> BenchRow:
+    first = trials[0]
+    return replace(
+        first,
+        seed=None,
+        rel_error=float(np.mean([t.rel_error for t in trials])),
+        psnr=float(np.mean([t.psnr for t in trials])) if first.psnr is not None else None,
+        wall_ms=float(np.mean([t.wall_ms for t in trials])),
+    )
 
 
 def _fmt_ranks(ranks: tuple[int, ...] | None) -> str:
@@ -233,12 +205,12 @@ def _fmt_float(v: float | None) -> str:
     return f"{v:.6e}"
 
 
-def write_csv(report: BenchReport, path) -> None:
-    """Serialize the report under the fixed header schema."""
+def write_csv(rows: list[BenchRow], path) -> None:
+    """Serialize the rows under the fixed header schema."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
-        for row in report.rows:
+        for row in rows:
             writer.writerow(
                 [
                     row.experiment,
@@ -264,8 +236,8 @@ def _parse_float(text: str) -> float | None:
     return math.inf if text == "inf" else float(text)
 
 
-def read_csv(path) -> BenchReport:
-    """Parse a file written by write_csv back into a report."""
+def read_csv(path) -> list[BenchRow]:
+    """Parse a file written by write_csv back into its rows."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader)
@@ -287,4 +259,4 @@ def read_csv(path) -> BenchReport:
                     wall_ms=_parse_float(wall),
                 )
             )
-    return BenchReport(rows)
+    return rows

@@ -12,7 +12,7 @@ import zipfile
 
 import numpy as np
 
-from .bench import ALGORITHMS, BenchReport, ExperimentConfig, run_bench, run_trial, write_csv
+from .bench import ALGORITHMS, ExperimentConfig, run_bench, run_trial, write_csv
 from .config import ApproxConfig
 from .datagen import SparseGenConfig, hilbert_tensor, sparse_lowrank_tensor
 from .imageio import ImageFormatError, load_image_tensor, save_image_tensor
@@ -39,9 +39,6 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise _UsageError("empty dimension list")
     return dims
 
-
-def _parse_rank_sets(text: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(_parse_dims(part) for part in text.split(","))
 
 def _parse_order(text: str | None) -> tuple[int, ...] | None:
     if text is None:
@@ -122,24 +119,20 @@ def _cmd_bench(args) -> int:
         experiment=args.experiment,
         source=args.source,
         algorithms=_parse_algos(args.algo),
-        rank_sets=_parse_rank_sets(args.ranks),
         dims=_parse_dims(args.dims) if args.dims else None,
+        approx=tuple(_approx_config(args, _parse_dims(part)) for part in args.ranks.split(",")),
         image_path=args.image,
         trials=args.trials,
         base_seed=args.seed,
-        order=_parse_order(args.order),
-        oversample=args.oversample,
-        sketch_extra=args.sketch_extra,
-        power_iters=args.q,
         gamma=args.gamma,
         density=args.density,
         delta=args.delta,
         snr_db=args.snr,
         aggregate=args.aggregate,
     )
-    report = run_bench(cfg)
-    write_csv(report, args.out)
-    print(f"wrote {len(report.rows)} rows to {args.out}")
+    rows = run_bench(cfg)
+    write_csv(rows, args.out)
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
@@ -158,7 +151,7 @@ def _cmd_image_compress(args) -> int:
     if args.model:
         save_model(model, args.model)
     if args.csv:
-        write_csv(BenchReport([row]), args.csv)
+        write_csv([row], args.csv)
     return 0
 
 

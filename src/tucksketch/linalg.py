@@ -94,13 +94,19 @@ def orthonormalize(a: np.ndarray) -> np.ndarray:
 def _canonical_signs(u: np.ndarray, c: np.ndarray | None = None):
     """u with each column flipped so that its entry of largest magnitude is positive.
 
-    Given c, the rows of c that match flipped columns are negated as well,
-    and the pair (u, c) is returned with u @ c unchanged. This is the sign
-    rule of Bro, Acar and Kolda (J. Chemometrics 2008).
+    Given c, the rows of c that match flipped columns are negated in place
+    (callers pass a kernel's freshly made c, which may be large), and the
+    pair (u, c) is returned with u @ c unchanged. This is the sign rule of
+    Bro, Acar and Kolda (J. Chemometrics 2008).
     """
     peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    signs = np.where(peak < 0, -1.0, 1.0)
-    return u * signs if c is None else (u * signs, c * signs[:, None])
+    flip = peak < 0
+    u = u * np.where(flip, -1.0, 1.0)
+    if c is None:
+        return u
+    if flip.any():
+        c[flip] *= -1.0
+    return u, c
 
 
 def _gram_left_factor(a: np.ndarray, r: int) -> np.ndarray | None:

@@ -95,12 +95,15 @@ def relative_error(x: np.ndarray, xhat: np.ndarray) -> float:
     inputs are converted, never wrapped). The result is deterministic for a
     given input layout but may differ in the last bits from a ratio of
     sorted-sum `frobenius_norm` values, which alone is bitwise invariant
-    under rearranging the entries.
+    under rearranging the entries. A zero x gives 0.0 when xhat is zero too
+    (an exact reconstruction, as `psnr` gives +inf) and raises otherwise.
     """
     if x.shape != xhat.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {xhat.shape}")
     ref_sq, err_sq = _sum_squares(x, xhat)
     if ref_sq == 0.0:
+        if err_sq == 0.0:
+            return 0.0
         raise ValueError("relative error is undefined for a zero reference tensor")
     return math.sqrt(err_sq) / math.sqrt(ref_sq)
 

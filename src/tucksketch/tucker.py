@@ -236,8 +236,8 @@ def load_model(path) -> TuckerModel:
     """Read a model written by save_model.
 
     A container that no model can have raises ValueError: a bad magic or
-    version, order 0, a zero dimension or rank, a length that does not match
-    its header, or non-finite entries. Element counts are Python ints, so a
+    version, order 0, a zero dimension or rank, a rank above its dimension,
+    a length that does not match its header, or non-finite entries. Element counts are Python ints, so a
     crafted size cannot overflow.
     """
     with open(path, "rb") as f:
@@ -258,6 +258,8 @@ def load_model(path) -> TuckerModel:
     dims, ranks = header[:ndim], header[ndim:]
     if 0 in header:
         raise ValueError(f"container has a zero dimension or rank: dims {dims}, ranks {ranks}")
+    if any(r > d for d, r in zip(dims, ranks)):
+        raise ValueError(f"container has a rank above its dimension: dims {dims}, ranks {ranks}")
     shapes = [tuple(ranks), *zip(dims, ranks)]
     counts = [math.prod(shape) for shape in shapes]
     if len(blob) != offset + 8 * sum(counts):

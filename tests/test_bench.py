@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from tucksketch.bench import (
     ALGORITHMS,
     CSV_HEADER,
-    BenchReport,
     BenchRow,
     ExperimentConfig,
     build_source_tensor,
@@ -14,17 +14,26 @@ from tucksketch.bench import (
     run_bench,
     write_csv,
 )
+from tucksketch.config import ApproxConfig
 from tucksketch.imageio import save_image_tensor
 from tucksketch.metrics import psnr
 from tucksketch.tucker import PIPELINES, reconstruct
 
 
-def small_hilbert_config(**overrides):
+def approx(*rank_sets):
+    """One ApproxConfig per rank set, with l_n = r_n + 2 and seed 7."""
+    return tuple(
+        ApproxConfig(target_ranks=r, sketch_sizes=tuple(n + 2 for n in r), seed=7)
+        for r in rank_sets
+    )
+
+
+def small_hilbert_config(rank_sets=((2, 2, 2), (4, 4, 4)), **overrides):
     base = dict(
         experiment="unit",
         source="hilbert",
         algorithms=("thosvd", "sketch"),
-        rank_sets=((2, 2, 2), (4, 4, 4)),
+        approx=approx(*rank_sets),
         dims=(10, 10, 10),
         trials=3,
         base_seed=7,
@@ -34,16 +43,16 @@ def small_hilbert_config(**overrides):
 
 
 def test_row_cardinality():
-    report = run_bench(small_hilbert_config())
+    rows = run_bench(small_hilbert_config())
     # 2 ranks x 2 algorithms x 3 trials
-    assert len(report.rows) == 12
+    assert len(rows) == 12
 
 
 def test_error_columns_reproducible():
     cfg = small_hilbert_config(algorithms=("rsthosvd", "subsketch"))
     a = run_bench(cfg)
     b = run_bench(cfg)
-    for ra, rb in zip(a.rows, b.rows):
+    for ra, rb in zip(a, b):
         assert ra.rel_error == rb.rel_error
         assert ra.algorithm == rb.algorithm
         assert ra.seed == rb.seed
@@ -51,14 +60,17 @@ def test_error_columns_reproducible():
 
 
 def test_trial_seeds_xor_base():
-    report = run_bench(small_hilbert_config(algorithms=("sketch",), trials=4))
-    seeds = [row.seed for row in report.rows[:4]]
+    rows = run_bench(small_hilbert_config(algorithms=("sketch",), trials=4))
+    seeds = [row.seed for row in rows[:4]]
     assert seeds == [7 ^ 0, 7 ^ 1, 7 ^ 2, 7 ^ 3]
+    # the trial seed comes from the ApproxConfig; base_seed only seeds the data
+    other_base = run_bench(small_hilbert_config(algorithms=("sketch",), trials=4, base_seed=0))
+    assert [row.seed for row in other_base[:4]] == seeds
 
 
 def test_algorithm_names_canonical():
-    report = run_bench(small_hilbert_config(algorithms=tuple(ALGORITHMS)))
-    names = {row.algorithm for row in report.rows}
+    rows = run_bench(small_hilbert_config(algorithms=tuple(ALGORITHMS)))
+    names = {row.algorithm for row in rows}
     assert names == {
         "THOSVD",
         "STHOSVD",
@@ -76,19 +88,24 @@ def test_errors_descend_with_rank():
     cfg = small_hilbert_config(
         algorithms=("thosvd",), rank_sets=((2, 2, 2), (4, 4, 4), (6, 6, 6)), trials=1
     )
-    errs = [row.rel_error for row in run_bench(cfg).rows]
+    errs = [row.rel_error for row in run_bench(cfg)]
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_aggregate_mean():
     cfg = small_hilbert_config(algorithms=("sketch",), trials=5, aggregate="mean")
-    report = run_bench(cfg)
-    assert len(report.rows) == 2  # one per rank tuple
+    rows = run_bench(cfg)
+    assert len(rows) == 2  # one per rank tuple
     raw = run_bench(small_hilbert_config(algorithms=("sketch",), trials=5))
-    for agg_row, ranks in zip(report.rows, ((2, 2, 2), (4, 4, 4))):
-        members = [r.rel_error for r in raw.rows if r.ranks == ranks]
+    for agg_row, ranks in zip(rows, ((2, 2, 2), (4, 4, 4))):
+        members = [r.rel_error for r in raw if r.ranks == ranks]
         assert agg_row.rel_error == pytest.approx(float(np.mean(members)))
         assert agg_row.seed is None
+    # two configs with the same ranks are averaged apart
+    natural = approx((2, 2, 2))[0]
+    twins = (natural, replace(natural, processing_order=(3, 2, 1)))
+    assert len(run_bench(small_hilbert_config(algorithms=("sketch",), trials=2,
+                                              aggregate="mean", approx=twins))) == 2
 
 
 def test_gaussian_and_sparse_sources():
@@ -96,27 +113,27 @@ def test_gaussian_and_sparse_sources():
         experiment="g",
         source="gaussian",
         algorithms=("sthosvd",),
-        rank_sets=((3, 3, 3),),
+        approx=approx((3, 3, 3)),
         dims=(8, 8, 8),
     )
-    assert len(run_bench(g).rows) == 1
+    assert len(run_bench(g)) == 1
     s = ExperimentConfig(
         experiment="s",
         source="sparse",
         algorithms=("sthosvd",),
-        rank_sets=((3, 3, 3),),
+        approx=approx((3, 3, 3)),
         dims=(20, 20, 20),
         gamma=5.0,
     )
-    assert len(run_bench(s).rows) == 1
+    assert len(run_bench(s)) == 1
 
 
 def test_noise_fields_change_tensor():
     cfg = small_hilbert_config(algorithms=("thosvd",), trials=1)
-    clean = run_bench(cfg).rows[0].rel_error
-    noisy = run_bench(small_hilbert_config(algorithms=("thosvd",), trials=1, delta=1e-2)).rows[0].rel_error
+    clean = run_bench(cfg)[0].rel_error
+    noisy = run_bench(small_hilbert_config(algorithms=("thosvd",), trials=1, delta=1e-2))[0].rel_error
     assert noisy > clean
-    snr = run_bench(small_hilbert_config(algorithms=("thosvd",), trials=1, snr_db=10.0)).rows[0].rel_error
+    snr = run_bench(small_hilbert_config(algorithms=("thosvd",), trials=1, snr_db=10.0))[0].rel_error
     assert snr > clean
 
 
@@ -129,14 +146,12 @@ def test_image_experiment_psnr_matches_oracle(tmp_path):
         experiment="img",
         source="image",
         algorithms=("sthosvd",),
-        rank_sets=((6, 6, 3),),
+        approx=approx((6, 6, 3)),
         image_path=str(path),
     )
     x, peak = build_source_tensor(cfg)
     assert peak == 255.0
-    report = run_bench(cfg)
-    row = report.rows[0]
-    from tucksketch.config import ApproxConfig
+    row = run_bench(cfg)[0]
     from tucksketch.tucker import sthosvd
 
     model = sthosvd(x, ApproxConfig(target_ranks=(6, 6, 3)))
@@ -157,35 +172,33 @@ def test_descriptor_validation():
             experiment="x",
             source="image",
             algorithms=("thosvd",),
-            rank_sets=((2, 2, 2),),
+            approx=approx((2, 2, 2)),
         )
 
 
 # ------------------------------------------------------------------- CSV
 
 
-def sample_report():
-    return BenchReport(
-        [
-            BenchRow("e", "THOSVD", (10, 10, 10), None, None, None, 0.0, None, 12.5),
-            BenchRow(
-                "e",
-                "sub-Sketch-STHOSVD",
-                (10, 10, 10),
-                (12, 12, 12),
-                1,
-                42,
-                2.7354e-06,
-                math.inf,
-                3.25,
-            ),
-        ]
-    )
+def sample_rows():
+    return [
+        BenchRow("e", "THOSVD", (10, 10, 10), None, None, None, 0.0, None, 12.5),
+        BenchRow(
+            "e",
+            "sub-Sketch-STHOSVD",
+            (10, 10, 10),
+            (12, 12, 12),
+            1,
+            42,
+            2.7354e-06,
+            math.inf,
+            3.25,
+        ),
+    ]
 
 
 def test_csv_header_and_formats(tmp_path):
     path = tmp_path / "r.csv"
-    write_csv(sample_report(), path)
+    write_csv(sample_rows(), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "experiment,algorithm,ranks,sketch_sizes,q,seed,rel_error,psnr,wall_ms"
     assert lines[1] == "e,THOSVD,10x10x10,,,,0.000000e+00,,1.250000e+01"
@@ -196,17 +209,17 @@ def test_csv_header_and_formats(tmp_path):
 
 def test_csv_empty_report(tmp_path):
     path = tmp_path / "empty.csv"
-    write_csv(BenchReport([]), path)
+    write_csv([], path)
     assert path.read_text().splitlines() == [",".join(CSV_HEADER)]
 
 
 def test_csv_roundtrip(tmp_path):
     path = tmp_path / "rt.csv"
-    report = sample_report()
-    write_csv(report, path)
+    rows = sample_rows()
+    write_csv(rows, path)
     back = read_csv(path)
-    assert len(back.rows) == 2
-    for orig, parsed in zip(report.rows, back.rows):
+    assert len(back) == 2
+    for orig, parsed in zip(rows, back):
         assert parsed.experiment == orig.experiment
         assert parsed.algorithm == orig.algorithm
         assert parsed.ranks == orig.ranks
@@ -222,12 +235,12 @@ def test_csv_roundtrip(tmp_path):
 
 
 def test_csv_roundtrip_of_real_run(tmp_path):
-    report = run_bench(small_hilbert_config(trials=2))
+    rows = run_bench(small_hilbert_config(trials=2))
     path = tmp_path / "real.csv"
-    write_csv(report, path)
+    write_csv(rows, path)
     back = read_csv(path)
-    assert len(back.rows) == len(report.rows)
-    for orig, parsed in zip(report.rows, back.rows):
+    assert len(back) == len(rows)
+    for orig, parsed in zip(rows, back):
         assert parsed.rel_error == pytest.approx(orig.rel_error, rel=1e-6)
         assert parsed.ranks == orig.ranks
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tucksketch.bench import read_csv
+from tucksketch.bench import ALGORITHMS, read_csv
 from tucksketch.cli import main
 from tucksketch.datagen import hilbert_tensor
 from tucksketch.imageio import load_image_tensor, save_image_tensor
@@ -70,9 +70,39 @@ def test_bench_writes_parsable_csv(tmp_path, capsys):
         ]
     )
     assert code == 0
-    report = read_csv(out)
-    assert len(report.rows) == 8
-    assert {r.algorithm for r in report.rows} == {"STHOSVD", "Sketch-STHOSVD"}
+    rows = read_csv(out)
+    assert len(rows) == 8
+    assert {r.algorithm for r in rows} == {"STHOSVD", "Sketch-STHOSVD"}
+
+
+def test_bench_hilbert_sweep_with_mean(tmp_path, capsys):
+    out = tmp_path / "hilbert.csv"
+    code = main(["bench", "--experiment", "hilbert-10", "--source", "hilbert",
+                 "--dims", "10x10x10", "--ranks", "2x2x2,3x3x3", "--trials", "2",
+                 "--aggregate", "mean", "--out", str(out)])
+    assert code == 0
+    rows = read_csv(out)
+    # mean over trials: one row per rank set and algorithm
+    assert len(rows) == 2 * len(ALGORITHMS)
+    assert {r.algorithm for r in rows} == set(ALGORITHMS.values())
+    assert all(r.seed is None and 0 <= r.rel_error < 1 for r in rows)
+
+
+def test_bench_sparse_sweep_per_gamma(tmp_path, capsys):
+    for gamma in ("2", "10"):
+        out = tmp_path / f"sparse-gamma{gamma}.csv"
+        code = main(["bench", "--experiment", f"sparse-n12-gamma{gamma}", "--source", "sparse",
+                     "--gamma", gamma, "--delta", "1e-3", "--dims", "12x12x12",
+                     "--ranks", "2x2x2,3x3x3", "--trials", "1", "--aggregate", "mean",
+                     "--out", str(out)])
+        assert code == 0
+        rows = read_csv(out)
+        assert {r.ranks for r in rows} == {(2, 2, 2), (3, 3, 3)}
+        assert len(rows) == 2 * len(ALGORITHMS)
+    # a rank above the side is a parameter error, never silently dropped
+    too_big = ["bench", "--source", "sparse", "--dims", "12x12x12", "--ranks", "2x2x2,40x40x40",
+               "--out", str(tmp_path / "no.csv")]
+    assert main(too_big) == 3
 
 
 def test_image_compress_roundtrip(tmp_path, capsys):
@@ -103,9 +133,9 @@ def test_image_compress_roundtrip(tmp_path, capsys):
     assert "psnr=" in capsys.readouterr().out
     recon = load_image_tensor(out)
     assert recon.shape == img.shape
-    report = read_csv(csv_path)
-    assert report.rows[0].algorithm == "sub-Sketch-STHOSVD"
-    assert report.rows[0].psnr is not None
+    rows = read_csv(csv_path)
+    assert rows[0].algorithm == "sub-Sketch-STHOSVD"
+    assert rows[0].psnr is not None
 
 
 def test_image_compress_deterministic_row_has_blank_seed(tmp_path, capsys):
@@ -119,7 +149,7 @@ def test_image_compress_deterministic_row_has_blank_seed(tmp_path, capsys):
         assert main(args + ["--algo", algo]) == 0
         lines = csv_path.read_text().splitlines()
         assert lines[1].split(",")[5] == seed
-        assert read_csv(csv_path).rows[0].seed == (int(seed) if seed else None)
+        assert read_csv(csv_path)[0].seed == (int(seed) if seed else None)
 
 
 def test_usage_error_exit_code(tmp_path):
@@ -176,3 +206,27 @@ def test_decompose_reads_images(tmp_path, capsys):
     # a constant image is exactly rank one
     err = float(out.split("rel_error=")[1].split()[0])
     assert err <= 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+def test_all_zero_inputs_decompose_exactly(tmp_path, capsys):
+    zeros = tmp_path / "zeros.npy"
+    np.save(zeros, np.zeros((6, 5, 4)))
+    black = tmp_path / "black.ppm"
+    save_image_tensor(np.zeros((8, 6, 3)), black)
+    # every pipeline reconstructs zero exactly, without a warning
+    for key in ALGORITHMS:
+        model_path = tmp_path / f"{key}.tuck"
+        args = ["decompose", "--in", str(zeros), "--algo", key, "--ranks", "2x2x2",
+                "--out", str(model_path)]
+        assert main(args) == 0
+        assert "rel_error=0.000000e+00" in capsys.readouterr().out
+        model = load_model(model_path)
+        assert not reconstruct(model).any()
+        assert all(np.allclose(u.T @ u, np.eye(u.shape[1])) for u in model.factors)
+        image_model = tmp_path / f"{key}-image.tuck"
+        args = ["image-compress", "--in", str(black), "--algo", key, "--ranks", "2x2x1",
+                "--out", str(tmp_path / "out.ppm"), "--model", str(image_model)]
+        assert main(args) == 0
+        assert "psnr=inf" in capsys.readouterr().out
+        assert load_model(image_model).ranks == (2, 2, 1)

@@ -494,6 +494,25 @@ def test_left_factor_routes_agree_on_separated_spectrum():
     assert np.all(peaks > 0)
 
 
+def test_canonical_signs_negate_rows_of_c_in_place():
+    rng = np.random.default_rng(8)
+    u = np.linalg.qr(rng.standard_normal((6, 4)))[0]
+    c = rng.standard_normal((4, 9))
+    product = u @ c
+    peaks = u[np.argmax(np.abs(u), axis=0), np.arange(4)]
+    assert (peaks < 0).any() and (peaks > 0).any()
+    expected = c * np.where(peaks < 0, -1.0, 1.0)[:, None]
+    u_out, c_out = _canonical_signs(u, c)
+    # c is the caller's array, with only the flipped rows negated
+    assert c_out is c and np.shares_memory(c_out, c)
+    assert np.array_equal(c_out, expected)
+    assert np.allclose(u_out @ c_out, product)
+    # nothing to flip: c comes back as it is
+    fixed = c.copy()
+    assert _canonical_signs(u_out, fixed)[1] is fixed
+    assert np.array_equal(fixed, c)
+
+
 def test_left_factor_graded_spectrum_takes_qr_route():
     a = unfold(hilbert_tensor((40, 40, 40)), 1)
     # lambda_8 / lambda_1 is about 1e-12, below the sqrt(eps) guard

@@ -46,6 +46,11 @@ def test_relative_error_zero_reference():
         relative_error(np.zeros((2, 2)), np.ones((2, 2)))
 
 
+def test_relative_error_of_exact_zero_reconstruction():
+    # both zero: an exact reconstruction, as psnr's +inf for identical inputs
+    assert relative_error(np.zeros((2, 3)), np.zeros((2, 3))) == 0.0
+
+
 def test_psnr_values():
     x = np.full((4, 4, 1), 10.0)
     assert psnr(x, x, 255.0) == math.inf

@@ -1,4 +1,4 @@
-"""Smoke runs of the experiment scripts on tiny inputs."""
+"""Smoke run of the image experiment script on a tiny input."""
 
 import importlib.util
 import pathlib
@@ -20,28 +20,6 @@ def run_script(monkeypatch, name, *args):
     module.main()
 
 
-def test_hilbert_experiment(tmp_path, monkeypatch):
-    out = tmp_path / "hilbert.csv"
-    run_script(monkeypatch, "hilbert_experiment", "--side", 10, "--ranks", "2,3",
-               "--trials", 2, "--out", out)
-    rows = read_csv(out).rows
-    # mean over trials: one row per rank and algorithm
-    assert len(rows) == 2 * len(ALGORITHMS)
-    assert {r.algorithm for r in rows} == set(ALGORITHMS.values())
-    assert all(r.seed is None and 0 <= r.rel_error < 1 for r in rows)
-
-
-def test_sparse_experiment(tmp_path, monkeypatch):
-    prefix = tmp_path / "sparse"
-    run_script(monkeypatch, "sparse_experiment", "--n", 12, "--gammas", "2,10",
-               "--ranks", "2,3,40", "--delta", "1e-3", "--trials", 1, "--out-prefix", prefix)
-    for gamma in ("2", "10"):
-        rows = read_csv(f"{prefix}-gamma{gamma}.csv").rows
-        # rank 40 exceeds n = 12 and is dropped
-        assert {r.ranks for r in rows} == {(2, 2, 2), (3, 3, 3)}
-        assert len(rows) == 2 * len(ALGORITHMS)
-
-
 def test_image_experiment(tmp_path, monkeypatch):
     yy, xx = np.meshgrid(np.linspace(0, 1, 16), np.linspace(0, 1, 16), indexing="ij")
     img = np.stack([120 + 80 * np.sin(3 * xx + c * yy) for c in range(3)], axis=2)
@@ -50,7 +28,7 @@ def test_image_experiment(tmp_path, monkeypatch):
     out_dir = tmp_path / "results"
     run_script(monkeypatch, "image_experiment", "--image", src, "--rank", 4,
                "--seed", 3, "--out-dir", out_dir)
-    rows = read_csv(out_dir / "report.csv").rows
+    rows = read_csv(out_dir / "report.csv")
     assert [r.algorithm for r in rows] == list(ALGORITHMS.values())
     for key, row in zip(ALGORITHMS, rows):
         assert (out_dir / f"{key}.ppm").is_file()

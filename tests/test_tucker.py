@@ -457,6 +457,7 @@ def _container(ndim, dims, ranks, values):
         (_container(0, (), (), []), "order 0"),
         (_container(2, (0, 3), (1, 1), [1.0, 1.0]), "zero dimension or rank"),
         (_container(2, (2, 3), (0, 1), [1.0, 1.0, 1.0]), "zero dimension or rank"),
+        (_container(2, (2, 3), (3, 1), [1.0] * 12), "rank above its dimension"),
         (_container(2, (1, 1), (1, 1), [np.nan, 1.0, 1.0]), "non-finite"),
         (_container(2, (1, 1), (1, 1), [1.0, np.inf, 1.0]), "non-finite"),
         (_container(1, (2**63,), (2**63,), [1.0]), "does not match"),
@@ -464,7 +465,7 @@ def _container(ndim, dims, ranks, values):
         (_container(2, (2, 3), (1, 1), [1.0] * 7), "does not match"),
         (_container(3, (2, 3), (1, 1), []), "truncated"),
     ],
-    ids=["order-0", "zero-dim", "zero-rank", "nan", "inf", "rank-2^63", "short", "long", "header"],
+    ids=["order-0", "zero-dim", "zero-rank", "rank-above-dim", "nan", "inf", "rank-2^63", "short", "long", "header"],
 )
 def test_model_load_rejects_impossible_containers(tmp_path, blob, message):
     path = tmp_path / "bad.tuck"
