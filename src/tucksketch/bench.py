@@ -112,6 +112,10 @@ class ExperimentConfig:
                 raise ValueError("image source requires image_path")
         elif self.dims is None:
             raise ValueError(f"source {self.source!r} requires dims")
+        else:
+            # Check every rank set before any data is built or any trial runs.
+            for acfg in self.approx:
+                acfg.ranks_and_order(self.dims)
 
 
 def build_source_tensor(cfg: ExperimentConfig) -> tuple[np.ndarray, float | None]:
@@ -171,6 +175,10 @@ def run_bench(cfg: ExperimentConfig) -> list[BenchRow]:
     pair collapse into one row of mean error, PSNR and time, with a blank seed.
     """
     x, peak = build_source_tensor(cfg)
+    if cfg.source == "image":
+        # The image's shape is known only now; check it before any trial.
+        for acfg in cfg.approx:
+            acfg.ranks_and_order(x.shape)
     rows: list[BenchRow] = []
     for acfg in cfg.approx:
         for key in cfg.algorithms:

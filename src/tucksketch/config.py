@@ -74,6 +74,19 @@ class ApproxConfig:
             )
         return self.processing_order
 
+    def ranks_and_order(self, shape: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The ranks and processing order for a tensor of this shape.
+
+        Raises ValueError when the rank count or the order does not match the
+        tensor's order, or a rank is above its dimension (sketch sizes always
+        match the ranks in length).
+        """
+        ranks = self.ranks_for(len(shape))
+        for r, d in zip(ranks, shape):
+            if not 1 <= r <= d:
+                raise ValueError(f"target rank {r} out of range for dimension {d}")
+        return ranks, self.order_for(len(shape))
+
     def sketch_sizes_for(self, ndim: int) -> tuple[int, ...]:
         ranks = self.ranks_for(ndim)
         if self.sketch_sizes is None:

@@ -8,29 +8,42 @@ matrix reads it in its stored layout, through a transposed view rather than
 a full-size copy.
 
 Every rank-r kernel returns one plain pair (U, C) with A ~= U @ C and U of
-orthonormal columns: ``truncated_svd`` and ``rsvd`` give C = diag(s) @ V^T,
-``sketch`` and ``sub_sketch`` give the correction X_c. ``thin_svd`` returns
-NumPy's (u, s, vt). No kernel fixes signs; ``_canonical_signs`` does, for
-THOSVD's factors here and for every step of ``tucker._sequential``.
+orthonormal columns: ``truncated_svd`` and ``rsvd`` give C = diag(s) @ V^T
+(``rsvd`` up to rounding, as U^T A), ``sketch`` and ``sub_sketch`` give the
+correction X_c. ``thin_svd`` returns NumPy's (u, s, vt). No kernel fixes
+signs; ``_canonical_signs`` does, for THOSVD's factors here and for every
+step of ``tucker._sequential``.
 
-``_left_factor`` gives THOSVD the r leading left singular vectors of a wide
-unfolding without forming V. It takes the Gram route of Vannieuwenhoven,
-Vandebril and Meerbergen (SISC 2012), ``eigh`` of A A^T for the r largest
-eigenvalues, when lambda_r > sqrt(eps) lambda_1. Above that guard the
-rounding of the Gram matrix, about eps lambda_1, stays below sqrt(eps)
-lambda_r; a guard of 100 eps let the Hilbert 100^3 unfoldings through
-(lambda_r / lambda_1 = 6e-14) and moved THOSVD's error by 4e-5 relative.
-Otherwise it falls back to an R-only QR of A^T and the SVD of the small
-triangle. Its columns carry the canonical sign (largest-magnitude entry
-positive), so both routes and any LAPACK build give the same factor up to
-rounding. STHOSVD stays on ``truncated_svd``: a Gram-route STHOSVD would
-run at about 1.5x the time of Sketch-STHOSVD on the acceptance suite's
-speed-ordering tensor, where the paper's claim (criterion 6) needs Sketch at
+Short, wide stages take the Gram route of Vannieuwenhoven, Vandebril and
+Meerbergen (SISC 2012): ``eigh`` of the small Gram matrix B B^T instead of
+a Householder factorization of the long B^T, when lambda_r > sqrt(eps)
+lambda_1 (``_GRAM_GUARD``, checked by ``_gram_eigh`` on the eigenvalues it
+just computed). Above that guard the rounding of the Gram matrix, about
+eps lambda_1, stays below sqrt(eps) lambda_r; a guard of 100 eps let the
+Hilbert 100^3 unfoldings through (lambda_r / lambda_1 = 6e-14) and moved
+THOSVD's error by 4e-5 relative. Two kernels use it:
+
+* ``_left_factor`` -- the r leading left singular vectors of a wide matrix,
+  without forming V: the Gram route, or else an R-only QR of A^T and the
+  SVD of the small triangle. Its columns carry the canonical sign
+  (largest-magnitude entry positive), so both routes and any LAPACK build
+  give the same factor up to rounding. THOSVD takes each factor from it,
+  and ``rsvd`` the SVD of its projection.
+* ``_row_basis`` -- an orthonormal basis of range(B^T) for the power step of
+  ``sub_sketch``: B^T V Lambda^(-1/2) on the Gram route, or else the Q of a
+  Householder QR of B^T, as before.
+
+So a randomized mode costs its GEMMs over A plus factorizations of k x k
+matrices; on a separated spectrum no n x k matrix is factored. STHOSVD stays
+on ``truncated_svd``: a Gram-route STHOSVD would run at about 1.1-1.3x the
+time of Sketch-STHOSVD on the acceptance suite's speed-ordering tensor (0.18
+s, 2 BLAS threads), where the paper's claim (criterion 6) needs Sketch at
 most half of STHOSVD.
 
 The randomized kernels are the interesting part:
 
-* rsvd          -- range finder (A @ Gaussian), then SVD of the projection.
+* rsvd          -- range finder Q of A @ Gaussian, then the leading left
+                   singular vectors of the projection Q^T A.
 * sketch        -- two-sided sketch: a column sketch Y = A @ Omega and a row
                    sketch W = Psi @ A, combined as Q @ lstsq(Psi @ Q, W).
 * sub_sketch    -- same, but the basis Q is sharpened by alternating
@@ -63,8 +76,9 @@ def thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Economy-size QR: a = q @ r with q of shape (m, min(m, n)).
 
     Householder QR by LAPACK through SciPy, without the finiteness scan.
-    Callers factor tall matrices: the power step hands it (q.T @ a).T, a
-    transposed view of a product that read a in its stored layout.
+    Callers factor tall matrices: the power step's fallback hands it
+    (q.T @ a).T, a transposed view of a product that read a in its stored
+    layout.
     """
     return scipy.linalg.qr(a, mode="economic", check_finite=False)
 
@@ -109,20 +123,25 @@ def _canonical_signs(u: np.ndarray, c: np.ndarray | None = None):
     return u, c
 
 
-def _gram_left_factor(a: np.ndarray, r: int) -> np.ndarray | None:
-    """Leading r eigenvectors of a @ a.T, or None when lambda_r <= sqrt(eps) lambda_1.
+# The Gram route runs only when lambda_r > _GRAM_GUARD * lambda_1.
+_GRAM_GUARD = np.sqrt(np.finfo(np.float64).eps)
 
-    ``a @ a.T`` is one BLAS syrk that reads a in its stored layout. Below the
-    guard the rounding of the Gram matrix (eps lambda_1) reaches the kept
-    eigenvalues, and the factor would lose digits.
+
+def _gram_eigh(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The r largest eigenpairs (w, v) of a @ a.T in descending order, or None below the guard.
+
+    ``a @ a.T`` is one BLAS syrk that reads a in its stored layout. When
+    lambda_r <= sqrt(eps) lambda_1 (``_GRAM_GUARD``) the rounding of the Gram
+    matrix reaches the kept eigenvalues, and a factor built from them would
+    lose digits.
     """
     m = a.shape[0]
     w, v = scipy.linalg.eigh(
         a @ a.T, subset_by_index=(m - r, m - 1), overwrite_a=True, check_finite=False
     )
-    if not w[0] > np.sqrt(np.finfo(np.float64).eps) * w[-1]:
+    if not w[0] > _GRAM_GUARD * w[-1]:
         return None
-    return v[:, ::-1]
+    return w[::-1], v[:, ::-1]
 
 
 def _qr_left_factor(a: np.ndarray, r: int) -> np.ndarray:
@@ -149,8 +168,28 @@ def _left_factor(a: np.ndarray, r: int) -> np.ndarray:
         raise ValueError(f"rank {r} out of range for {m} rows")
     if m > n:
         return _canonical_signs(truncated_svd(a, r)[0])
-    u = _gram_left_factor(a, r)
-    return _canonical_signs(u if u is not None else _qr_left_factor(a, r))
+    pair = _gram_eigh(a, r)
+    return _canonical_signs(pair[1] if pair is not None else _qr_left_factor(a, r))
+
+
+def _row_basis(b: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of range(b.T) for a short, wide k x n matrix b (k <= n).
+
+    When the k x k Gram matrix b @ b.T = V diag(lambda) V^T passes the guard
+    lambda_k > sqrt(eps) lambda_1, the basis is b.T @ V diag(lambda)^(-1/2),
+    a syrk, a k x k ``eigh`` and one GEMM; otherwise it is the Q of a
+    Householder QR of b.T, formed in full. Each Gram-route column lies in
+    range(b.T) up to the rounding of the product, so the weakest direction is
+    off by about eps sigma_1 / sigma_k relative, as for Householder, which is
+    eps^(3/4) at the guard; the columns are orthonormal to about
+    eps sigma_1^2 / sigma_k^2, at most sqrt(eps), which the QR that follows
+    in the power step absorbs.
+    """
+    pair = _gram_eigh(b, b.shape[0])
+    if pair is None:
+        return thin_qr(b.T)[0]
+    w, v = pair
+    return b.T @ (v / np.sqrt(w))
 
 
 def _complete_basis(q: np.ndarray, extra: int) -> np.ndarray:
@@ -187,8 +226,13 @@ def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
 def rsvd(a: np.ndarray, r: int, p: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Randomized rank-r SVD with oversampling p, as the pair (u, diag(s) @ vt).
 
-    Projects a onto the range of a @ Omega for a Gaussian Omega with r + p
-    columns, then takes the SVD of the small projected matrix.
+    Projects a onto the range Q of a @ Omega for a Gaussian Omega with
+    k = r + p columns (Halko, Martinsson and Tropp, SIAM Review 2011), then
+    takes the r leading left singular vectors U_b of the short, wide k x n
+    projection B = Q^T a from ``_left_factor``: ``eigh`` of the k x k Gram
+    matrix B B^T, or an R-only QR of B^T when the spectrum fails the guard.
+    Neither forms the n x k right factor. The pair is (Q U_b, U_b^T B), whose
+    C = U_b^T B equals diag(s) @ vt up to rounding.
     """
     m, n = a.shape
     if r < 1:
@@ -201,8 +245,9 @@ def rsvd(a: np.ndarray, r: int, p: int, rng: RngStream) -> tuple[np.ndarray, np.
         )
     omega = gaussian_matrix(rng, n, r + p)
     q, _ = thin_qr(a @ omega)
-    u, s, vt = thin_svd(q.T @ a)
-    return q @ u[:, :r], s[:r, None] * vt[:r]
+    b = q.T @ a
+    u = _left_factor(b, r)
+    return q @ u, u.T @ b
 
 
 def _check_sketch_params(m: int, n: int, k: int, l: int) -> None:
@@ -248,8 +293,7 @@ def _two_sided_sketch(
     w = psi @ a
     q, _ = thin_qr(y)
     for _ in range(power_iters):
-        q_hat, _ = thin_qr((q.T @ a).T)
-        q, _ = thin_qr(a @ q_hat)
+        q, _ = thin_qr(a @ _row_basis(q.T @ a))
     return q, _min_norm_lstsq(psi @ q, w)
 
 
@@ -272,8 +316,13 @@ def sub_sketch(
     """Two-sided sketch with q rounds of subspace power iteration.
 
     Each round replaces the basis with an orthonormalized A @ (orthonormalized
-    A.T @ Q), damping the contribution of trailing singular directions. With
-    q = 0 this is exactly `sketch`, draw for draw.
+    A.T @ Q), damping the contribution of trailing singular directions: the
+    re-orthonormalized power iteration of Halko, Martinsson and Tropp (SIAM
+    Review 2011, Alg. 4.4). The inner basis of range(A.T @ Q) comes from
+    ``_row_basis``: the k x k Gram matrix of Q.T @ A when its spectrum passes
+    the sqrt(eps) guard, and a Householder QR of the n x k (Q.T @ A).T
+    otherwise, so a graded spectrum keeps the Householder step bit for bit.
+    With q = 0 this is exactly `sketch`, draw for draw.
     """
     if q < 0:
         raise ValueError("power iteration count must be nonnegative")

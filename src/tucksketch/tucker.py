@@ -26,11 +26,17 @@ the unshrunk unfoldings and needs no core per mode, so it keeps its own
 loop, and it needs only U of each: ``linalg._left_factor`` takes it from
 ``eigh`` of the Gram matrix A A^T when the spectrum passes a sqrt(eps)
 guard, and from an R-only QR otherwise, never forming V, and gives its
-columns the same signs. ``sthosvd`` keeps the full truncated SVD for now.
-On the acceptance suite's speed-ordering tensor a Gram-route STHOSVD
-prototype took 0.22 s against Sketch-STHOSVD's 0.15 s, and criterion 6
-(Sketch at most half of STHOSVD) would fail; that switch waits for a faster
-sketch kernel.
+columns the same signs. The randomized steps use the same Gram route on
+their short, wide stages: ``rsvd`` takes U of its k x n projection Q^T A
+from ``_left_factor``, and sub-Sketch's power step takes its basis of
+range(A^T Q) from ``eigh`` of a k x k Gram matrix, keeping the Householder
+QR for spectra that fail the guard. So R-STHOSVD and sub-Sketch-STHOSVD
+cost a few GEMMs over each unfolding plus k x k factorizations wherever the
+guard passes, as the paper counts them. ``sthosvd`` keeps the full
+truncated SVD for now. On the acceptance suite's speed-ordering tensor a
+Gram-route STHOSVD prototype took 0.18 s against Sketch-STHOSVD's 0.14-0.17
+s (2 BLAS threads), and criterion 6 (Sketch at most half of STHOSVD) would
+fail; that switch waits for a faster sketch kernel.
 
 ``PIPELINES`` maps each CLI/bench algorithm key to a pipeline, and
 ``decompose(key, x, cfg)`` runs it with the randomized pipelines drawing
@@ -93,12 +99,7 @@ def reconstruct(model: TuckerModel) -> np.ndarray:
 
 def _validate(x, cfg: ApproxConfig):
     x = as_tensor(x)
-    ranks = cfg.ranks_for(x.ndim)
-    for r, d in zip(ranks, x.shape):
-        if not 1 <= r <= d:
-            raise ValueError(f"target rank {r} out of range for dimension {d}")
-    order = cfg.order_for(x.ndim)
-    return x, ranks, order
+    return (x, *cfg.ranks_and_order(x.shape))
 
 
 def _sequential(x: np.ndarray, ranks, order, step) -> TuckerModel:

@@ -167,6 +167,12 @@ def test_descriptor_validation():
         small_hilbert_config(rank_sets=())
     with pytest.raises(ValueError):
         small_hilbert_config(trials=0)
+    # every rank set is checked against dims when the config is made
+    for bad in ([(2, 2, 2), (11, 2, 2)], [(2, 2)]):
+        with pytest.raises(ValueError):
+            small_hilbert_config(rank_sets=bad)
+    with pytest.raises(ValueError):
+        small_hilbert_config(approx=(ApproxConfig(target_ranks=(2, 2, 2), processing_order=(2, 1)),))
     with pytest.raises(ValueError):
         ExperimentConfig(
             experiment="x",

@@ -105,6 +105,36 @@ def test_bench_sparse_sweep_per_gamma(tmp_path, capsys):
     assert main(too_big) == 3
 
 
+def test_bench_rejects_a_bad_rank_set_before_building_data(tmp_path, monkeypatch):
+    import tucksketch.bench as bench
+
+    calls = []
+    monkeypatch.setattr(bench, "build_source_tensor", lambda cfg: calls.append(cfg))
+    out = tmp_path / "no.csv"
+    code = main(["bench", "--source", "hilbert", "--dims", "160x160x160",
+                 "--ranks", "10x10x10,300x300x300", "--out", str(out)])
+    assert code == 3
+    assert calls == [] and not out.exists()
+    # rank and order lengths are checked against dims too
+    for extra in (["--ranks", "2x2"], ["--ranks", "2x2x2", "--order", "2,1"]):
+        assert main(["bench", "--source", "hilbert", "--dims", "6x6x6",
+                     *extra, "--out", str(out)]) == 3
+    assert calls == []
+
+
+def test_bench_checks_an_image_shape_before_any_trial(tmp_path, monkeypatch):
+    import tucksketch.bench as bench
+
+    src = tmp_path / "in.ppm"
+    save_image_tensor(np.full((8, 9, 3), 100.0), src)
+    trials = []
+    monkeypatch.setattr(bench, "run_trial", lambda *args: trials.append(args))
+    code = main(["bench", "--source", "image", "--image", str(src),
+                 "--ranks", "2x2x2,9x9x3", "--out", str(tmp_path / "no.csv")])
+    assert code == 3
+    assert trials == []
+
+
 def test_image_compress_roundtrip(tmp_path, capsys):
     rng = np.random.default_rng(1)
     img = np.clip(

@@ -6,10 +6,11 @@ from tucksketch.config import ApproxConfig
 from tucksketch.datagen import add_scaled_noise, hilbert_tensor
 from tucksketch.linalg import (
     _canonical_signs,
-    _gram_left_factor,
+    _gram_eigh,
     _left_factor,
     _min_norm_lstsq,
     _qr_left_factor,
+    _row_basis,
     orthonormalize,
     rsvd,
     sketch,
@@ -483,8 +484,9 @@ def assert_orthonormal_columns(u, tol=1e-12):
 def test_left_factor_routes_agree_on_separated_spectrum():
     sigma = 2.0 ** -np.arange(12)
     a = matrix_with_spectrum(12, 300, sigma, seed=50)
-    gram = _gram_left_factor(a, 5)
-    assert gram is not None
+    pair = _gram_eigh(a, 5)
+    assert pair is not None
+    gram = pair[1]
     qr = _qr_left_factor(a, 5)
     assert scipy.linalg.svdvals(gram.T @ qr).min() >= 1 - 1e-12
     gram, qr = _canonical_signs(gram), _canonical_signs(qr)
@@ -516,13 +518,13 @@ def test_canonical_signs_negate_rows_of_c_in_place():
 def test_left_factor_graded_spectrum_takes_qr_route():
     a = unfold(hilbert_tensor((40, 40, 40)), 1)
     # lambda_8 / lambda_1 is about 1e-12, below the sqrt(eps) guard
-    assert _gram_left_factor(a, 8) is None
+    assert _gram_eigh(a, 8) is None
     u = _left_factor(a, 8)
     assert np.array_equal(u, _canonical_signs(_qr_left_factor(a, 8)))
     ref, _ = truncated_svd(a, 8)
     assert scipy.linalg.svdvals(ref.T @ u).min() >= 1 - 1e-12
     # a rank whose lambda_r clears the guard takes the Gram route
-    assert _gram_left_factor(a, 5) is not None
+    assert _gram_eigh(a, 5) is not None
 
 
 @pytest.mark.parametrize(
@@ -549,7 +551,7 @@ def test_left_factor_layouts_and_input_untouched(layout, route):
     a = np.ascontiguousarray(a) if layout == "C" else np.asfortranarray(a)
     before = a.copy()
     r = 8
-    assert (_gram_left_factor(a, r) is None) == (route == "qr")
+    assert (_gram_eigh(a, r) is None) == (route == "qr")
     u = _left_factor(a, r)
     assert np.array_equal(a, before)
     assert a.flags.c_contiguous == (layout == "C")
@@ -568,6 +570,117 @@ def test_left_factor_rejects_bad_rank():
     for r in (0, 5):
         with pytest.raises(ValueError):
             _left_factor(a, r)
+
+
+# ------------------------------------------------ randomized kernels, Gram route
+
+
+def _svd_of_projection_rsvd(a, r, p, seed):
+    """rsvd as it was before the Gram route: the thin SVD of Q^T a, forming V."""
+    omega = gaussian_matrix(RngStream(seed), a.shape[1], r + p)
+    q, _ = thin_qr(a @ omega)
+    u, s, vt = thin_svd(q.T @ a)
+    return q @ u[:, :r], s[:r, None] * vt[:r]
+
+
+def _householder_sub_sketch(a, k, l, power_iters, seed):
+    """sub_sketch with the Householder power step: the Q of (Q^T a)^T, formed in full."""
+    m, n = a.shape
+    rng = RngStream(seed)
+    omega = gaussian_matrix(rng, n, k)
+    psi = orthonormalize(gaussian_matrix(rng, l, m).T).T
+    w = psi @ a
+    q, _ = thin_qr(a @ omega)
+    for _ in range(power_iters):
+        q, _ = thin_qr(a @ thin_qr((q.T @ a).T)[0])
+    return q, _min_norm_lstsq(psi @ q, w)
+
+
+def _stored(a, layout):
+    return np.ascontiguousarray(a) if layout == "C" else np.asfortranarray(a)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("shape", [(60, 300), (40, 12)], ids=["wide", "square-projection"])
+def test_rsvd_matches_svd_of_projection_on_separated_spectrum(shape, layout):
+    r, p = 8, 4  # r + p = 12 = n for the square projection
+    a = _stored(matrix_with_spectrum(*shape, 2.0 ** -np.arange(12), seed=60), layout)
+    before = a.copy()
+    u, c = rsvd(a, r, p, RngStream(61))
+    assert np.array_equal(a, before)
+    q = thin_qr(a @ gaussian_matrix(RngStream(61), shape[1], r + p))[0]
+    assert _gram_eigh(q.T @ a, r) is not None
+    u_ref, c_ref = _svd_of_projection_rsvd(a, r, p, 61)
+    u, c = _canonical_signs(u, c)
+    u_ref, c_ref = _canonical_signs(u_ref, c_ref)
+    assert np.max(np.abs(u - u_ref)) <= 1e-10
+    assert np.max(np.abs(c - c_ref)) <= 1e-10 * np.max(np.abs(c_ref))
+    assert_orthonormal_columns(u)
+    assert_diagonal_gram(c)
+
+
+def test_rsvd_zero_and_graded_inputs_keep_orthonormal_factors():
+    u, c = rsvd(np.zeros((12, 12)), 3, 9, RngStream(0))
+    assert_orthonormal_columns(u)
+    assert np.array_equal(c, np.zeros((3, 12)))
+    # a graded spectrum fails the guard and takes the R-only QR route
+    a = unfold(hilbert_tensor((30, 30, 30)), 1)
+    q = thin_qr(a @ gaussian_matrix(RngStream(62), a.shape[1], 12))[0]
+    assert _gram_eigh(q.T @ a, 8) is None
+    u, c = rsvd(a, 8, 4, RngStream(62))
+    assert_orthonormal_columns(u)
+    u_ref, c_ref = _svd_of_projection_rsvd(a, 8, 4, 62)
+    assert np.linalg.norm(u @ c - u_ref @ c_ref) <= 1e-12 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("power_iters", [1, 2])
+def test_sub_sketch_spans_householder_range_on_separated_spectrum(power_iters, layout):
+    a = _stored(matrix_with_spectrum(80, 300, 2.0 ** -np.arange(40), seed=63), layout)
+    k, l, seed = 6, 13, 64
+    q, xc = sub_sketch(a, k, l, power_iters, RngStream(seed))
+    q_ref, xc_ref = _householder_sub_sketch(a, k, l, power_iters, seed)
+    assert _gram_eigh(q_ref.T @ a, k) is not None
+    assert scipy.linalg.svdvals(q.T @ q_ref).min() >= 1 - 1e-12
+    assert np.linalg.norm(q @ xc - q_ref @ xc_ref) <= 1e-10 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_sub_sketch_graded_spectrum_keeps_householder_bits(layout):
+    a = _stored(unfold(hilbert_tensor((40, 40, 40)), 1), layout)
+    k, l, seed = 8, 17, 65
+    q_ref, xc_ref = _householder_sub_sketch(a, k, l, 2, seed)
+    # lambda_8 / lambda_1 of the projected Gram matrix is far below sqrt(eps)
+    assert _gram_eigh(q_ref.T @ a, k) is None
+    q, xc = sub_sketch(a, k, l, 2, RngStream(seed))
+    assert np.array_equal(q, q_ref)
+    assert np.array_equal(xc, xc_ref)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize(
+    "k, n, route",
+    [(6, 200, "gram"), (6, 200, "qr"), (9, 9, "gram"), (9, 9, "qr")],
+    ids=["wide-gram", "wide-qr", "square-gram", "square-qr"],
+)
+def test_row_basis_orthonormal_span_of_rows(k, n, route, layout):
+    sigma = 2.0 ** -np.arange(k) if route == "gram" else 1e-3 ** np.arange(k)
+    b = _stored(matrix_with_spectrum(k, n, sigma, seed=66), layout)
+    before = b.copy()
+    assert (_gram_eigh(b, k) is None) == (route == "qr")
+    basis = _row_basis(b)
+    assert np.array_equal(b, before)
+    assert basis.shape == (n, k)
+    assert np.linalg.norm(basis.T @ basis - np.eye(k)) <= 1e-8
+    assert np.linalg.norm(b.T - basis @ (basis.T @ b.T)) <= 1e-12 * np.linalg.norm(b)
+    if route == "qr":
+        assert np.array_equal(basis, thin_qr(b.T)[0])
+
+
+def test_row_basis_of_zero_matrix_is_orthonormal():
+    basis = _row_basis(np.zeros((4, 30)))
+    assert basis.shape == (30, 4)
+    assert_orthonormal_columns(basis)
 
 
 def _reference_thosvd(x, ranks):
