@@ -115,7 +115,7 @@ class ExperimentConfig:
         else:
             # Check every rank set before any data is built or any trial runs.
             for acfg in self.approx:
-                acfg.ranks_and_order(self.dims)
+                acfg.plan(self.dims, "svd")
 
 
 def build_source_tensor(cfg: ExperimentConfig) -> tuple[np.ndarray, float | None]:
@@ -178,7 +178,7 @@ def run_bench(cfg: ExperimentConfig) -> list[BenchRow]:
     if cfg.source == "image":
         # The image's shape is known only now; check it before any trial.
         for acfg in cfg.approx:
-            acfg.ranks_and_order(x.shape)
+            acfg.plan(x.shape, "svd")
     rows: list[BenchRow] = []
     for acfg in cfg.approx:
         for key in cfg.algorithms:

@@ -5,7 +5,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["ApproxConfig"]
+__all__ = ["ApproxConfig", "ModePlan"]
+
+
+@dataclass(frozen=True)
+class ModePlan:
+    """One mode's step of a sequential pipeline: its kernel and that kernel's sizes.
+
+    mode         1-based mode index
+    rank         target rank r_n
+    kernel       "svd" (deterministic truncated SVD), "rsvd" or "sketch"
+    p            oversampling of an "rsvd" step
+    l            sketch size of a "sketch" step, clamped to I_n
+    requested_l  the sketch size asked for, before that clamp
+    """
+
+    mode: int
+    rank: int
+    kernel: str
+    p: int | None = None
+    l: int | None = None
+    requested_l: int | None = None
 
 
 @dataclass(frozen=True)
@@ -23,10 +43,17 @@ class ApproxConfig:
     two-sided correction multiplies the expected squared error by
     1 + r_n / (l_n - r_n - 1) (Tropp, Yurtsever, Udell and Cevher, SIMAX
     2017, Thm 4.3): the default l_n = 2 r_n + 1 makes that factor 2, where
-    l_n = r_n + 2 makes it r_n + 1. See `sketch_plan` for the clamp to I_n.
-    At l_n = r_n + 1 the factor is infinite: the sketch pipelines warn on
-    each mode that runs there, requested or clamped; the config does not,
-    since most pipelines never sketch.
+    l_n = r_n + 2 makes it r_n + 1. At l_n = r_n + 1 the factor is
+    infinite: the sketch pipelines warn on each mode that runs there,
+    requested or clamped; the config does not, since most pipelines never
+    sketch.
+
+    `plan(shape, kernel)` is the one place that turns these fields into
+    per-mode steps for a tensor of a given shape: it checks the ranks and the
+    order against the shape, and gives each mode, in processing order, a
+    `ModePlan` with its kernel, p or the clamped l_n, or the deterministic
+    fallback. The sequential pipelines run it, `metrics.bound_oracle` bounds
+    it, and the bench checks rank sets with it before building any data.
     """
 
     target_ranks: tuple[int, ...]
@@ -58,57 +85,49 @@ class ApproxConfig:
                 if l <= r:
                     raise ValueError(f"sketch size {l} must exceed target rank {r}")
 
-    def ranks_for(self, ndim: int) -> tuple[int, ...]:
-        if len(self.target_ranks) != ndim:
-            raise ValueError(
-                f"{len(self.target_ranks)} target ranks given for an order-{ndim} tensor"
-            )
-        return self.target_ranks
+    def plan(self, shape: tuple[int, ...], kernel: str) -> tuple[ModePlan, ...]:
+        """Each mode's step for a tensor of this shape, in processing order.
 
-    def order_for(self, ndim: int) -> tuple[int, ...]:
-        if self.processing_order is None:
-            return tuple(range(1, ndim + 1))
-        if len(self.processing_order) != ndim:
-            raise ValueError(
-                f"processing order {self.processing_order} does not cover {ndim} modes"
-            )
-        return self.processing_order
+        ``kernel`` is "svd", "rsvd" or "sketch": the kernel the pipeline would
+        like to run on every mode. Modes are visited in processing order while
+        the core shrinks, so a mode's unfolding has I_n rows and as columns the
+        product of the sizes left by the modes before it. "rsvd" runs with
+        p = min(oversample, min(rows, cols) - r_n), and falls back to "svd"
+        when r_n > min(rows, cols). "sketch" runs with l_n clamped to I_n,
+        and falls back to "svd" when r_n >= I_n (so the clamped l_n <= r_n)
+        or r_n is above the column count.
 
-    def ranks_and_order(self, shape: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The ranks and processing order for a tensor of this shape.
-
-        Raises ValueError when the rank count or the order does not match the
-        tensor's order, or a rank is above its dimension (sketch sizes always
-        match the ranks in length).
+        Raises ValueError when the rank count or the processing order does
+        not match the tensor's order, or a rank is outside 1..I_n (sketch
+        sizes always match the ranks in length).
         """
-        ranks = self.ranks_for(len(shape))
+        if kernel not in ("svd", "rsvd", "sketch"):
+            raise ValueError(f"unknown kernel {kernel!r}")
+        ndim, ranks = len(shape), self.target_ranks
+        if len(ranks) != ndim:
+            raise ValueError(f"{len(ranks)} target ranks given for an order-{ndim} tensor")
         for r, d in zip(ranks, shape):
             if not 1 <= r <= d:
                 raise ValueError(f"target rank {r} out of range for dimension {d}")
-        return ranks, self.order_for(len(shape))
-
-    def sketch_sizes_for(self, ndim: int) -> tuple[int, ...]:
-        ranks = self.ranks_for(ndim)
-        if self.sketch_sizes is None:
-            return tuple(2 * r + 1 for r in ranks)
-        return self.sketch_sizes
-
-    def sketch_plan(self, shape: tuple[int, ...]) -> tuple[int | None, ...]:
-        """Sketch size each mode of a tensor of this shape runs with.
-
-        Modes are visited in processing order while the core shrinks, as the
-        sketch pipelines do. A mode's l_n is clamped to I_n; None marks a
-        mode that cannot be sketched (r_n >= I_n, so the clamped l_n <= r_n,
-        or r_n above the column count of its unfolding) and is truncated by
-        a deterministic SVD instead.
-        """
-        ndim = len(shape)
-        ranks, sizes = self.ranks_for(ndim), self.sketch_sizes_for(ndim)
+        order = self.processing_order
+        if order is None:
+            order = tuple(range(1, ndim + 1))
+        elif len(order) != ndim:
+            raise ValueError(f"processing order {order} does not cover {ndim} modes")
+        sizes = self.sketch_sizes
+        if sizes is None:
+            sizes = tuple(2 * r + 1 for r in ranks)
         dims = list(shape)
-        plan: list[int | None] = [None] * ndim
-        for n in self.order_for(ndim):
+        steps = []
+        for n in order:
             r, rows = ranks[n - 1], dims[n - 1]
-            if r < rows and r <= math.prod(dims) // rows:
-                plan[n - 1] = min(sizes[n - 1], rows)
+            cols = math.prod(dims) // rows
+            if kernel == "rsvd" and r <= min(rows, cols):
+                step = ModePlan(n, r, "rsvd", p=min(self.oversample, min(rows, cols) - r))
+            elif kernel == "sketch" and r < rows and r <= cols:
+                step = ModePlan(n, r, "sketch", l=min(sizes[n - 1], rows), requested_l=sizes[n - 1])
+            else:
+                step = ModePlan(n, r, "svd")
+            steps.append(step)
             dims[n - 1] = r
-        return tuple(plan)
+        return tuple(steps)

@@ -35,10 +35,10 @@ THOSVD's error by 4e-5 relative. Two kernels use it:
 
 So a randomized mode costs its GEMMs over A plus factorizations of k x k
 matrices; on a separated spectrum no n x k matrix is factored. STHOSVD stays
-on ``truncated_svd``: a Gram-route STHOSVD would run at about 1.1-1.3x the
-time of Sketch-STHOSVD on the acceptance suite's speed-ordering tensor (0.18
-s, 2 BLAS threads), where the paper's claim (criterion 6) needs Sketch at
-most half of STHOSVD.
+on ``truncated_svd``: on the acceptance suite's speed-ordering tensor (one
+BLAS thread) a Gram-route STHOSVD took 0.086 s against Sketch-STHOSVD's
+0.114 s, where the paper's claim (criterion 6) needs Sketch at most half of
+STHOSVD, and no sketch kernel change listed in the roadmap reaches 0.5x.
 
 The randomized kernels are the interesting part:
 
@@ -118,8 +118,12 @@ def _canonical_signs(u: np.ndarray, c: np.ndarray | None = None):
     u = u * np.where(flip, -1.0, 1.0)
     if c is None:
         return u
-    if flip.any():
-        c[flip] *= -1.0
+    # Row by row, not through a boolean index (a gather and a scatter of
+    # the flipped rows), and by a multiply: on an AVX-512 x86-64 CPU, NumPy
+    # 2.4.6's in-place np.negative wrote wrong values through a 64-byte
+    # stride, which is a row of an F-ordered c with 8 rows.
+    for i in np.flatnonzero(flip):
+        c[i] *= -1.0
     return u, c
 
 

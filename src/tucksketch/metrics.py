@@ -202,27 +202,23 @@ def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
     where tau_j^2 is the tail energy from sigma_j on, g = sigma_{r+1}/sigma_r
     is the singular gap and q the power iteration count; "sketch" is q = 0,
     so its damping is 1. l_n is the size the pipeline runs with, clamped to
-    I_n (`ApproxConfig.sketch_plan`), and a mode the pipeline truncates
-    deterministically gets Delta_n. The minimum over the split index rho
+    I_n, and a mode the pipeline truncates deterministically gets Delta_n:
+    both come from `ApproxConfig.plan`, which also rejects the ranks and
+    orders that the pipelines reject. The minimum over the split index rho
     (1 <= rho < r_n - 1) is evaluated exhaustively, and an empty domain
     (r_n <= 2) makes the mode term +inf.
     """
     if variant not in BOUND_VARIANTS:
         raise ValueError(f"unknown bound variant {variant!r}")
+    kernel = "sketch" if variant in ("sketch", "sub_sketch") else "svd"
+    plan = sorted(cfg.plan(x.shape, kernel), key=lambda step: step.mode)
     summary = spectrum_summary(x)
-    ndim = x.ndim
-    ranks = cfg.ranks_for(ndim)
-    if variant in ("sketch", "sub_sketch"):
-        plan = cfg.sketch_plan(x.shape)
-    else:
-        plan = (None,) * ndim
     power_iters = cfg.power_iters if variant == "sub_sketch" else 0
     modes: list[ModeBound] = []
-    for n in range(1, ndim + 1):
-        r = ranks[n - 1]
+    for step in plan:
+        n, r, l = step.mode, step.rank, step.l
         delta_sq = mode_tail_delta(summary, n, r)
-        l = plan[n - 1]
-        if l is None:
+        if step.kernel == "svd":
             modes.append(ModeBound(delta_sq, None, delta_sq))
             continue
         rho_domain = range(1, r - 1)

@@ -11,32 +11,34 @@ factors):
 * sub_sketch_sthosvd-- as above with subspace power iteration.
 
 The four sequential pipelines share one loop, ``_sequential``, and differ
-only in their per-mode step. In processing order, mode n's unfolding of the
-current core goes to ``step(unfolding, n, r_n)``, which returns its linalg
-kernel's pair as it is: the factor U_n (I_n x r_n, orthonormal columns) and
-the new core unfolding C (r_n x the unfolding's columns). The loop then
-fixes the signs, in one place: every column of U_n whose largest-magnitude
-entry is negative is negated, with the matching row of C (Bro, Acar and
-Kolda, J. Chemometrics 2008). So the next mode's random draws act on a core
-that does not carry LAPACK's arbitrary signs, and a kernel swap that only
-moves rounding or signs leaves the model alone. The loop folds C back into
-a core whose mode n now has size r_n. A randomized step falls back to the
-deterministic truncated SVD on a mode it cannot sample. ``thosvd`` factors
-the unshrunk unfoldings and needs no core per mode, so it keeps its own
-loop, and it needs only U of each: ``linalg._left_factor`` takes it from
-``eigh`` of the Gram matrix A A^T when the spectrum passes a sqrt(eps)
-guard, and from an R-only QR otherwise, never forming V, and gives its
-columns the same signs. The randomized steps use the same Gram route on
-their short, wide stages: ``rsvd`` takes U of its k x n projection Q^T A
-from ``_left_factor``, and sub-Sketch's power step takes its basis of
-range(A^T Q) from ``eigh`` of a k x k Gram matrix, keeping the Householder
-QR for spectra that fail the guard. So R-STHOSVD and sub-Sketch-STHOSVD
-cost a few GEMMs over each unfolding plus k x k factorizations wherever the
-guard passes, as the paper counts them. ``sthosvd`` keeps the full
-truncated SVD for now. On the acceptance suite's speed-ordering tensor a
-Gram-route STHOSVD prototype took 0.18 s against Sketch-STHOSVD's 0.14-0.17
-s (2 BLAS threads), and criterion 6 (Sketch at most half of STHOSVD) would
-fail; that switch waits for a faster sketch kernel.
+only in the kernel they ask ``ApproxConfig.plan`` for: "svd", "rsvd" or
+"sketch". The plan fixes, mode by mode in processing order, which kernel
+runs with which p or l_n, and where a randomized pipeline falls back to the
+deterministic truncated SVD on a mode it cannot sample. Mode n's unfolding
+of the current core goes to its kernel, which returns its pair as it is:
+the factor U_n (I_n x r_n, orthonormal columns) and the new core unfolding
+C (r_n x the unfolding's columns). The loop then fixes the signs, in one
+place: every column of U_n whose largest-magnitude entry is negative is
+negated, with the matching row of C (Bro, Acar and Kolda, J. Chemometrics
+2008). So the next mode's random draws act on a core that does not carry
+LAPACK's arbitrary signs, and a kernel swap that only moves rounding or
+signs leaves the model alone. The loop folds C back into a core whose mode
+n now has size r_n. ``thosvd`` factors the unshrunk unfoldings and needs no
+core per mode, so it keeps its own loop, and it needs only U of each:
+``linalg._left_factor`` takes it from ``eigh`` of the Gram matrix A A^T
+when the spectrum passes a sqrt(eps) guard, and from an R-only QR
+otherwise, never forming V, and gives its columns the same signs. The
+randomized steps use the same Gram route on their short, wide stages:
+``rsvd`` takes U of its k x n projection Q^T A from ``_left_factor``, and
+sub-Sketch's power step takes its basis of range(A^T Q) from ``eigh`` of a
+k x k Gram matrix, keeping the Householder QR for spectra that fail the
+guard. So R-STHOSVD and sub-Sketch-STHOSVD cost a few GEMMs over each
+unfolding plus k x k factorizations wherever the guard passes, as the paper
+counts them. ``sthosvd`` keeps the full truncated SVD for now. On the
+acceptance suite's speed-ordering tensor (one BLAS thread) a Gram-route
+STHOSVD prototype took 0.086 s against Sketch-STHOSVD's 0.114 s, so
+criterion 6 (Sketch at most half of STHOSVD) would fail, and no sketch
+kernel change listed in the roadmap reaches that 0.5x.
 
 ``PIPELINES`` maps each CLI/bench algorithm key to a pipeline, and
 ``decompose(key, x, cfg)`` runs it with the randomized pipelines drawing
@@ -97,18 +99,48 @@ def reconstruct(model: TuckerModel) -> np.ndarray:
     return x
 
 
-def _validate(x, cfg: ApproxConfig):
+def _sequential(
+    x: np.ndarray,
+    cfg: ApproxConfig,
+    kernel: str,
+    rng: RngStream | None = None,
+    power_iters: int = 0,
+) -> TuckerModel:
+    """The ST-HOSVD loop over ``cfg.plan(x.shape, kernel)``; the module docstring has the sign rule.
+
+    A "sketch" step runs ``sketch``, or ``sub_sketch`` when power_iters > 0.
+    Randomized steps draw from rng, or from RngStream(cfg.seed) when it is
+    None. The kernels are looked up by name in this module at call time, so
+    a wrapper bound to one of those names sees the call.
+    """
     x = as_tensor(x)
-    return (x, *cfg.ranks_and_order(x.shape))
-
-
-def _sequential(x: np.ndarray, ranks, order, step) -> TuckerModel:
-    """The ST-HOSVD loop; the module docstring states the step contract and the sign rule."""
+    plan = cfg.plan(x.shape, kernel)
+    if kernel != "svd" and rng is None:
+        rng = RngStream(cfg.seed)
     core = x
     factors: list[np.ndarray | None] = [None] * x.ndim
-    for n in order:
-        r = ranks[n - 1]
-        factors[n - 1], c = _canonical_signs(*step(unfold(core, n), n, r))
+    for step in plan:
+        n, r, m = step.mode, step.rank, unfold(core, step.mode)
+        if step.l == r + 1:  # only a "sketch" step has an l
+            how = (
+                f"{step.l} = rank + 1 as requested"
+                if step.requested_l == step.l
+                else f"{step.requested_l} clamped to the mode size {step.l} = rank + 1"
+            )
+            warnings.warn(
+                f"mode {n}: sketch size {how}; the expected-error bound is "
+                "vacuous for this mode",
+                RuntimeWarning,
+            )
+        if step.kernel == "svd":
+            u, c = truncated_svd(m, r)
+        elif step.kernel == "rsvd":
+            u, c = rsvd(m, r, step.p, rng)
+        elif power_iters == 0:
+            u, c = sketch(m, r, step.l, rng)
+        else:
+            u, c = sub_sketch(m, r, step.l, power_iters, rng)
+        factors[n - 1], c = _canonical_signs(u, c)
         core = fold(c, n, core.shape[: n - 1] + (r,) + core.shape[n:])
     return TuckerModel(core, factors)
 
@@ -119,11 +151,11 @@ def thosvd(x: np.ndarray, cfg: ApproxConfig) -> TuckerModel:
     Each U_n comes from ``linalg._left_factor``: the Gram route (``eigh`` of
     the unfolding times its transpose) when lambda_r > sqrt(eps) lambda_1,
     an R-only QR otherwise, so no right factor is formed. Its columns carry
-    a canonical sign, largest-magnitude entry positive. STHOSVD does not use
-    this kernel yet: a Gram-route STHOSVD would take criterion 6's margin
-    (Sketch at most half of STHOSVD) until the sketch kernel is faster.
+    a canonical sign, largest-magnitude entry positive.
     """
-    x, ranks, _ = _validate(x, cfg)
+    x = as_tensor(x)
+    cfg.plan(x.shape, "svd")
+    ranks = cfg.target_ranks
     factors = [_left_factor(unfold(x, n), ranks[n - 1]) for n in range(1, x.ndim + 1)]
     core = x
     for n, u in enumerate(factors, start=1):
@@ -133,64 +165,22 @@ def thosvd(x: np.ndarray, cfg: ApproxConfig) -> TuckerModel:
 
 def sthosvd(x: np.ndarray, cfg: ApproxConfig) -> TuckerModel:
     """Sequentially truncated pipeline; the core shrinks after each mode."""
-    return _sequential(*_validate(x, cfg), lambda m, n, r: truncated_svd(m, r))
+    return _sequential(x, cfg, "svd")
 
 
 def r_sthosvd(x: np.ndarray, cfg: ApproxConfig, rng: RngStream | None = None) -> TuckerModel:
-    """Sequential truncation with a randomized SVD per mode.
-
-    The oversampling is clamped so that rank + oversampling never exceeds
-    the smaller unfolding dimension; a mode whose rank already reaches that
-    size falls back to the deterministic truncated SVD.
-    """
-    x, ranks, order = _validate(x, cfg)
-    rng = rng if rng is not None else RngStream(cfg.seed)
-
-    def step(m, n, r):
-        p = min(cfg.oversample, min(m.shape) - r)
-        return rsvd(m, r, p, rng) if p >= 0 else truncated_svd(m, r)
-
-    return _sequential(x, ranks, order, step)
-
-
-def _sketch_pipeline(x, cfg: ApproxConfig, rng: RngStream | None, power_iters: int) -> TuckerModel:
-    x, ranks, order = _validate(x, cfg)
-    plan = cfg.sketch_plan(x.shape)
-    requested = cfg.sketch_sizes_for(x.ndim)
-    rng = rng if rng is not None else RngStream(cfg.seed)
-
-    def step(m, n, r):
-        l = plan[n - 1]
-        if l is None:
-            # Full-rank or otherwise unsketchable mode: l_n > r_n cannot hold
-            # within the unfolding's shape, so truncate deterministically.
-            return truncated_svd(m, r)
-        if l == r + 1:
-            how = (
-                f"{l} = rank + 1 as requested"
-                if requested[n - 1] == l
-                else f"{requested[n - 1]} clamped to the mode size {l} = rank + 1"
-            )
-            warnings.warn(
-                f"mode {n}: sketch size {how}; the expected-error bound is "
-                "vacuous for this mode",
-                RuntimeWarning,
-            )
-        if power_iters == 0:
-            return sketch(m, r, l, rng)
-        return sub_sketch(m, r, l, power_iters, rng)
-
-    return _sequential(x, ranks, order, step)
+    """Sequential truncation with a randomized SVD per mode; `ApproxConfig.plan` sets each p."""
+    return _sequential(x, cfg, "rsvd", rng)
 
 
 def sketch_sthosvd(x: np.ndarray, cfg: ApproxConfig, rng: RngStream | None = None) -> TuckerModel:
-    """Sequential truncation with a two-sided sketch per mode."""
-    return _sketch_pipeline(x, cfg, rng, 0)
+    """Sequential truncation with a two-sided sketch per mode; `ApproxConfig.plan` sets each l_n."""
+    return _sequential(x, cfg, "sketch", rng)
 
 
 def sub_sketch_sthosvd(x: np.ndarray, cfg: ApproxConfig, rng: RngStream | None = None) -> TuckerModel:
     """Sequential truncation with a power-iterated two-sided sketch per mode."""
-    return _sketch_pipeline(x, cfg, rng, cfg.power_iters)
+    return _sequential(x, cfg, "sketch", rng, cfg.power_iters)
 
 
 # CLI/bench algorithm key -> pipeline function name in this module.

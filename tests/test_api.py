@@ -5,6 +5,7 @@ import importlib.util
 import pathlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import tucksketch
@@ -23,10 +24,15 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-def test_layer_tracer_installs_and_restores_every_attribute():
+def load_layertrace():
     spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
+    return layertrace
+
+
+def test_layer_tracer_installs_and_restores_every_attribute():
+    layertrace = load_layertrace()
     owners = [tucksketch, RngStream] + [importlib.import_module(f"tucksketch.{m}") for m in MODULES]
     before = [dict(vars(owner)) for owner in owners]
     tracer = layertrace.Tracer()
@@ -40,3 +46,26 @@ def test_layer_tracer_installs_and_restores_every_attribute():
         after = dict(vars(owner))
         assert after.keys() == attrs.keys()
         assert all(after[key] is value for key, value in attrs.items()), owner
+
+
+@pytest.mark.parametrize("name, fallbacks", [("sketch_sthosvd", 1), ("r_sthosvd", 0)])
+def test_layer_tracer_counts_fallback_modes(name, fallbacks):
+    # The benchmark counts a mode's deterministic fallback as a
+    # truncated_svd span directly under a randomized pipeline, which it sees
+    # only if the pipelines look the kernels up by name at call time. Mode
+    # 3 is full rank: the sketch falls back there, R-STHOSVD samples it
+    # with p = 0.
+    layertrace = load_layertrace()
+    x = np.random.default_rng(0).standard_normal((10, 9, 3))
+    cfg = tucksketch.ApproxConfig(target_ranks=(3, 3, 3))
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        tracer.active, tracer.trial = True, 0
+        getattr(tucksketch.tucker, name)(x, cfg, RngStream(0))
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    metrics = layertrace.layer_metrics(tracer.spans, {})
+    assert metrics["tucker.fallback_modes"] == (fallbacks, "count")
+    assert metrics[f"tucker.{name}.ms"][0] > 0

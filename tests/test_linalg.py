@@ -513,6 +513,15 @@ def test_canonical_signs_negate_rows_of_c_in_place():
     fixed = c.copy()
     assert _canonical_signs(u_out, fixed)[1] is fixed
     assert np.array_equal(fixed, c)
+    # any layout: an F-ordered c with 8 rows has rows of a 64-byte stride,
+    # through which an in-place np.negative has written wrong values
+    for order in "CF":
+        for rows in (4, 8, 9):
+            u = rng.standard_normal((rows + 2, rows))
+            u[0] = np.where(np.arange(rows) % 2 == 0, -10.0, 10.0)
+            c = np.asarray(rng.standard_normal((rows, 12)), order=order)
+            expected = c * np.where(np.arange(rows) % 2 == 0, -1.0, 1.0)[:, None]
+            assert np.array_equal(_canonical_signs(u, c)[1], expected), (order, rows)
 
 
 def test_left_factor_graded_spectrum_takes_qr_route():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tucksketch.datagen import hilbert_tensor
 from tucksketch.linalg import truncated_svd
 from tucksketch.metrics import (
     _BLOCK,
+    BOUND_VARIANTS,
     bound_oracle,
     f_factor,
     mode_tail_delta,
@@ -20,7 +22,7 @@ from tucksketch.metrics import (
 )
 from tucksketch.rng import RngStream
 from tucksketch.tensor import frobenius_norm, mode_n_product, unfold
-from tucksketch.tucker import TuckerModel, reconstruct, sketch_sthosvd
+from tucksketch.tucker import TuckerModel, reconstruct, sketch_sthosvd, sthosvd
 
 
 def random_tucker_tensor(dims, ranks, seed):
@@ -208,6 +210,20 @@ def test_bound_zero_for_exact_rank_deterministic():
     for variant in ("thosvd", "sthosvd"):
         report = bound_oracle(x, cfg, variant)
         assert report.total <= 1e-16 * frobenius_norm(x) ** 2
+
+
+@pytest.mark.parametrize("variant", BOUND_VARIANTS)
+@pytest.mark.parametrize(
+    "cfg",
+    [ApproxConfig(target_ranks=(9, 2, 2)), ApproxConfig(target_ranks=(2, 2, 2), processing_order=(2, 1))],
+    ids=["rank-above-dimension", "short-order"],
+)
+def test_bound_oracle_rejects_what_the_pipelines_reject(variant, cfg):
+    x = hilbert_tensor((6, 7, 8))
+    with pytest.raises(ValueError) as rejected:
+        sthosvd(x, cfg)
+    with pytest.raises(ValueError, match=re.escape(str(rejected.value))):
+        bound_oracle(x, cfg, variant)
 
 
 def test_bound_thosvd_equals_sthosvd():

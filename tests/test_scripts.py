@@ -26,7 +26,7 @@ def test_image_experiment(tmp_path, monkeypatch):
     src = tmp_path / "in.ppm"
     save_image_tensor(img, src)
     out_dir = tmp_path / "results"
-    run_script(monkeypatch, "image_experiment", "--image", src, "--rank", 4,
+    run_script(monkeypatch, "image_experiment", "--image", src, "--ranks", "4x4x3",
                "--seed", 3, "--out-dir", out_dir)
     rows = read_csv(out_dir / "report.csv")
     assert [r.algorithm for r in rows] == list(ALGORITHMS.values())
@@ -36,5 +36,6 @@ def test_image_experiment(tmp_path, monkeypatch):
         # the seed, too, is reported only where it drives the pipeline
         assert row.seed == (3 if key in ("rsthosvd", "sketch", "subsketch") else None)
         # the sketch size and power count are reported only where they apply
-        assert (row.sketch_sizes is not None) == (key in ("sketch", "subsketch"))
+        # the CLI's l_n = r_n + 2
+        assert row.sketch_sizes == ((6, 6, 5) if key in ("sketch", "subsketch") else None)
         assert (row.q is not None) == (key == "subsketch")

@@ -180,34 +180,27 @@ def test_seed_comes_from_config_when_rng_omitted():
 
 
 def reference_sequential(x, cfg, kernel, rng):
-    """A plain ST-HOSVD loop over the public kernels, with both fallback rules.
+    """A plain ST-HOSVD loop over the public kernels, driven by the config's plan.
 
-    kernel is "rsvd", "sketch" or "sub_sketch". R-STHOSVD clamps its
-    oversampling to the smaller unfolding side and takes the truncated SVD
-    when even p = 0 does not fit; the sketches clamp l_n to I_n and take the
-    truncated SVD when r_n >= I_n or r_n exceeds the unfolding's columns.
+    kernel is "rsvd", "sketch" or "sub_sketch". Each mode runs the kernel,
+    p or l_n that ``cfg.plan`` gives it ("sub_sketch" runs the "sketch" plan
+    with cfg.power_iters), or the truncated SVD where the plan falls back.
     Every column of U_n whose largest-magnitude entry is negative is negated,
     and so is the matching row of the core unfolding.
     """
-    ranks = cfg.target_ranks
-    sizes = cfg.sketch_sizes_for(x.ndim)
     core = x
     factors = [None] * x.ndim
-    for n in cfg.processing_order:
-        r = ranks[n - 1]
+    for step in cfg.plan(x.shape, "rsvd" if kernel == "rsvd" else "sketch"):
+        n, r = step.mode, step.rank
         m = unfold(core, n)
-        rows, cols = m.shape
-        if kernel == "rsvd":
-            p = min(cfg.oversample, rows - r, cols - r)
-            u, c = rsvd(m, r, p, rng) if p >= 0 else truncated_svd(m, r)
-        elif r >= rows or r > cols:
+        if step.kernel == "rsvd":
+            u, c = rsvd(m, r, step.p, rng)
+        elif step.kernel == "svd":
             u, c = truncated_svd(m, r)
+        elif kernel == "sketch":
+            u, c = sketch(m, r, step.l, rng)
         else:
-            l = min(sizes[n - 1], rows)
-            if kernel == "sketch":
-                u, c = sketch(m, r, l, rng)
-            else:
-                u, c = sub_sketch(m, r, l, cfg.power_iters, rng)
+            u, c = sub_sketch(m, r, step.l, cfg.power_iters, rng)
         flip = u[np.argmax(np.abs(u), axis=0), np.arange(r)] < 0
         u, c = u.copy(), c.copy()
         u[:, flip] = -u[:, flip]
@@ -361,17 +354,43 @@ def test_sketch_size_validation():
         sketch_sthosvd(x[:4], ApproxConfig(target_ranks=(3, 3)), RngStream(0))
 
 
+def plan_sizes(cfg, shape, kernel):
+    """Each mode's p ("rsvd") or clamped l_n ("sketch") in mode order; None on the SVD fallback."""
+    steps = sorted(cfg.plan(shape, kernel), key=lambda step: step.mode)
+    return tuple({"rsvd": step.p, "sketch": step.l, "svd": None}[step.kernel] for step in steps)
+
+
 def test_default_sketch_sizes_and_plan():
-    cfg = ApproxConfig(target_ranks=(3, 5, 10))
-    assert cfg.sketch_sizes_for(3) == (7, 11, 21)
-    # l_n clamps to I_n; a full-rank mode is truncated deterministically
-    assert cfg.sketch_plan((20, 8, 10)) == (7, 8, None)
-    # the last mode sees a 1-column unfolding after the first two shrink,
-    # unless it is processed first
-    cfg = ApproxConfig(target_ranks=(1, 1, 5))
-    assert cfg.sketch_plan((3, 3, 10)) == (3, 3, None)
-    cfg = ApproxConfig(target_ranks=(1, 1, 5), processing_order=(3, 1, 2))
-    assert cfg.sketch_plan((3, 3, 10)) == (3, 3, 10)
+    cases = [
+        # l_n clamps to I_n; a full-rank mode is truncated deterministically
+        ((3, 5, 10), None, (20, 8, 10), "sketch", (7, 8, None)),
+        # p clamps to min(rows, cols) - r_n, down to 0 at r_n = I_n
+        ((3, 5, 10), None, (20, 8, 10), "rsvd", (5, 3, 0)),
+        # the last mode sees a 1-column unfolding after the first two
+        # shrink, so every randomized kernel falls back there, unless it is
+        # processed first
+        ((1, 1, 5), None, (3, 3, 10), "sketch", (3, 3, None)),
+        ((1, 1, 5), None, (3, 3, 10), "rsvd", (2, 2, None)),
+        ((1, 1, 5), (3, 1, 2), (3, 3, 10), "sketch", (3, 3, 10)),
+        ((1, 1, 5), (3, 1, 2), (3, 3, 10), "rsvd", (2, 2, 4)),
+        # image-256: R-STHOSVD samples the full-rank colour mode with p = 0,
+        # the sketches truncate it deterministically
+        ((50, 50, 3), None, (256, 256, 3), "rsvd", (5, 5, 0)),
+        ((50, 50, 3), None, (256, 256, 3), "sketch", (101, 101, None)),
+        ((50, 50, 3), None, (256, 256, 3), "svd", (None, None, None)),
+    ]
+    for ranks, order, shape, kernel, sizes in cases:
+        cfg = ApproxConfig(target_ranks=ranks, processing_order=order)
+        steps = cfg.plan(shape, kernel)
+        assert [step.mode for step in steps] == list(order or range(1, len(shape) + 1))
+        assert all(step.rank == ranks[step.mode - 1] for step in steps)
+        # the default sketch size is l_n = 2 r_n + 1, before the clamp
+        for step in steps:
+            if step.kernel == "sketch":
+                assert step.requested_l == 2 * step.rank + 1
+        assert plan_sizes(cfg, shape, kernel) == sizes, (ranks, order, shape, kernel)
+    with pytest.raises(ValueError, match="unknown kernel"):
+        cfg.plan((256, 256, 3), "sub_sketch")
 
 
 @pytest.mark.parametrize("name", ["sketch_sthosvd", "sub_sketch_sthosvd"])
