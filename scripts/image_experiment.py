@@ -14,6 +14,7 @@ are the `tucksketch` CLI's, with its defaults.
 
 import argparse
 import pathlib
+import sys
 
 import numpy as np
 
@@ -32,10 +33,16 @@ def main():
         cfg = cli._approx_config(args, cli._parse_dims(args.ranks))
     except cli._UsageError as exc:
         parser.error(str(exc))
+    x = load_image_tensor(args.image)
+    try:
+        cfg.plan(x.shape, "svd")
+    except ValueError as exc:
+        # the exit code of `tucksketch image-compress` for the same input
+        print(f"parameter error: {exc}", file=sys.stderr)
+        sys.exit(3)
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    x = load_image_tensor(args.image)
 
     rows = []
     for key in ALGORITHMS:

@@ -34,7 +34,7 @@ class ApproxConfig:
 
     target_ranks      per-mode target ranks r_n, 1 <= r_n <= I_n
     processing_order  1-based permutation of the modes; natural order if None
-    oversample        extra Gaussian columns for the randomized SVD pipeline
+    oversample        extra random-sign columns of Omega for the randomized SVD pipeline
     sketch_sizes      per-mode sketch sizes l_n (> r_n); defaults to 2 r_n + 1
     power_iters       subspace power iterations for the sub-sketch pipeline
     seed              stream seed used when no explicit RngStream is supplied

@@ -207,6 +207,12 @@ def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
     orders that the pipelines reject. The minimum over the split index rho
     (1 <= rho < r_n - 1) is evaluated exhaustively, and an empty domain
     (r_n <= 2) makes the mode term +inf.
+
+    The theorem is proved for Gaussian test matrices. The sketch kernels
+    keep Psi Gaussian but draw Omega as random signs (``RngStream.signs``),
+    so for them this bound is an empirical check, not a theorem: on the
+    acceptance suite's Monte Carlo test (criterion 4) the measured mean
+    squared error is 4.76 against a bound of 21.3.
     """
     if variant not in BOUND_VARIANTS:
         raise ValueError(f"unknown bound variant {variant!r}")

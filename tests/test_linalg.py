@@ -452,7 +452,7 @@ def _sketch_with_orthonormal_omega(a, k, l, power_iters, seed):
     """The two-sided sketch with Omega orthonormalized, from the same draws."""
     m, n = a.shape
     rng = RngStream(seed)
-    omega = orthonormalize(gaussian_matrix(rng, n, k))
+    omega = orthonormalize(rng.signs(n, k))
     psi = orthonormalize(gaussian_matrix(rng, l, m).T).T
     q = np.linalg.qr(a @ omega)[0]
     for _ in range(power_iters):
@@ -586,7 +586,7 @@ def test_left_factor_rejects_bad_rank():
 
 def _svd_of_projection_rsvd(a, r, p, seed):
     """rsvd as it was before the Gram route: the thin SVD of Q^T a, forming V."""
-    omega = gaussian_matrix(RngStream(seed), a.shape[1], r + p)
+    omega = RngStream(seed).signs(a.shape[1], r + p)
     q, _ = thin_qr(a @ omega)
     u, s, vt = thin_svd(q.T @ a)
     return q @ u[:, :r], s[:r, None] * vt[:r]
@@ -596,7 +596,7 @@ def _householder_sub_sketch(a, k, l, power_iters, seed):
     """sub_sketch with the Householder power step: the Q of (Q^T a)^T, formed in full."""
     m, n = a.shape
     rng = RngStream(seed)
-    omega = gaussian_matrix(rng, n, k)
+    omega = rng.signs(n, k)
     psi = orthonormalize(gaussian_matrix(rng, l, m).T).T
     w = psi @ a
     q, _ = thin_qr(a @ omega)
@@ -617,7 +617,7 @@ def test_rsvd_matches_svd_of_projection_on_separated_spectrum(shape, layout):
     before = a.copy()
     u, c = rsvd(a, r, p, RngStream(61))
     assert np.array_equal(a, before)
-    q = thin_qr(a @ gaussian_matrix(RngStream(61), shape[1], r + p))[0]
+    q = thin_qr(a @ RngStream(61).signs(shape[1], r + p))[0]
     assert _gram_eigh(q.T @ a, r) is not None
     u_ref, c_ref = _svd_of_projection_rsvd(a, r, p, 61)
     u, c = _canonical_signs(u, c)
@@ -634,7 +634,7 @@ def test_rsvd_zero_and_graded_inputs_keep_orthonormal_factors():
     assert np.array_equal(c, np.zeros((3, 12)))
     # a graded spectrum fails the guard and takes the R-only QR route
     a = unfold(hilbert_tensor((30, 30, 30)), 1)
-    q = thin_qr(a @ gaussian_matrix(RngStream(62), a.shape[1], 12))[0]
+    q = thin_qr(a @ RngStream(62).signs(a.shape[1], 12))[0]
     assert _gram_eigh(q.T @ a, 8) is None
     u, c = rsvd(a, 8, 4, RngStream(62))
     assert_orthonormal_columns(u)

@@ -46,6 +46,26 @@ def test_normal_matrix_layout_deterministic():
     assert np.array_equal(mat, flat.reshape((4, 3), order="F"))
 
 
+def test_signs_matrix_layout_deterministic():
+    # the same draws fill a matrix first-index-fastest
+    flat = RngStream(5).signs(12, 1).ravel()
+    mat = RngStream(5).signs(4, 3)
+    assert np.array_equal(mat, flat.reshape((4, 3), order="F"))
+
+
+def test_signs_values_and_balance():
+    z = RngStream(7).signs(1000, 100)
+    assert z.dtype == np.float64
+    assert np.all(np.abs(z) == 1.0)
+    assert abs(z.mean()) < 0.02
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (-1, 2)])
+def test_signs_validates_shape(rows, cols):
+    with pytest.raises(ValueError):
+        RngStream(0).signs(rows, cols)
+
+
 def test_sequential_draws_advance_state():
     s = RngStream(3)
     first = s.uniform(10)
@@ -85,7 +105,9 @@ def test_index_sample_roughly_uniform():
 
 
 # sha256 of the raw bytes of each draw, recorded from the original
-# concatenate-based Box-Muller; any change to the bit stream fails here
+# concatenate-based Box-Muller; any change to the bit stream fails here.
+# A draw list "a;b" hashes the last draw, after the earlier ones advanced
+# the stream.
 GOLDEN_DRAWS = {
     (0, 0): {
         "uniform(1001)": "ce711c3b1dc84b3de1a5f081f31b43ccd7447b58266d642a705b565e8785a7ff",
@@ -114,14 +136,30 @@ GOLDEN_DRAWS = {
     },
 }
 
+# the same for signs, recorded from a bit-by-bit reading of the raw words;
+# "signs(5,3);normal(4)" pins the advance of one raw word per 64 entries
+GOLDEN_SIGNS = {
+    (0, 0): {
+        "signs(37,11)": "7a973a8cd9298187f2ac2082a5846dda49a222dc71c36ccc84fd7f6975e0d45e",
+        "signs(64,1)": "617d151e8afb36b720b7bbeed3b487df6a4f62584fca1223e8748358068a5ada",
+        "signs(1,65)": "1f5020583ccfc3f50ad9a9dd4306a514677bfa417c4ffaa31e073c485bc8e5e4",
+        "signs(5,3);normal(4)": "f5da39c23f40cc47cb2a07c2176e4be0c0c8307baa33eb4f8af1ea12bf8ac219",
+    },
+    (7, 3): {
+        "signs(37,11)": "9361e2dacf7cb65a54b301b975b67bbd2254970b5071fe04e85e2b9bc0f4cc7e",
+        "signs(64,1)": "f576bfced62972aa025ee4d59c89d271a12d83215232fe523916d0c8e226557d",
+        "signs(1,65)": "780a8da6cd2cdad40a4370e77b61fb75dbdc9692a0cc6ec520fa212dbcf19227",
+        "signs(5,3);normal(4)": "5a0106b591ec2b3852e999975eff9a8b5a5a411f148974b8cc2458110312e184",
+    },
+}
+
 
 def _draw(key, what):
     s = RngStream(*key)
-    if what == "normal(5);normal(8,3)":
-        s.normal(5)
-        return s.normal(8, 3)
-    name, args = what.rstrip(")").split("(")
-    return getattr(s, name)(*(int(a) for a in args.split(",")))
+    for call in what.split(";"):
+        name, args = call.rstrip(")").split("(")
+        out = getattr(s, name)(*(int(a) for a in args.split(",")))
+    return out
 
 
 @pytest.mark.parametrize(
@@ -131,3 +169,12 @@ def test_draws_match_golden_hashes(key, what):
     out = _draw(key, what)
     assert out.dtype == np.float64
     assert hashlib.sha256(out.tobytes()).hexdigest() == GOLDEN_DRAWS[key][what]
+
+
+@pytest.mark.parametrize(
+    "key,what", [(k, w) for k, draws in GOLDEN_SIGNS.items() for w in draws]
+)
+def test_signs_match_golden_hashes(key, what):
+    out = _draw(key, what)
+    assert out.dtype == np.float64
+    assert hashlib.sha256(out.tobytes()).hexdigest() == GOLDEN_SIGNS[key][what]

@@ -5,6 +5,7 @@ import pathlib
 import sys
 
 import numpy as np
+import pytest
 
 from tucksketch.bench import ALGORITHMS, read_csv
 from tucksketch.imageio import save_image_tensor
@@ -20,11 +21,16 @@ def run_script(monkeypatch, name, *args):
     module.main()
 
 
-def test_image_experiment(tmp_path, monkeypatch):
+def small_image(tmp_path):
     yy, xx = np.meshgrid(np.linspace(0, 1, 16), np.linspace(0, 1, 16), indexing="ij")
     img = np.stack([120 + 80 * np.sin(3 * xx + c * yy) for c in range(3)], axis=2)
     src = tmp_path / "in.ppm"
     save_image_tensor(img, src)
+    return src
+
+
+def test_image_experiment(tmp_path, monkeypatch):
+    src = small_image(tmp_path)
     out_dir = tmp_path / "results"
     run_script(monkeypatch, "image_experiment", "--image", src, "--ranks", "4x4x3",
                "--seed", 3, "--out-dir", out_dir)
@@ -39,3 +45,14 @@ def test_image_experiment(tmp_path, monkeypatch):
         # the CLI's l_n = r_n + 2
         assert row.sketch_sizes == ((6, 6, 5) if key in ("sketch", "subsketch") else None)
         assert (row.q is not None) == (key == "subsketch")
+
+
+def test_image_experiment_rank_above_side_is_a_parameter_error(tmp_path, monkeypatch, capsys):
+    src = small_image(tmp_path)
+    out_dir = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, "image_experiment", "--image", src, "--ranks", "40x4x3",
+                   "--out-dir", out_dir)
+    assert exc.value.code == 3
+    assert capsys.readouterr().err.startswith("parameter error: ")
+    assert not out_dir.exists()
