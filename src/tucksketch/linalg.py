@@ -7,6 +7,13 @@ back. Every product or triangular solve that touches the long side of a
 matrix reads it in its stored layout, through a transposed view rather than
 a full-size copy.
 
+Every Householder QR here runs through ``_householder``, a blocked
+``dgeqrt`` in Level-3 panels of ``_QR_BLOCK`` columns: ``thin_qr`` applies
+its reflectors to the identity with ``dgemqrt`` to form Q, and the R-only QR
+route of ``_left_factor`` reads R off its upper triangle. On one BLAS
+thread this took THOSVD on a Hilbert 100^3 tensor, whose three unfoldings
+all take that route, from 173 to 78 ms.
+
 Every rank-r kernel returns one plain pair (U, C) with A ~= U @ C and U of
 orthonormal columns: ``truncated_svd`` and ``rsvd`` give C = diag(s) @ V^T
 (``rsvd`` up to rounding, as U^T A), ``sketch`` and ``sub_sketch`` give the
@@ -54,11 +61,14 @@ The column test matrix Omega is a matrix of random signs drawn from raw
 Philox bits (``RngStream.signs``), the standard drop-in for a Gaussian one
 (Halko, Martinsson and Tropp, SIAM Review 2011, section 4.6; Martinsson and
 Tropp, Acta Numerica 2020): 64 entries per raw word instead of one
-Box-Muller normal each. The row test matrix Psi of the sketches stays a
-Gaussian with orthonormal rows. The expected-error bound that
-``metrics.bound_oracle`` evaluates is a theorem for Gaussian test matrices;
-for the sign Omega it is an empirical check (the acceptance suite's Monte
-Carlo test measures a mean squared error of 4.76 against a bound of 21.3).
+Box-Muller normal each. When Omega would be square (k equals the column
+count, which ``ApproxConfig.plan``'s clamp produces on small modes), no
+Omega is drawn and Y = A: a square sign matrix is singular for many draws.
+The row test matrix Psi of the sketches stays a Gaussian with orthonormal
+rows. The expected-error bound that ``metrics.bound_oracle`` evaluates is a
+theorem for Gaussian test matrices; for the sign Omega it is an empirical
+check (the acceptance suite's Monte Carlo test measures a mean squared error
+of 4.76 against a bound of 21.3).
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 from .rng import RngStream, gaussian_matrix
 
@@ -82,15 +93,44 @@ __all__ = [
 ]
 
 
+# Panel width of ``_householder``. On one BLAS thread 16 was fastest or
+# tied among 8, 16, 32 and 64 on the shapes the pipelines factor (10000 x 100
+# down to 100 x 21); every width ran 10000 x 100 in a quarter of dgeqrf's time.
+_QR_BLOCK = 16
+
+
+def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR of a nonempty a in LAPACK's compact WY form, as (v, t).
+
+    R is the upper triangle of v and the reflectors lie below its diagonal;
+    t holds the triangular factors of the blocked reflectors, which
+    ``dgemqrt`` applies. ``dgeqrt`` factors panels of ``_QR_BLOCK`` columns
+    recursively in Level-3 BLAS (Elmroth and Gustavson, IBM J. Res. Dev.
+    2000), while ``dgeqrf`` takes unblocked Level-2 steps below 128 columns,
+    each of which streams the whole trailing matrix: on one BLAS thread the R
+    of a 10000 x 100 matrix took 10.6 ms against 50.7 ms. a is copied, never
+    overwritten.
+    """
+    v, t, _ = dgeqrt(min(_QR_BLOCK, *a.shape), a)
+    return v, t
+
+
 def thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Economy-size QR: a = q @ r with q of shape (m, min(m, n)).
 
-    Householder QR by LAPACK through SciPy, without the finiteness scan.
-    Callers factor tall matrices: the power step's fallback hands it
-    (q.T @ a).T, a transposed view of a product that read a in its stored
-    layout.
+    Blocked Householder QR (``_householder``), with q formed by applying the
+    reflectors to the leading min(m, n) columns of the identity; r is exactly
+    upper triangular. Callers factor tall matrices: the power step's fallback
+    hands it (q.T @ a).T, a transposed view of a product that read a in its
+    stored layout.
     """
-    return scipy.linalg.qr(a, mode="economic", check_finite=False)
+    m, n = a.shape
+    k = min(m, n)
+    if k == 0:
+        return np.zeros((m, 0)), np.zeros((0, n))
+    v, t = _householder(a)
+    q, _ = dgemqrt(v[:, :k], t, np.eye(m, k, order="F"), overwrite_c=1)
+    return q, np.triu(v[:k])
 
 
 def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,11 +187,17 @@ def _gram_eigh(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray] | None:
     ``a @ a.T`` is one BLAS syrk that reads a in its stored layout. When
     lambda_r <= sqrt(eps) lambda_1 (``_GRAM_GUARD``) the rounding of the Gram
     matrix reaches the kept eigenvalues, and a factor built from them would
-    lose digits.
+    lose digits. A Gram matrix that overflows (entries of a finite a above
+    about 1e154) is also None, so the caller takes its QR route, which
+    scales its norms.
     """
     m = a.shape[0]
+    with np.errstate(over="ignore"):
+        gram = a @ a.T
+    if not np.isfinite(gram).all():
+        return None
     w, v = scipy.linalg.eigh(
-        a @ a.T, subset_by_index=(m - r, m - 1), overwrite_a=True, check_finite=False
+        gram, subset_by_index=(m - r, m - 1), overwrite_a=True, check_finite=False
     )
     if not w[0] > _GRAM_GUARD * w[-1]:
         return None
@@ -162,11 +208,11 @@ def _qr_left_factor(a: np.ndarray, r: int) -> np.ndarray:
     """Leading r left singular vectors of a wide a from an R-only QR of a.T.
 
     With a.T = Q R, a = R.T Q.T, so U(a) is the right singular vectors of the
-    m x m triangle R, and Q is never formed. The "raw" mode keeps only that
-    triangle; mode "r" would also copy the whole n x m upper trapezoid.
+    m x m triangle R, read from the top of ``_householder``'s output; Q is
+    never formed.
     """
-    _, tri = scipy.linalg.qr(a.T, mode="raw", check_finite=False)
-    return np.linalg.svd(tri)[2][:r].T
+    v, _ = _householder(a.T)
+    return np.linalg.svd(np.triu(v[: a.shape[0]]))[2][:r].T
 
 
 def _left_factor(a: np.ndarray, r: int) -> np.ndarray:
@@ -213,8 +259,10 @@ def _complete_basis(q: np.ndarray, extra: int) -> np.ndarray:
         return q
     if k + extra > m:
         raise ValueError("cannot extend basis beyond the ambient dimension")
-    full = np.linalg.qr(q, mode="complete")[0]
-    return np.hstack([q, full[:, k : k + extra]])
+    # The full Q of q's QR is orthogonal and its first k columns span range(q).
+    v, t = _householder(q)
+    full, _ = dgemqrt(v, t, np.eye(m, k + extra, order="F"), overwrite_c=1)
+    return np.hstack([q, full[:, k:]])
 
 
 def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +294,10 @@ def rsvd(a: np.ndarray, r: int, p: int, rng: RngStream) -> tuple[np.ndarray, np.
     projection B = Q^T a from ``_left_factor``: ``eigh`` of the k x k Gram
     matrix B B^T, or an R-only QR of B^T when the spectrum fails the guard.
     Neither forms the n x k right factor. The pair is (Q U_b, U_b^T B), whose
-    C = U_b^T B equals diag(s) @ vt up to rounding.
+    C = U_b^T B equals diag(s) @ vt up to rounding. When k equals the column
+    count n, Q is taken from a itself and no Omega is drawn: any invertible
+    Omega leaves range(a @ Omega) = range(a), but a square sign matrix is
+    often singular (66% of all 4 x 4 sign matrices are).
     """
     m, n = a.shape
     if r < 1:
@@ -257,8 +308,8 @@ def rsvd(a: np.ndarray, r: int, p: int, rng: RngStream) -> tuple[np.ndarray, np.
         raise ValueError(
             f"rank {r} plus oversampling {p} exceeds min(m, n) = {min(m, n)}"
         )
-    omega = rng.signs(n, r + p)
-    q, _ = thin_qr(a @ omega)
+    k = r + p
+    q, _ = thin_qr(a if k == n else a @ rng.signs(n, k))
     b = q.T @ a
     u = _left_factor(b, r)
     return q @ u, u.T @ b
@@ -301,9 +352,10 @@ def _two_sided_sketch(
 ) -> tuple[np.ndarray, np.ndarray]:
     m, n = a.shape
     # Omega is used raw and Psi gets orthonormal rows; `sketch` says why.
-    omega = rng.signs(n, k)
+    # With k = n, Y = a: a square sign Omega would add nothing but the risk
+    # of being singular.
+    y = a if k == n else a @ rng.signs(n, k)
     psi = orthonormalize(gaussian_matrix(rng, l, m).T).T
-    y = a @ omega
     w = psi @ a
     q, _ = thin_qr(y)
     for _ in range(power_iters):

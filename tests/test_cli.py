@@ -260,3 +260,22 @@ def test_all_zero_inputs_decompose_exactly(tmp_path, capsys):
         assert main(args) == 0
         assert "psnr=inf" in capsys.readouterr().out
         assert load_model(image_model).ranks == (2, 2, 1)
+
+
+# The reported error squares the entries and overflows to nan (metrics._sum_squares);
+# this test checks the decomposition and the exit code.
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+@pytest.mark.parametrize("algo", ["thosvd", "rsthosvd"])
+def test_decompose_huge_finite_tensor(tmp_path, capsys, algo):
+    # entries near 1e200 overflow the Gram matrix A A^T but not the tensor
+    x = np.random.default_rng(19).standard_normal((6, 7, 8))
+    src = tmp_path / "huge.npy"
+    np.save(src, x * 1e200)
+    model_path = tmp_path / "m.tuck"
+    args = ["decompose", "--in", str(src), "--algo", algo, "--ranks", "2x2x2",
+            "--out", str(model_path)]
+    assert main(args) == 0
+    assert "algorithm=" in capsys.readouterr().out
+    model = load_model(model_path)
+    assert all(np.allclose(u.T @ u, np.eye(2), atol=1e-12) for u in model.factors)
+    assert np.isfinite(reconstruct(model)).all()

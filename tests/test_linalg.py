@@ -5,7 +5,9 @@ import scipy.linalg
 from tucksketch.config import ApproxConfig
 from tucksketch.datagen import add_scaled_noise, hilbert_tensor
 from tucksketch.linalg import (
+    _QR_BLOCK,
     _canonical_signs,
+    _complete_basis,
     _gram_eigh,
     _left_factor,
     _min_norm_lstsq,
@@ -92,6 +94,38 @@ def test_thin_qr_residual_and_orthogonality():
     assert np.linalg.norm(a - q @ r) <= 1e-12 * norm
     assert np.linalg.norm(q.T @ q - np.eye(10)) <= 1e-12
     assert np.allclose(r, np.triu(r))
+
+
+@pytest.mark.parametrize("shape", [(30, 21), (21, 30), (0, 4), (4, 0)])
+def test_thin_qr_of_zero_and_empty_matrices(shape):
+    q, r = thin_qr(np.zeros(shape))
+    k = min(shape)
+    assert q.shape == (shape[0], k) and r.shape == (k, shape[1])
+    assert np.array_equal(q.T @ q, np.eye(k))
+    assert not r.any()
+
+
+@pytest.mark.parametrize("k, extra", [(1, 3), (_QR_BLOCK + 5, 9), (30, 0)])
+def test_complete_basis_is_an_orthonormal_completion(k, extra):
+    q = thin_qr(np.random.default_rng(k).standard_normal((40, k)))[0]
+    full = _complete_basis(q, extra)
+    assert full.shape == (40, k + extra)
+    assert np.array_equal(full[:, :k], q)
+    assert np.linalg.norm(full.T @ full - np.eye(k + extra)) <= 1e-12
+
+
+def test_linalg_never_calls_scipy_qr(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.qr called")
+
+    monkeypatch.setattr(scipy.linalg, "qr", refuse)
+    # a graded spectrum sends THOSVD and the power step to their QR routes
+    x = hilbert_tensor((20, 20, 20))
+    thosvd(x, ApproxConfig(target_ranks=(5, 5, 5)))
+    a = unfold(x, 1)
+    sub_sketch(a, 5, 11, 2, RngStream(10))
+    rsvd(a, 5, 3, RngStream(11))
+    truncated_svd(np.ones((6, 2)), 4)
 
 
 # ---------------------------------------------------------- orthonormalize
@@ -188,7 +222,12 @@ def test_thin_svd_of_transpose_swaps_factors(shape):
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("shape", [(40, 15), (15, 40)])
+@pytest.mark.parametrize(
+    "shape",
+    # below, at, not a multiple of, and well above the QR block size; wide
+    [(40, 15), (15, 40), (40, 1), (40, _QR_BLOCK), (60, _QR_BLOCK + 5), (300, 100),
+     (_QR_BLOCK + 5, 60), (1, 7)],
+)
 def test_thin_qr_layouts(shape, layout):
     a = laid_out(shape, layout, seed=42)
     before = a.copy()
@@ -199,6 +238,9 @@ def test_thin_qr_layouts(shape, layout):
     assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-12
     assert np.array_equal(r, np.triu(r))
     assert np.array_equal(a, before)
+    # R matches LAPACK's unblocked dgeqrf up to the signs of its rows
+    ref = scipy.linalg.qr(a, mode="r")[0][:k]
+    assert np.linalg.norm(np.abs(r) - np.abs(ref)) <= 1e-12 * np.linalg.norm(a)
 
 
 # ------------------------------------------------------------ truncated_svd
@@ -260,6 +302,17 @@ def test_rsvd_zero_matrix():
     assert np.allclose(row_norms(c), 0.0)
 
 
+def test_rsvd_with_k_equal_to_the_column_count_is_exact():
+    # k = n: a square sign Omega is singular for most seeds at n = 4, so
+    # rsvd takes Q from a itself and matches the truncated SVD on every seed
+    a = np.random.default_rng(21).standard_normal((8, 4))
+    ref, c_ref = _canonical_signs(*truncated_svd(a, 2))
+    for seed in range(40):
+        u, c = _canonical_signs(*rsvd(a, 2, 2, RngStream(seed)))
+        assert np.max(np.abs(u - ref)) <= 1e-12, seed
+        assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref)), seed
+
+
 def test_rsvd_rejects_oversized_sketch():
     with pytest.raises(ValueError):
         rsvd(np.zeros((10, 8)), 6, 3, RngStream(0))
@@ -285,6 +338,16 @@ def test_sketch_exact_rank():
     assert q.shape == (50, 5)
     assert xc.shape == (5, 40)
     assert np.linalg.norm(a - q @ xc) <= 1e-10 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("power_iters", [0, 1])
+def test_sketch_with_k_equal_to_the_column_count_is_exact(power_iters):
+    # k = n: range(Y) must be range(a) on every seed, not only when a square
+    # sign Omega happens to be invertible
+    a = np.random.default_rng(22).standard_normal((8, 4))
+    for seed in range(40):
+        q, xc = sub_sketch(a, 4, 8, power_iters, RngStream(seed))
+        assert np.linalg.norm(a - q @ xc) <= 1e-12 * np.linalg.norm(a), seed
 
 
 def test_sketch_zero_matrix():
@@ -413,6 +476,17 @@ def test_truncated_singular_values_match_oracle():
     _, c = truncated_svd(a, 20)
     oracle = gram_singular_values(a)[:20]
     assert np.allclose(row_norms(c), oracle, rtol=1e-10)
+
+
+def test_min_norm_lstsq_rank_deficient_warns_across_blocks():
+    # 21 columns of rank 5: the blocked QR must still expose the tiny pivots
+    rng = np.random.default_rng(20)
+    a = rng.standard_normal((40, 5)) @ rng.standard_normal((5, _QR_BLOCK + 5))
+    b = rng.standard_normal((40, 3))
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        x = _min_norm_lstsq(a, b)
+    expected = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.allclose(x, expected, atol=1e-10 * np.linalg.norm(expected))
 
 
 def test_min_norm_lstsq_rank_deficient_warns():
@@ -584,10 +658,15 @@ def test_left_factor_rejects_bad_rank():
 # ------------------------------------------------ randomized kernels, Gram route
 
 
+def _range_sample(a, k, seed):
+    """rsvd's Y: a @ Omega for a sign Omega of k columns, or a itself when k is the column count."""
+    n = a.shape[1]
+    return a if k == n else a @ RngStream(seed).signs(n, k)
+
+
 def _svd_of_projection_rsvd(a, r, p, seed):
     """rsvd as it was before the Gram route: the thin SVD of Q^T a, forming V."""
-    omega = RngStream(seed).signs(a.shape[1], r + p)
-    q, _ = thin_qr(a @ omega)
+    q, _ = thin_qr(_range_sample(a, r + p, seed))
     u, s, vt = thin_svd(q.T @ a)
     return q @ u[:, :r], s[:r, None] * vt[:r]
 
@@ -617,7 +696,7 @@ def test_rsvd_matches_svd_of_projection_on_separated_spectrum(shape, layout):
     before = a.copy()
     u, c = rsvd(a, r, p, RngStream(61))
     assert np.array_equal(a, before)
-    q = thin_qr(a @ RngStream(61).signs(shape[1], r + p))[0]
+    q = thin_qr(_range_sample(a, r + p, 61))[0]
     assert _gram_eigh(q.T @ a, r) is not None
     u_ref, c_ref = _svd_of_projection_rsvd(a, r, p, 61)
     u, c = _canonical_signs(u, c)
@@ -634,7 +713,7 @@ def test_rsvd_zero_and_graded_inputs_keep_orthonormal_factors():
     assert np.array_equal(c, np.zeros((3, 12)))
     # a graded spectrum fails the guard and takes the R-only QR route
     a = unfold(hilbert_tensor((30, 30, 30)), 1)
-    q = thin_qr(a @ RngStream(62).signs(a.shape[1], 12))[0]
+    q = thin_qr(_range_sample(a, 12, 62))[0]
     assert _gram_eigh(q.T @ a, 8) is None
     u, c = rsvd(a, 8, 4, RngStream(62))
     assert_orthonormal_columns(u)
@@ -724,5 +803,31 @@ def test_thosvd_matches_svd_reference(x, ranks):
     assert relative_error(x, reconstruct(model)) == pytest.approx(
         relative_error(x, expected), rel=1e-10
     )
-    for u, v in zip(model.factors, ref.factors):
-        assert np.linalg.norm(u @ u.T - v @ v.T) <= 1e-10
+    for n, (u, v, r) in enumerate(zip(model.factors, ref.factors, ranks), start=1):
+        a = unfold(x, n)
+        assert np.linalg.norm(u @ u.T - v @ v.T) <= _subspace_tolerance(a, r)
+
+
+def _subspace_tolerance(a, r, c=100.0):
+    """c eps sigma_1 / (sigma_r - sigma_{r+1}): how far two backward-stable
+    factorizations may put the rank-r left singular subspace of a (Wedin's
+    bound on sin theta for a perturbation of size eps sigma_1).
+
+    On hilbert-30 (rank 8) the unit eps sigma_1 / gap is 6.5e-10, and a
+    60-digit reference subspace of the same float64 unfolding lies 1.8e-10
+    from LAPACK's gesdd, so no fixed tolerance tighter than that can hold
+    for every correct factorization.
+    """
+    s = scipy.linalg.svdvals(a)
+    return c * np.finfo(np.float64).eps * s[0] / (s[r - 1] - s[r])
+
+
+def test_subspace_tolerance_rejects_a_gram_factor_of_a_graded_spectrum():
+    # eigh of A A^T squares the condition number: on hilbert-30 its rank-8
+    # subspace is 1.5e-3 away, far outside the tolerance the QR route meets
+    a = unfold(hilbert_tensor((30, 30, 30)), 1)
+    v = truncated_svd(a, 8)[0]
+    g = scipy.linalg.eigh(a @ a.T, subset_by_index=(22, 29))[1]
+    assert np.linalg.norm(g @ g.T - v @ v.T) > 1e3 * _subspace_tolerance(a, 8)
+    u = _left_factor(a, 8)
+    assert np.linalg.norm(u @ u.T - v @ v.T) <= _subspace_tolerance(a, 8)

@@ -407,6 +407,39 @@ def test_default_sketch_sizes_run_clamped(name):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+@pytest.mark.parametrize("name", list(PIPELINES))
+def test_huge_finite_entries_overflow_no_gram_matrix(name, scale):
+    # A A^T of every unfolding overflows to inf; the factor steps must take
+    # their QR routes instead of reading eigenpairs of an inf matrix
+    x = random_tucker_tensor((6, 7, 8), (2, 2, 2), seed=16)
+    x += 1e-3 * np.sqrt(np.mean(x**2)) * np.random.default_rng(17).standard_normal(x.shape)
+    cfg = ApproxConfig(target_ranks=(2, 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = PIPELINES[name](x * scale, cfg, RngStream(17))
+    for u in model.factors:
+        assert np.allclose(u.T @ u, np.eye(2), atol=1e-12)
+    approx = reconstruct(model) / scale
+    assert np.isfinite(approx).all()
+    unscaled = reconstruct(PIPELINES[name](x, cfg, RngStream(17)))
+    # the power step's inner basis takes the QR route here and the Gram
+    # route unscaled, which rotates it within the same range
+    rel = 1e-6 if name == "sub_sketch_sthosvd" else 1e-10
+    assert relative_error(x, approx) == pytest.approx(relative_error(x, unscaled), rel=rel)
+
+
+def test_r_sthosvd_with_clamped_oversampling_matches_sthosvd():
+    # ranks (2, 2, 2) on 6 x 7 x 8 clamp every mode to k = min(rows, cols),
+    # so the range finder sees the whole range and R-STHOSVD is STHOSVD
+    x = np.random.default_rng(18).standard_normal((6, 7, 8))
+    cfg = ApproxConfig(target_ranks=(2, 2, 2))
+    expected = relative_error(x, reconstruct(sthosvd(x, cfg)))
+    for seed in range(20):
+        err = relative_error(x, reconstruct(r_sthosvd(x, cfg, RngStream(seed))))
+        assert err == pytest.approx(expected, rel=1e-10), seed
+
+
 def test_non_finite_input_rejected():
     x = np.ones((3, 3, 3))
     x[0, 0, 0] = np.nan
