@@ -29,7 +29,7 @@ from .metrics import (
     spectrum_summary,
     tail_energy,
 )
-from .rng import RngStream, gaussian_matrix
+from .rng import RngStream
 from .tensor import fold, frobenius_norm, mode_n_product, unfold
 from .tucker import (
     TuckerModel,
@@ -70,7 +70,6 @@ __all__ = [
     "spectrum_summary",
     "tail_energy",
     "RngStream",
-    "gaussian_matrix",
     "fold",
     "frobenius_norm",
     "mode_n_product",

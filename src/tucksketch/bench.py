@@ -1,6 +1,9 @@
 """Benchmark harness: run algorithm sweeps over ranks and seeds, emit CSV.
 
-An `ExperimentConfig` names the data (source, dims, noise, ``base_seed``) and
+`ALGORITHMS` is the one table of algorithm keys (``thosvd``, ``sthosvd``,
+``rsthosvd``, ``sketch``, ``subsketch``): each key maps to its report name
+and to the name of its pipeline function in `tucksketch.tucker`. An
+`ExperimentConfig` names the data (source, dims, noise, ``base_seed``) and
 carries one `ApproxConfig` per rank set, which fixes everything the pipelines
 see. Rows record relative error, PSNR (image experiments only), and the wall
 time of the decomposition call alone; tensor generation and metric evaluation
@@ -18,12 +21,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import tucker
 from .config import ApproxConfig
 from .datagen import SparseGenConfig, add_awgn, add_scaled_noise, gaussian_tensor, hilbert_tensor, sparse_lowrank_tensor
 from .imageio import load_image_tensor
 from .metrics import psnr, relative_error
 from .rng import RngStream
-from .tucker import TuckerModel, decompose, reconstruct
+from .tucker import TuckerModel, reconstruct
 
 __all__ = [
     "ALGORITHMS",
@@ -36,12 +40,13 @@ __all__ = [
     "read_csv",
 ]
 
+# algorithm key -> (report name, pipeline function in tucksketch.tucker)
 ALGORITHMS = {
-    "thosvd": "THOSVD",
-    "sthosvd": "STHOSVD",
-    "rsthosvd": "R-STHOSVD",
-    "sketch": "Sketch-STHOSVD",
-    "subsketch": "sub-Sketch-STHOSVD",
+    "thosvd": ("THOSVD", "thosvd"),
+    "sthosvd": ("STHOSVD", "sthosvd"),
+    "rsthosvd": ("R-STHOSVD", "r_sthosvd"),
+    "sketch": ("Sketch-STHOSVD", "sketch_sthosvd"),
+    "subsketch": ("sub-Sketch-STHOSVD", "sub_sketch_sthosvd"),
 }
 
 _RANDOMIZED = {"rsthosvd", "sketch", "subsketch"}
@@ -90,7 +95,7 @@ class ExperimentConfig:
     trials: int = 1
     base_seed: int = 0  # seeds the data generation only
     gamma: float = 10.0
-    density: float = 0.05
+    density: float = SparseGenConfig.density
     delta: float | None = None
     snr_db: float | None = None
     aggregate: str = "none"  # none | mean
@@ -146,17 +151,21 @@ def run_trial(
 ) -> tuple[TuckerModel, np.ndarray, BenchRow]:
     """Time one decomposition, reconstruct it and score it as a report row.
 
-    Only the ``decompose`` call is timed. The row reports ``acfg.sketch_sizes``
-    for the sketch pipelines, ``acfg.power_iters`` for sub-Sketch and
-    ``acfg.seed`` for the randomized pipelines; ``peak`` (if any) adds the PSNR.
+    Only the pipeline call is timed; the randomized pipelines draw from
+    ``RngStream(acfg.seed)``. The pipeline is looked up on `tucksketch.tucker`
+    at call time, so a wrapper bound to its name there (a tracer, a profiler)
+    sees the call. The row reports ``acfg.sketch_sizes`` for the sketch
+    pipelines, ``acfg.power_iters`` for sub-Sketch and ``acfg.seed`` for the
+    randomized pipelines; ``peak`` (if any) adds the PSNR.
     """
+    name, pipeline = ALGORITHMS[key]
     start = time.perf_counter()
-    model = decompose(key, x, acfg)
+    model = getattr(tucker, pipeline)(x, acfg)
     wall_ms = (time.perf_counter() - start) * 1e3
     xhat = reconstruct(model)
     row = BenchRow(
         experiment=experiment,
-        algorithm=ALGORITHMS[key],
+        algorithm=name,
         ranks=acfg.target_ranks,
         sketch_sizes=acfg.sketch_sizes if key in _SKETCHED else None,
         q=acfg.power_iters if key == "subsketch" else None,

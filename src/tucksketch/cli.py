@@ -1,5 +1,12 @@
 """Command-line harness for tensor generation, decomposition, and benchmarks.
 
+Every flag that fills a config field takes its default from that field
+(`ApproxConfig`, `ExperimentConfig`, `SparseGenConfig`), with one exception:
+``--sketch-extra 2`` asks for l_n = r_n + 2 where the library default is
+l_n = 2 r_n + 1 (the README says why). ``decompose`` and ``image-compress``
+run one timed trial through `bench.run_trial`, and ``bench`` runs a sweep;
+the algorithm keys are those of `bench.ALGORITHMS`.
+
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numerical-parameter
 violation.
 """
@@ -30,23 +37,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, sep: str = "x", what: str = "dimension list") -> tuple[int, ...]:
     try:
-        dims = tuple(int(t) for t in text.split("x"))
-    except ValueError:
-        raise _UsageError(f"cannot parse dimension list {text!r}") from None
-    if not dims:
-        raise _UsageError("empty dimension list")
-    return dims
-
-
-def _parse_order(text: str | None) -> tuple[int, ...] | None:
-    if text is None:
-        return None
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise _UsageError(f"cannot parse processing order {text!r}") from None
+        return tuple(int(t) for t in text.split(sep))
+    except ValueError:  # an empty text splits into one empty, unparsable item
+        raise _UsageError(f"cannot parse {what} {text!r}") from None
 
 
 def _parse_algos(text: str) -> tuple[str, ...]:
@@ -78,9 +73,10 @@ def _load_tensor(path: str) -> np.ndarray:
 
 
 def _approx_config(args, ranks: tuple[int, ...]) -> ApproxConfig:
+    order = None if args.order is None else _parse_ints(args.order, ",", "processing order")
     return ApproxConfig(
         target_ranks=ranks,
-        processing_order=_parse_order(args.order),
+        processing_order=order,
         oversample=args.oversample,
         sketch_sizes=tuple(r + args.sketch_extra for r in ranks),
         power_iters=args.q,
@@ -89,7 +85,7 @@ def _approx_config(args, ranks: tuple[int, ...]) -> ApproxConfig:
 
 
 def _cmd_gen_hilbert(args) -> int:
-    np.save(args.out, hilbert_tensor(_parse_dims(args.dims)))
+    np.save(args.out, hilbert_tensor(_parse_ints(args.dims)))
     return 0
 
 
@@ -101,13 +97,18 @@ def _cmd_gen_sparse(args) -> int:
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    ranks = _parse_dims(args.ranks)
+def _single_trial(args, load, peak: float | None = None):
+    """Parse the ranks and the one --algo, load --in, and run one timed trial."""
+    ranks = _parse_ints(args.ranks)
     key = _parse_algos(args.algo)
     if len(key) != 1:
-        raise _UsageError("decompose takes exactly one algorithm")
-    x = _load_tensor(getattr(args, "in"))
-    model, _, row = run_trial("decompose", key[0], x, _approx_config(args, ranks))
+        raise _UsageError(f"{args.command} takes exactly one algorithm")
+    x = load(getattr(args, "in"))
+    return run_trial(args.command, key[0], x, _approx_config(args, ranks), peak)
+
+
+def _cmd_decompose(args) -> int:
+    model, _, row = _single_trial(args, _load_tensor)
     print(f"algorithm={row.algorithm} rel_error={row.rel_error:.6e} wall_ms={row.wall_ms:.6e}")
     if args.out:
         save_model(model, args.out)
@@ -119,8 +120,8 @@ def _cmd_bench(args) -> int:
         experiment=args.experiment,
         source=args.source,
         algorithms=_parse_algos(args.algo),
-        dims=_parse_dims(args.dims) if args.dims else None,
-        approx=tuple(_approx_config(args, _parse_dims(part)) for part in args.ranks.split(",")),
+        dims=_parse_ints(args.dims) if args.dims else None,
+        approx=tuple(_approx_config(args, _parse_ints(part)) for part in args.ranks.split(",")),
         image_path=args.image,
         trials=args.trials,
         base_seed=args.seed,
@@ -137,12 +138,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_image_compress(args) -> int:
-    ranks = _parse_dims(args.ranks)
-    key = _parse_algos(args.algo)
-    if len(key) != 1:
-        raise _UsageError("image-compress takes exactly one algorithm")
-    x = load_image_tensor(getattr(args, "in"))
-    model, xhat, row = run_trial("image-compress", key[0], x, _approx_config(args, ranks), 255.0)
+    model, xhat, row = _single_trial(args, load_image_tensor, 255.0)
     save_image_tensor(xhat, args.out)
     print(
         f"algorithm={row.algorithm} psnr={row.psnr:.4f} "
@@ -158,8 +154,8 @@ def _cmd_image_compress(args) -> int:
 def _add_approx_flags(sub, ranks_help: str = "target ranks, e.g. 10x10x10") -> None:
     sub.add_argument("--ranks", required=True, help=ranks_help)
     sub.add_argument("--order", default=None, help="processing order, e.g. 1,2,3")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--oversample", type=int, default=5)
+    sub.add_argument("--seed", type=int, default=ApproxConfig.seed)
+    sub.add_argument("--oversample", type=int, default=ApproxConfig.oversample)
     sub.add_argument(
         "--sketch-extra",
         dest="sketch_extra",
@@ -167,7 +163,9 @@ def _add_approx_flags(sub, ranks_help: str = "target ranks, e.g. 10x10x10") -> N
         default=2,
         help="sketch size above the rank: l_n = r_n + this",
     )
-    sub.add_argument("--q", type=int, default=1, help="subspace power iterations")
+    sub.add_argument(
+        "--q", type=int, default=ApproxConfig.power_iters, help="subspace power iterations"
+    )
 
 
 def _build_parser() -> _Parser:
@@ -182,8 +180,8 @@ def _build_parser() -> _Parser:
     gen_s = subs.add_parser("gen-sparse", help="write a sparse low-rank tensor as .npy")
     gen_s.add_argument("--n", type=int, required=True)
     gen_s.add_argument("--gamma", type=float, required=True)
-    gen_s.add_argument("--density", type=float, default=0.05)
-    gen_s.add_argument("--seed", type=int, default=0)
+    gen_s.add_argument("--density", type=float, default=SparseGenConfig.density)
+    gen_s.add_argument("--seed", type=int, default=SparseGenConfig.seed)
     gen_s.add_argument("--out", required=True)
     gen_s.set_defaults(func=_cmd_gen_sparse)
 
@@ -201,12 +199,12 @@ def _build_parser() -> _Parser:
     ben.add_argument("--image", default=None, help="PPM/PGM path for source=image")
     ben.add_argument("--algo", default="all", help="all or comma list")
     _add_approx_flags(ben, "comma list of rank tuples, e.g. 10x10x10,20x20x20")
-    ben.add_argument("--trials", type=int, default=1)
-    ben.add_argument("--gamma", type=float, default=10.0)
-    ben.add_argument("--density", type=float, default=0.05)
+    ben.add_argument("--trials", type=int, default=ExperimentConfig.trials)
+    ben.add_argument("--gamma", type=float, default=ExperimentConfig.gamma)
+    ben.add_argument("--density", type=float, default=ExperimentConfig.density)
     ben.add_argument("--delta", type=float, default=None, help="additive noise scale")
     ben.add_argument("--snr", type=float, default=None, help="white-noise SNR in dB")
-    ben.add_argument("--aggregate", choices=["none", "mean"], default="none")
+    ben.add_argument("--aggregate", choices=["none", "mean"], default=ExperimentConfig.aggregate)
     ben.add_argument("--out", required=True)
     ben.set_defaults(func=_cmd_bench)
 

@@ -80,7 +80,7 @@ import scipy.linalg
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dgemqrt, dgeqrt
 
-from .rng import RngStream, gaussian_matrix
+from .rng import RngStream
 
 __all__ = [
     "thin_qr",
@@ -355,7 +355,7 @@ def _two_sided_sketch(
     # With k = n, Y = a: a square sign Omega would add nothing but the risk
     # of being singular.
     y = a if k == n else a @ rng.signs(n, k)
-    psi = orthonormalize(gaussian_matrix(rng, l, m).T).T
+    psi = orthonormalize(rng.normal(l, m).T).T
     w = psi @ a
     q, _ = thin_qr(y)
     for _ in range(power_iters):

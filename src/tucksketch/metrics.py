@@ -57,14 +57,22 @@ def spectrum_summary(x: np.ndarray) -> SpectrumSummary:
 _BLOCK = 1 << 15
 
 
-def _sum_squares(x: np.ndarray, xhat: np.ndarray) -> tuple[float, float]:
-    """Sums of x**2 and of (x - xhat)**2 in float64, in one blocked read.
+def _sum_squares(
+    x: np.ndarray, xhat: np.ndarray, scaled: bool = False
+) -> tuple[float, float, float]:
+    """(s, sum of (x/s)**2, sum of ((x - xhat)/s)**2) in float64, in one blocked read.
 
     The iterator walks both operands in their common memory order and
     gathers or casts at most one block of each at a time, so mixed layouts,
     strided views and integer inputs never cost a full-size copy. Each block
     is reduced by NumPy's pairwise sum and the block sums are added exactly
     by math.fsum, so the result depends only on the values and their layout.
+
+    s is 1.0 unless a plain sum of squares is not finite (entries above
+    about 1e154). Then the pass is redone with each block j divided by its
+    largest magnitude s_j, as LAPACK's dnrm2 scales, and adding (s_j / s)**2
+    times its sums, where s is the largest s_j. So inputs of ordinary size
+    cost nothing extra, and a non-finite entry still gives a non-finite sum.
     """
     it = np.nditer(
         [x, xhat],
@@ -75,24 +83,37 @@ def _sum_squares(x: np.ndarray, xhat: np.ndarray) -> tuple[float, float]:
         buffersize=_BLOCK,
     )
     buf = np.empty(min(_BLOCK, x.size))
-    ref_parts: list[float] = []
-    err_parts: list[float] = []
-    with it:
+    parts: list[tuple[float, float, float]] = []
+    with it, np.errstate(over="ignore"):
         for a, b in it:
+            s = 1.0
+            if scaled:
+                peak = float(np.maximum(np.abs(a).max(), np.abs(b).max()))
+                if 0.0 < peak < math.inf:
+                    s, a, b = peak, a / peak, b / peak
             d = buf[: a.size]
             np.square(a, out=d)
-            ref_parts.append(float(np.sum(d)))
+            ref_part = float(np.sum(d))
             np.subtract(a, b, out=d)
             np.square(d, out=d)
-            err_parts.append(float(np.sum(d)))
-    return math.fsum(ref_parts), math.fsum(err_parts)
+            parts.append((s, ref_part, float(np.sum(d))))
+    scale = max((s for s, _, _ in parts), default=1.0)
+    try:
+        ref = math.fsum(r * (s / scale) ** 2 for s, r, _ in parts)
+        err = math.fsum(e * (s / scale) ** 2 for s, _, e in parts)
+    except OverflowError:  # finite block sums whose total overflows
+        ref = err = math.inf
+    if scaled or (math.isfinite(ref) and math.isfinite(err)):
+        return scale, ref, err
+    return _sum_squares(x, xhat, scaled=True)
 
 
 def relative_error(x: np.ndarray, xhat: np.ndarray) -> float:
     """Frobenius-norm error of xhat relative to x.
 
     Both norms come from one blocked pass of pairwise float64 sums (integer
-    inputs are converted, never wrapped). The result is deterministic for a
+    inputs are converted, never wrapped); entries too large to square are
+    scaled block by block. The result is deterministic for a
     given input layout but may differ in the last bits from a ratio of
     sorted-sum `frobenius_norm` values, which alone is bitwise invariant
     under rearranging the entries. A zero x gives 0.0 when xhat is zero too
@@ -100,7 +121,7 @@ def relative_error(x: np.ndarray, xhat: np.ndarray) -> float:
     """
     if x.shape != xhat.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {xhat.shape}")
-    ref_sq, err_sq = _sum_squares(x, xhat)
+    _, ref_sq, err_sq = _sum_squares(x, xhat)
     if ref_sq == 0.0:
         if err_sq == 0.0:
             return 0.0
@@ -119,9 +140,11 @@ def psnr(x: np.ndarray, xhat: np.ndarray, peak: float) -> float:
         raise ValueError("peak must be positive")
     if x.shape != xhat.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {xhat.shape}")
-    mse = _sum_squares(x, xhat)[1] / x.size
+    scale, _, err_sq = _sum_squares(x, xhat)
+    mse = err_sq / x.size  # in units of scale**2, as is peak / scale
     if mse == 0.0:
         return math.inf
+    peak /= scale
     return 10.0 * math.log10(peak * peak / mse)
 
 

@@ -10,14 +10,14 @@ The randomized kernels draw their column test matrices Omega with ``signs``:
 one raw word gives 64 entries, where Box-Muller spends one raw word plus a
 log, sqrt, cos and sin per normal (1.5 ms against 48 ms for a million
 entries on a 2-core x86-64 box, NumPy 2.4.6). Their row test matrices Psi
-stay Gaussian (``gaussian_matrix``).
+stay Gaussian (``normal(rows, cols)``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RngStream", "gaussian_matrix"]
+__all__ = ["RngStream"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -33,10 +33,6 @@ class RngStream:
         self._bits = np.random.Philox(
             seed=np.random.SeedSequence(entropy=(self.seed, self.stream))
         )
-
-    def substream(self, stream: int) -> "RngStream":
-        """Fresh independent stream under the same seed."""
-        return RngStream(self.seed, stream)
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles, i.i.d. uniform on the open interval (0, 1)."""
@@ -104,10 +100,3 @@ class RngStream:
             j = t + int(u[t] * (n - t))
             idx[t], idx[j] = idx[j], idx[t]
         return idx[:k].copy()
-
-
-def gaussian_matrix(rng: RngStream, rows: int, cols: int) -> np.ndarray:
-    """(rows, cols) matrix of i.i.d. N(0, 1) entries drawn from rng."""
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive")
-    return rng.normal(rows, cols)

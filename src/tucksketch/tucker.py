@@ -40,9 +40,9 @@ STHOSVD prototype took 0.086 s against Sketch-STHOSVD's 0.114 s, so
 criterion 6 (Sketch at most half of STHOSVD) would fail, and no sketch
 kernel change listed in the roadmap reaches that 0.5x.
 
-``PIPELINES`` maps each CLI/bench algorithm key to a pipeline, and
-``decompose(key, x, cfg)`` runs it with the randomized pipelines drawing
-from ``RngStream(cfg.seed)``.
+The randomized pipelines draw from ``RngStream(cfg.seed)`` when no rng is
+passed. The command line and the bench reach the pipelines by name through
+`tucksketch.bench.ALGORITHMS`.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ __all__ = [
     "r_sthosvd",
     "sketch_sthosvd",
     "sub_sketch_sthosvd",
-    "PIPELINES",
-    "decompose",
     "reconstruct",
     "save_model",
     "load_model",
@@ -181,25 +179,6 @@ def sketch_sthosvd(x: np.ndarray, cfg: ApproxConfig, rng: RngStream | None = Non
 def sub_sketch_sthosvd(x: np.ndarray, cfg: ApproxConfig, rng: RngStream | None = None) -> TuckerModel:
     """Sequential truncation with a power-iterated two-sided sketch per mode."""
     return _sequential(x, cfg, "sketch", rng, cfg.power_iters)
-
-
-# CLI/bench algorithm key -> pipeline function name in this module.
-PIPELINES = {
-    "thosvd": "thosvd",
-    "sthosvd": "sthosvd",
-    "rsthosvd": "r_sthosvd",
-    "sketch": "sketch_sthosvd",
-    "subsketch": "sub_sketch_sthosvd",
-}
-
-
-def decompose(key: str, x: np.ndarray, cfg: ApproxConfig) -> TuckerModel:
-    """Run the pipeline registered under ``key``; randomized ones draw from RngStream(cfg.seed).
-
-    The function is looked up by name at call time, so a wrapper bound to
-    that name in this module (a tracer, a profiler) sees the call.
-    """
-    return globals()[PIPELINES[key]](x, cfg)
 
 
 _MAGIC = b"TUCK"

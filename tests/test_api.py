@@ -69,3 +69,24 @@ def test_layer_tracer_counts_fallback_modes(name, fallbacks):
     metrics = layertrace.layer_metrics(tracer.spans, {})
     assert metrics["tucker.fallback_modes"] == (fallbacks, "count")
     assert metrics[f"tucker.{name}.ms"][0] > 0
+
+
+def test_layer_tracer_sees_every_pipeline_run_trial_calls():
+    # bench.run_trial looks each pipeline up on tucksketch.tucker when it is
+    # called, so the wrapper the tracer binds there records the call
+    from tucksketch.bench import ALGORITHMS, run_trial
+
+    layertrace = load_layertrace()
+    x = np.random.default_rng(0).standard_normal((6, 5, 4))
+    cfg = tucksketch.ApproxConfig(target_ranks=(2, 2, 2))
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        tracer.active, tracer.trial = True, 0
+        for key in ALGORITHMS:
+            run_trial("unit", key, x, cfg)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {f"tucker.{pipeline}" for _, pipeline in ALGORITHMS.values()} <= names

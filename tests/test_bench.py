@@ -12,12 +12,21 @@ from tucksketch.bench import (
     build_source_tensor,
     read_csv,
     run_bench,
+    run_trial,
     write_csv,
 )
 from tucksketch.config import ApproxConfig
 from tucksketch.imageio import save_image_tensor
 from tucksketch.metrics import psnr
-from tucksketch.tucker import PIPELINES, reconstruct
+from tucksketch.rng import RngStream
+from tucksketch.tucker import (
+    r_sthosvd,
+    reconstruct,
+    sketch_sthosvd,
+    sthosvd,
+    sub_sketch_sthosvd,
+    thosvd,
+)
 
 
 def approx(*rank_sets):
@@ -80,8 +89,24 @@ def test_algorithm_names_canonical():
     }
 
 
-def test_registry_covers_every_algorithm():
-    assert set(PIPELINES) == set(ALGORITHMS)
+def test_run_trial_model_bit_identical_for_every_key():
+    x = np.random.default_rng(7).standard_normal((10, 10, 10))
+    cfg = ApproxConfig(target_ranks=(3, 3, 3), seed=41)
+    # each key runs its pipeline, the randomized ones on RngStream(cfg.seed)
+    expected = {
+        "thosvd": thosvd(x, cfg),
+        "sthosvd": sthosvd(x, cfg),
+        "rsthosvd": r_sthosvd(x, cfg, RngStream(41)),
+        "sketch": sketch_sthosvd(x, cfg, RngStream(41)),
+        "subsketch": sub_sketch_sthosvd(x, cfg, RngStream(41)),
+    }
+    assert set(ALGORITHMS) == set(expected)
+    for key, (name, _) in ALGORITHMS.items():
+        model, xhat, row = run_trial("unit", key, x, cfg)
+        assert row.algorithm == name
+        assert np.array_equal(model.core, expected[key].core)
+        assert all(np.array_equal(u, v) for u, v in zip(model.factors, expected[key].factors))
+        assert np.array_equal(xhat, reconstruct(model))
 
 
 def test_errors_descend_with_rank():
@@ -152,8 +177,6 @@ def test_image_experiment_psnr_matches_oracle(tmp_path):
     x, peak = build_source_tensor(cfg)
     assert peak == 255.0
     row = run_bench(cfg)[0]
-    from tucksketch.tucker import sthosvd
-
     model = sthosvd(x, ApproxConfig(target_ranks=(6, 6, 3)))
     assert row.psnr == pytest.approx(psnr(x, reconstruct(model), 255.0), abs=1e-9)
 

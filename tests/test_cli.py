@@ -84,7 +84,7 @@ def test_bench_hilbert_sweep_with_mean(tmp_path, capsys):
     rows = read_csv(out)
     # mean over trials: one row per rank set and algorithm
     assert len(rows) == 2 * len(ALGORITHMS)
-    assert {r.algorithm for r in rows} == set(ALGORITHMS.values())
+    assert {r.algorithm for r in rows} == {name for name, _ in ALGORITHMS.values()}
     assert all(r.seed is None and 0 <= r.rel_error < 1 for r in rows)
 
 
@@ -173,19 +173,31 @@ def test_image_compress_deterministic_row_has_blank_seed(tmp_path, capsys):
     src = tmp_path / "in.ppm"
     save_image_tensor(img, src)
     csv_path = tmp_path / "row.csv"
-    args = ["image-compress", "--in", str(src), "--ranks", "3x3x3", "--seed", "5",
+    args = ["image-compress", "--in", str(src), "--seed", "5",
             "--out", str(tmp_path / "out.ppm"), "--csv", str(csv_path)]
-    for algo, seed in (("thosvd", ""), ("rsthosvd", "5")):
-        assert main(args + ["--algo", algo]) == 0
-        lines = csv_path.read_text().splitlines()
-        assert lines[1].split(",")[5] == seed
-        assert read_csv(csv_path)[0].seed == (int(seed) if seed else None)
+    # the CLI's l_n = r_n + 2 is reported as asked, before any clamp to I_n
+    for ranks, sizes in (("3x3x3", (5, 5, 5)), ("4x4x3", (6, 6, 5))):
+        for key in ALGORITHMS:
+            assert main(args + ["--ranks", ranks, "--algo", key]) == 0
+            seed = "5" if key in ("rsthosvd", "sketch", "subsketch") else ""
+            lines = csv_path.read_text().splitlines()
+            assert lines[1].split(",")[5] == seed
+            row = read_csv(csv_path)[0]
+            assert row.seed == (int(seed) if seed else None)
+            # the sketch sizes and the power count are reported only where they apply
+            assert row.sketch_sizes == (sizes if key in ("sketch", "subsketch") else None)
+            assert row.q == (1 if key == "subsketch" else None)
 
 
 def test_usage_error_exit_code(tmp_path):
     assert main(["decompose", "--in", "x.npy", "--algo", "bogus", "--ranks", "2x2"]) == 1
     assert main(["bench", "--source", "hilbert", "--ranks", "2x2"]) == 1  # missing --out
     assert main(["gen-hilbert", "--dims", "axb", "--out", "x.npy"]) == 1
+    assert main(["decompose", "--in", "x.npy", "--algo", "thosvd", "--ranks", ""]) == 1
+    src = tmp_path / "x.npy"
+    np.save(src, hilbert_tensor((4, 4, 4)))
+    assert main(["decompose", "--in", str(src), "--algo", "thosvd", "--ranks", "2x2x2",
+                 "--order", "1;2;3"]) == 1
 
 
 def test_io_error_exit_code(tmp_path):
@@ -214,7 +226,7 @@ def test_io_error_exit_code(tmp_path):
     )
 
 
-def test_parameter_error_exit_code(tmp_path):
+def test_parameter_error_exit_code(tmp_path, capsys):
     src = tmp_path / "x.npy"
     np.save(src, hilbert_tensor((4, 4, 4)))
     # rank exceeds the dimension: numerical-parameter violation
@@ -222,6 +234,15 @@ def test_parameter_error_exit_code(tmp_path):
         main(["decompose", "--in", str(src), "--algo", "sthosvd", "--ranks", "9x9x9"])
         == 3
     )
+    # a rank above the image's side, and no reconstruction is written
+    img = tmp_path / "in.ppm"
+    save_image_tensor(np.full((16, 16, 3), 100.0), img)
+    out = tmp_path / "out.ppm"
+    capsys.readouterr()
+    assert main(["image-compress", "--in", str(img), "--algo", "thosvd", "--ranks", "40x4x3",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("parameter error: ")
+    assert not out.exists()
 
 
 def test_decompose_reads_images(tmp_path, capsys):
@@ -262,20 +283,25 @@ def test_all_zero_inputs_decompose_exactly(tmp_path, capsys):
         assert load_model(image_model).ranks == (2, 2, 1)
 
 
-# The reported error squares the entries and overflows to nan (metrics._sum_squares);
-# this test checks the decomposition and the exit code.
-@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
 @pytest.mark.parametrize("algo", ["thosvd", "rsthosvd"])
 def test_decompose_huge_finite_tensor(tmp_path, capsys, algo):
-    # entries near 1e200 overflow the Gram matrix A A^T but not the tensor
+    # entries near 1e200 overflow the Gram matrix A A^T and a plain sum of
+    # squares, but not the tensor
     x = np.random.default_rng(19).standard_normal((6, 7, 8))
-    src = tmp_path / "huge.npy"
+    plain, src = tmp_path / "plain.npy", tmp_path / "huge.npy"
+    np.save(plain, x)
     np.save(src, x * 1e200)
+
+    def printed_error(path, *extra):
+        args = ["decompose", "--in", str(path), "--algo", algo, "--ranks", "2x2x2", *extra]
+        assert main(args) == 0
+        return float(capsys.readouterr().out.split("rel_error=")[1].split()[0])
+
     model_path = tmp_path / "m.tuck"
-    args = ["decompose", "--in", str(src), "--algo", algo, "--ranks", "2x2x2",
-            "--out", str(model_path)]
-    assert main(args) == 0
-    assert "algorithm=" in capsys.readouterr().out
+    # the printed error is the unscaled tensor's error, to its 7 printed digits
+    assert printed_error(src, "--out", str(model_path)) == pytest.approx(
+        printed_error(plain), rel=1e-6
+    )
     model = load_model(model_path)
     assert all(np.allclose(u.T @ u, np.eye(2), atol=1e-12) for u in model.factors)
     assert np.isfinite(reconstruct(model)).all()

@@ -22,7 +22,7 @@ from tucksketch.linalg import (
     truncated_svd,
 )
 from tucksketch.metrics import relative_error
-from tucksketch.rng import RngStream, gaussian_matrix
+from tucksketch.rng import RngStream
 from tucksketch.tensor import mode_n_product, unfold
 from tucksketch.tucker import TuckerModel, reconstruct, thosvd
 
@@ -527,7 +527,7 @@ def _sketch_with_orthonormal_omega(a, k, l, power_iters, seed):
     m, n = a.shape
     rng = RngStream(seed)
     omega = orthonormalize(rng.signs(n, k))
-    psi = orthonormalize(gaussian_matrix(rng, l, m).T).T
+    psi = orthonormalize(rng.normal(l, m).T).T
     q = np.linalg.qr(a @ omega)[0]
     for _ in range(power_iters):
         q = np.linalg.qr(a @ np.linalg.qr(a.T @ q)[0])[0]
@@ -676,7 +676,7 @@ def _householder_sub_sketch(a, k, l, power_iters, seed):
     m, n = a.shape
     rng = RngStream(seed)
     omega = rng.signs(n, k)
-    psi = orthonormalize(gaussian_matrix(rng, l, m).T).T
+    psi = orthonormalize(rng.normal(l, m).T).T
     w = psi @ a
     q, _ = thin_qr(a @ omega)
     for _ in range(power_iters):

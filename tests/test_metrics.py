@@ -132,6 +132,23 @@ def test_scores_of_identical_and_zero_inputs(shape):
         relative_error(np.zeros(shape), x)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+def test_scores_of_huge_finite_entries(shape, graded, scale):
+    # entries above about 1e154 square to inf; the scores must not notice
+    x, xhat = _pair(shape, "mixed", seed=3)
+    if graded:  # blocks whose magnitudes differ by 150 orders
+        small = np.arange(x.size).reshape(x.shape) < x.size // 2
+        x = np.where(small, 1e-150 * x, x)
+        xhat = np.asfortranarray(np.where(small, 1e-150 * xhat, xhat))
+    err, quality = relative_error(x, xhat), psnr(x, xhat, 2.0)
+    assert np.isfinite(err) and np.isfinite(quality)
+    assert relative_error(x * scale, xhat * scale) == pytest.approx(err, rel=1e-12)
+    assert psnr(x * scale, xhat * scale, 2.0 * scale) == pytest.approx(quality, rel=1e-12)
+
+
 # ------------------------------------------------------------- tail energies
 
 

@@ -1,4 +1,4 @@
-"""The README's commands stay in step with the CLI and the scripts: parsed, never run."""
+"""The README's commands stay in step with the CLI: parsed, never run."""
 
 import pathlib
 import re
@@ -28,13 +28,8 @@ def test_readme_tucksketch_commands_parse():
     assert len(commands) >= 5
     for argv in commands:
         parser.parse_args(argv)  # a usage error raises
-    # the Hilbert sweep and the sparse per-gamma runs are bench commands
+    # the Hilbert sweep, the sparse per-gamma runs and the image comparison
+    # are bench commands, and the reconstructions come from image-compress
     sources = {argv[argv.index("--source") + 1] for argv in commands if argv[0] == "bench"}
-    assert {"hilbert", "sparse"} <= sources
-
-
-def test_readme_scripts_exist():
-    scripts = [w[1] for w in bash_commands() if w[0] == "python" and w[1].endswith(".py")]
-    assert scripts
-    for script in scripts:
-        assert (ROOT / script).is_file(), script
+    assert {"hilbert", "sparse", "image"} <= sources
+    assert any(argv[0] == "image-compress" for argv in commands)

@@ -3,18 +3,18 @@ import hashlib
 import numpy as np
 import pytest
 
-from tucksketch.rng import RngStream, gaussian_matrix
+from tucksketch.rng import RngStream
 
 
 def test_same_seed_bit_identical():
-    a = gaussian_matrix(RngStream(123), 17, 9)
-    b = gaussian_matrix(RngStream(123), 17, 9)
+    a = RngStream(123).normal(17, 9)
+    b = RngStream(123).normal(17, 9)
     assert np.array_equal(a, b)
 
 
 def test_different_seeds_differ():
-    a = gaussian_matrix(RngStream(1), 8, 8)
-    b = gaussian_matrix(RngStream(2), 8, 8)
+    a = RngStream(1).normal(8, 8)
+    b = RngStream(2).normal(8, 8)
     assert not np.array_equal(a, b)
 
 
@@ -31,9 +31,9 @@ def test_normal_moments():
 
 
 def test_substreams_uncorrelated():
-    base = RngStream(99)
-    a = base.substream(0).normal(10_000)
-    b = base.substream(1).normal(10_000)
+    # two stream ids under one seed
+    a = RngStream(99, 0).normal(10_000)
+    b = RngStream(99, 1).normal(10_000)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.05
     assert not np.array_equal(a, b)
@@ -71,11 +71,6 @@ def test_sequential_draws_advance_state():
     first = s.uniform(10)
     second = s.uniform(10)
     assert not np.array_equal(first, second)
-
-
-def test_gaussian_matrix_validates_shape():
-    with pytest.raises(ValueError):
-        gaussian_matrix(RngStream(0), 0, 3)
 
 
 def test_index_sample_distinct_and_in_range():
