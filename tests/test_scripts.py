@@ -1,24 +1,11 @@
-"""Smoke run of the image experiment script on a tiny input."""
-
-import importlib.util
-import pathlib
-import sys
+"""The README's image experiment on a tiny input: one `bench --source image`
+report plus one `image-compress` reconstruction per algorithm key."""
 
 import numpy as np
-import pytest
 
 from tucksketch.bench import ALGORITHMS, read_csv
+from tucksketch.cli import main
 from tucksketch.imageio import save_image_tensor
-
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
-
-
-def run_script(monkeypatch, name, *args):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [f"{name}.py", *map(str, args)])
-    module.main()
 
 
 def small_image(tmp_path):
@@ -29,13 +16,26 @@ def small_image(tmp_path):
     return src
 
 
-def test_image_experiment(tmp_path, monkeypatch):
+def image_experiment(src, out_dir, ranks, *extra):
+    """Run the README's image experiment; return the first nonzero exit code, or 0."""
+    out_dir.mkdir()
+    code = main(["bench", "--experiment", "image", "--source", "image", "--image", str(src),
+                 "--ranks", ranks, "--trials", "1", *extra,
+                 "--out", str(out_dir / "report.csv")])
+    for key in ALGORITHMS:
+        if code:
+            break
+        code = main(["image-compress", "--in", str(src), "--algo", key, "--ranks", ranks,
+                     *extra, "--out", str(out_dir / f"{key}.ppm")])
+    return code
+
+
+def test_image_experiment(tmp_path):
     src = small_image(tmp_path)
     out_dir = tmp_path / "results"
-    run_script(monkeypatch, "image_experiment", "--image", src, "--ranks", "4x4x3",
-               "--seed", 3, "--out-dir", out_dir)
+    assert image_experiment(src, out_dir, "4x4x3", "--seed", "3") == 0
     rows = read_csv(out_dir / "report.csv")
-    assert [r.algorithm for r in rows] == list(ALGORITHMS.values())
+    assert [r.algorithm for r in rows] == [report for report, _ in ALGORITHMS.values()]
     for key, row in zip(ALGORITHMS, rows):
         assert (out_dir / f"{key}.ppm").is_file()
         assert row.ranks == (4, 4, 3) and row.psnr > 0
@@ -47,12 +47,9 @@ def test_image_experiment(tmp_path, monkeypatch):
         assert (row.q is not None) == (key == "subsketch")
 
 
-def test_image_experiment_rank_above_side_is_a_parameter_error(tmp_path, monkeypatch, capsys):
+def test_image_experiment_rank_above_side_is_a_parameter_error(tmp_path, capsys):
     src = small_image(tmp_path)
     out_dir = tmp_path / "results"
-    with pytest.raises(SystemExit) as exc:
-        run_script(monkeypatch, "image_experiment", "--image", src, "--ranks", "40x4x3",
-                   "--out-dir", out_dir)
-    assert exc.value.code == 3
+    assert image_experiment(src, out_dir, "40x4x3") == 3
     assert capsys.readouterr().err.startswith("parameter error: ")
-    assert not out_dir.exists()
+    assert list(out_dir.iterdir()) == []
