@@ -10,7 +10,6 @@ from .datagen import (
     sparse_lowrank_tensor,
 )
 from .linalg import (
-    orthonormalize,
     rsvd,
     sketch,
     sub_sketch,
@@ -53,7 +52,6 @@ __all__ = [
     "gaussian_tensor",
     "hilbert_tensor",
     "sparse_lowrank_tensor",
-    "orthonormalize",
     "rsvd",
     "sketch",
     "sub_sketch",

@@ -155,8 +155,10 @@ def run_trial(
     ``RngStream(acfg.seed)``. The pipeline is looked up on `tucksketch.tucker`
     at call time, so a wrapper bound to its name there (a tracer, a profiler)
     sees the call. The row reports ``acfg.sketch_sizes`` for the sketch
-    pipelines, ``acfg.power_iters`` for sub-Sketch and ``acfg.seed`` for the
-    randomized pipelines; ``peak`` (if any) adds the PSNR.
+    pipelines (None, a blank column, for the library's l_n = 2 r_n + 1,
+    clamped to I_n as `ApproxConfig.plan` clamps every size),
+    ``acfg.power_iters`` for sub-Sketch and ``acfg.seed`` for the randomized
+    pipelines; ``peak`` (if any) adds the PSNR.
     """
     name, pipeline = ALGORITHMS[key]
     start = time.perf_counter()

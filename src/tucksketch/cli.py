@@ -1,11 +1,12 @@
 """Command-line harness for tensor generation, decomposition, and benchmarks.
 
 Every flag that fills a config field takes its default from that field
-(`ApproxConfig`, `ExperimentConfig`, `SparseGenConfig`), with one exception:
-``--sketch-extra 2`` asks for l_n = r_n + 2 where the library default is
-l_n = 2 r_n + 1 (the README says why). ``decompose`` and ``image-compress``
-run one timed trial through `bench.run_trial`, and ``bench`` runs a sweep;
-the algorithm keys are those of `bench.ALGORITHMS`.
+(`ApproxConfig`, `ExperimentConfig`, `SparseGenConfig`). Without
+``--sketch-extra`` the sketch sizes stay None, so the sketch pipelines run the
+library's l_n = 2 r_n + 1; ``--sketch-extra e`` asks for l_n = r_n + e.
+``decompose`` and ``image-compress`` run one timed trial through
+`bench.run_trial`, and ``bench`` runs a sweep; the algorithm keys are those
+of `bench.ALGORITHMS`.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numerical-parameter
 violation.
@@ -74,11 +75,12 @@ def _load_tensor(path: str) -> np.ndarray:
 
 def _approx_config(args, ranks: tuple[int, ...]) -> ApproxConfig:
     order = None if args.order is None else _parse_ints(args.order, ",", "processing order")
+    extra = args.sketch_extra
     return ApproxConfig(
         target_ranks=ranks,
         processing_order=order,
         oversample=args.oversample,
-        sketch_sizes=tuple(r + args.sketch_extra for r in ranks),
+        sketch_sizes=None if extra is None else tuple(r + extra for r in ranks),
         power_iters=args.q,
         seed=args.seed,
     )
@@ -98,13 +100,16 @@ def _cmd_gen_sparse(args) -> int:
 
 
 def _single_trial(args, load, peak: float | None = None):
-    """Parse the ranks and the one --algo, load --in, and run one timed trial."""
-    ranks = _parse_ints(args.ranks)
+    """Parse the one --algo and the config, then load --in and run one timed trial.
+
+    Every flag is checked before the input is read, so a usage error is
+    reported as one (exit 1) whatever the state of --in.
+    """
     key = _parse_algos(args.algo)
     if len(key) != 1:
         raise _UsageError(f"{args.command} takes exactly one algorithm")
-    x = load(getattr(args, "in"))
-    return run_trial(args.command, key[0], x, _approx_config(args, ranks), peak)
+    cfg = _approx_config(args, _parse_ints(args.ranks))
+    return run_trial(args.command, key[0], load(getattr(args, "in")), cfg, peak)
 
 
 def _cmd_decompose(args) -> int:
@@ -153,15 +158,17 @@ def _cmd_image_compress(args) -> int:
 
 def _add_approx_flags(sub, ranks_help: str = "target ranks, e.g. 10x10x10") -> None:
     sub.add_argument("--ranks", required=True, help=ranks_help)
-    sub.add_argument("--order", default=None, help="processing order, e.g. 1,2,3")
+    sub.add_argument(
+        "--order", default=ApproxConfig.processing_order, help="processing order, e.g. 1,2,3"
+    )
     sub.add_argument("--seed", type=int, default=ApproxConfig.seed)
     sub.add_argument("--oversample", type=int, default=ApproxConfig.oversample)
     sub.add_argument(
         "--sketch-extra",
         dest="sketch_extra",
         type=int,
-        default=2,
-        help="sketch size above the rank: l_n = r_n + this",
+        default=ApproxConfig.sketch_sizes,
+        help="sketch size above the rank: l_n = r_n + this (default l_n = 2 r_n + 1)",
     )
     sub.add_argument(
         "--q", type=int, default=ApproxConfig.power_iters, help="subspace power iterations"

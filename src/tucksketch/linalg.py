@@ -64,11 +64,12 @@ Tropp, Acta Numerica 2020): 64 entries per raw word instead of one
 Box-Muller normal each. When Omega would be square (k equals the column
 count, which ``ApproxConfig.plan``'s clamp produces on small modes), no
 Omega is drawn and Y = A: a square sign matrix is singular for many draws.
-The row test matrix Psi of the sketches stays a Gaussian with orthonormal
-rows. The expected-error bound that ``metrics.bound_oracle`` evaluates is a
-theorem for Gaussian test matrices; for the sign Omega it is an empirical
-check (the acceptance suite's Monte Carlo test measures a mean squared error
-of 4.76 against a bound of 21.3).
+The row test matrix Psi of the sketches stays Gaussian, with its rows
+replaced by the orthonormal Q^T of a Householder QR (``thin_qr``) of its
+transpose. The expected-error bound that ``metrics.bound_oracle`` evaluates
+is a theorem for Gaussian test matrices; for the sign Omega it is an
+empirical check (the acceptance suite's Monte Carlo test measures a mean
+squared error of 4.76 against a bound of 21.3).
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ from .rng import RngStream
 
 __all__ = [
     "thin_qr",
-    "orthonormalize",
     "thin_svd",
     "truncated_svd",
     "rsvd",
@@ -145,16 +145,6 @@ def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.svd(a, full_matrices=False)
 
 
-def orthonormalize(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of range(a); a zero matrix yields an (m, 0) result."""
-    u, s, _ = thin_svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        return u[:, :0]
-    tol = max(a.shape) * np.finfo(np.float64).eps * s[0]
-    rank = int(np.count_nonzero(s > tol))
-    return u[:, :rank]
-
-
 def _canonical_signs(u: np.ndarray, c: np.ndarray | None = None):
     """u with each column flipped so that its entry of largest magnitude is positive.
 
@@ -177,8 +167,10 @@ def _canonical_signs(u: np.ndarray, c: np.ndarray | None = None):
     return u, c
 
 
-# The Gram route runs only when lambda_r > _GRAM_GUARD * lambda_1.
+# The Gram route runs only when lambda_r > _GRAM_GUARD * lambda_1 and
+# lambda_r > _GRAM_FLOOR.
 _GRAM_GUARD = np.sqrt(np.finfo(np.float64).eps)
+_GRAM_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 def _gram_eigh(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -188,8 +180,11 @@ def _gram_eigh(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray] | None:
     lambda_r <= sqrt(eps) lambda_1 (``_GRAM_GUARD``) the rounding of the Gram
     matrix reaches the kept eigenvalues, and a factor built from them would
     lose digits. A Gram matrix that overflows (entries of a finite a above
-    about 1e154) is also None, so the caller takes its QR route, which
-    scales its norms.
+    about 1e154) is also None, and so is one whose lambda_r is at most
+    tiny / eps (``_GRAM_FLOOR``, about 1e-292), where the products that
+    form it are subnormal and carry fewer digits than eps promises (a
+    6 x 56 Gaussian scaled by 1e-160 got a factor off by 2e-4). Then the
+    caller takes its QR route, which scales its norms.
     """
     m = a.shape[0]
     with np.errstate(over="ignore"):
@@ -199,7 +194,7 @@ def _gram_eigh(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray] | None:
     w, v = scipy.linalg.eigh(
         gram, subset_by_index=(m - r, m - 1), overwrite_a=True, check_finite=False
     )
-    if not w[0] > _GRAM_GUARD * w[-1]:
+    if not w[0] > max(_GRAM_GUARD * w[-1], _GRAM_FLOOR):
         return None
     return w[::-1], v[:, ::-1]
 
@@ -355,7 +350,7 @@ def _two_sided_sketch(
     # With k = n, Y = a: a square sign Omega would add nothing but the risk
     # of being singular.
     y = a if k == n else a @ rng.signs(n, k)
-    psi = orthonormalize(rng.normal(l, m).T).T
+    psi = thin_qr(rng.normal(l, m).T)[0].T
     w = psi @ a
     q, _ = thin_qr(y)
     for _ in range(power_iters):
@@ -371,10 +366,13 @@ def sketch(a: np.ndarray, k: int, l: int, rng: RngStream) -> tuple[np.ndarray, n
     not change range(a @ Omega), so q, and q @ xc, are the same up to
     rounding. The row test matrix Psi stays Gaussian and is given
     orthonormal rows, because re-weighting the rows of Psi does change the
-    least-squares solution xc = (Psi @ q)^+ (Psi @ a). The expected-error
-    bound of Tropp, Yurtsever, Udell and Cevher (SIMAX 2017, Thm 4.3) is
-    proved for Gaussian test matrices; with the sign Omega it holds as an
-    empirical check.
+    least-squares solution xc = (Psi @ q)^+ (Psi @ a). A rotation R of
+    orthonormal rows does not, since (R Psi q)^+ R Psi a = (Psi q)^+ Psi a,
+    so the rows are the Q^T of a Householder QR (``thin_qr``) of Psi^T: any
+    orthonormal basis of the row space gives the same xc up to rounding.
+    The expected-error bound of Tropp, Yurtsever, Udell and Cevher (SIMAX
+    2017, Thm 4.3) is proved for Gaussian test matrices; with the sign Omega
+    it holds as an empirical check.
     """
     _check_sketch_params(*a.shape, k, l)
     return _two_sided_sketch(a, k, l, 0, rng)
@@ -385,13 +383,14 @@ def sub_sketch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided sketch with q rounds of subspace power iteration.
 
-    Each round replaces the basis with an orthonormalized A @ (orthonormalized
-    A.T @ Q), damping the contribution of trailing singular directions: the
-    re-orthonormalized power iteration of Halko, Martinsson and Tropp (SIAM
-    Review 2011, Alg. 4.4). The inner basis of range(A.T @ Q) comes from
-    ``_row_basis``: the k x k Gram matrix of Q.T @ A when its spectrum passes
-    the sqrt(eps) guard, and a Householder QR of the n x k (Q.T @ A).T
-    otherwise, so a graded spectrum keeps the Householder step bit for bit.
+    Each round replaces the basis with an orthonormal basis of A @ (an
+    orthonormal basis of A.T @ Q), damping the contribution of trailing
+    singular directions: the randomized subspace iteration of Halko,
+    Martinsson and Tropp (SIAM Review 2011, Alg. 4.4). The inner basis of
+    range(A.T @ Q) comes from ``_row_basis``: the k x k Gram matrix of
+    Q.T @ A when its spectrum passes the sqrt(eps) guard, and a Householder
+    QR of the n x k (Q.T @ A).T otherwise, so a graded spectrum keeps the
+    Householder step bit for bit.
     With q = 0 this is exactly `sketch`, draw for draw.
     """
     if q < 0:

@@ -55,6 +55,7 @@ def spectrum_summary(x: np.ndarray) -> SpectrumSummary:
 # Elements per block of the fused scoring pass: the float64 work buffer
 # (256 KiB) stays in cache while each block is squared and summed.
 _BLOCK = 1 << 15
+_TINY = np.finfo(np.float64).tiny
 
 
 def _sum_squares(
@@ -69,10 +70,13 @@ def _sum_squares(
     by math.fsum, so the result depends only on the values and their layout.
 
     s is 1.0 unless a plain sum of squares is not finite (entries above
-    about 1e154). Then the pass is redone with each block j divided by its
-    largest magnitude s_j, as LAPACK's dnrm2 scales, and adding (s_j / s)**2
-    times its sums, where s is the largest s_j. So inputs of ordinary size
-    cost nothing extra, and a non-finite entry still gives a non-finite sum.
+    about 1e154) or the plain sum of x's squares is below the smallest normal
+    double (entries below about 1e-154, whose squares lose digits or flush to
+    zero). Then the pass is redone with each block j divided by its largest
+    magnitude s_j, as LAPACK's dnrm2 scales, and adding (s_j / s)**2 times
+    its sums, where s is the largest s_j. So inputs of ordinary size cost
+    nothing extra, a zero x costs a second pass with the same result, and a
+    non-finite entry still gives a non-finite sum.
     """
     it = np.nditer(
         [x, xhat],
@@ -103,7 +107,7 @@ def _sum_squares(
         err = math.fsum(e * (s / scale) ** 2 for s, _, e in parts)
     except OverflowError:  # finite block sums whose total overflows
         ref = err = math.inf
-    if scaled or (math.isfinite(ref) and math.isfinite(err)):
+    if scaled or (math.isfinite(ref) and math.isfinite(err) and ref >= _TINY):
         return scale, ref, err
     return _sum_squares(x, xhat, scaled=True)
 
@@ -112,8 +116,8 @@ def relative_error(x: np.ndarray, xhat: np.ndarray) -> float:
     """Frobenius-norm error of xhat relative to x.
 
     Both norms come from one blocked pass of pairwise float64 sums (integer
-    inputs are converted, never wrapped); entries too large to square are
-    scaled block by block. The result is deterministic for a
+    inputs are converted, never wrapped); entries too large or too small to
+    square are scaled block by block. The result is deterministic for a
     given input layout but may differ in the last bits from a ratio of
     sorted-sum `frobenius_norm` values, which alone is bitwise invariant
     under rearranging the entries. A zero x gives 0.0 when xhat is zero too
@@ -144,8 +148,9 @@ def psnr(x: np.ndarray, xhat: np.ndarray, peak: float) -> float:
     mse = err_sq / x.size  # in units of scale**2, as is peak / scale
     if mse == 0.0:
         return math.inf
-    peak /= scale
-    return 10.0 * math.log10(peak * peak / mse)
+    # in logarithms: peak**2, or peak / scale for tiny entries, can leave the
+    # float range
+    return 20.0 * (math.log10(peak) - math.log10(scale)) - 10.0 * math.log10(mse)
 
 
 def tail_energy(sigma: np.ndarray, j: int) -> float:

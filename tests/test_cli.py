@@ -1,11 +1,21 @@
+import argparse
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tucksketch.bench import ALGORITHMS, read_csv
-from tucksketch.cli import main
+from tucksketch.cli import _add_approx_flags, _approx_config, main
+from tucksketch.config import ApproxConfig
 from tucksketch.datagen import hilbert_tensor
 from tucksketch.imageio import load_image_tensor, save_image_tensor
-from tucksketch.tucker import load_model, reconstruct
+from tucksketch.tucker import (
+    load_model,
+    reconstruct,
+    save_model,
+    sketch_sthosvd,
+    sub_sketch_sthosvd,
+)
 
 
 def test_gen_hilbert(tmp_path):
@@ -175,10 +185,13 @@ def test_image_compress_deterministic_row_has_blank_seed(tmp_path, capsys):
     csv_path = tmp_path / "row.csv"
     args = ["image-compress", "--in", str(src), "--seed", "5",
             "--out", str(tmp_path / "out.ppm"), "--csv", str(csv_path)]
-    # the CLI's l_n = r_n + 2 is reported as asked, before any clamp to I_n
-    for ranks, sizes in (("3x3x3", (5, 5, 5)), ("4x4x3", (6, 6, 5))):
+    # --sketch-extra 2's l_n = r_n + 2 is reported as asked, before any clamp
+    # to I_n; without the flag the sizes are the library's, a blank column
+    for ranks, extra, sizes in (("3x3x3", ["--sketch-extra", "2"], (5, 5, 5)),
+                                ("4x4x3", ["--sketch-extra", "2"], (6, 6, 5)),
+                                ("4x4x3", [], None)):
         for key in ALGORITHMS:
-            assert main(args + ["--ranks", ranks, "--algo", key]) == 0
+            assert main(args + extra + ["--ranks", ranks, "--algo", key]) == 0
             seed = "5" if key in ("rsthosvd", "sketch", "subsketch") else ""
             lines = csv_path.read_text().splitlines()
             assert lines[1].split(",")[5] == seed
@@ -189,6 +202,35 @@ def test_image_compress_deterministic_row_has_blank_seed(tmp_path, capsys):
             assert row.q == (1 if key == "subsketch" else None)
 
 
+def test_approx_flag_defaults_are_the_config_defaults():
+    parser = argparse.ArgumentParser()
+    _add_approx_flags(parser)
+    args = parser.parse_args(["--ranks", "2x2"])
+    fields = {"order": "processing_order", "seed": "seed", "oversample": "oversample",
+              "sketch_extra": "sketch_sizes", "q": "power_iters"}
+    assert set(vars(args)) == {"ranks", *fields}
+    defaults = {f.name: f.default for f in dataclasses.fields(ApproxConfig)}
+    for flag, field in fields.items():
+        assert getattr(args, flag) == defaults[field], flag
+    assert args.sketch_extra is None
+    assert _approx_config(args, (2, 2)) == ApproxConfig(target_ranks=(2, 2))
+
+
+def test_image_compress_without_sketch_extra_runs_the_library_sizes(tmp_path):
+    img = np.clip(120 + 40 * np.random.default_rng(4).standard_normal((12, 10, 3)), 0, 255)
+    src, out = tmp_path / "in.ppm", tmp_path / "out.ppm"
+    save_image_tensor(img, src)
+    x = load_image_tensor(src)
+    pipelines = {"sketch": sketch_sthosvd, "subsketch": sub_sketch_sthosvd}
+    for key, pipeline in pipelines.items():
+        for j in (0, 3):
+            cli_model, lib_model = tmp_path / "cli.tuck", tmp_path / "lib.tuck"
+            assert main(["image-compress", "--in", str(src), "--algo", key, "--ranks", "3x3x3",
+                         "--seed", str(j), "--out", str(out), "--model", str(cli_model)]) == 0
+            save_model(pipeline(x, ApproxConfig(target_ranks=(3, 3, 3), seed=j)), lib_model)
+            assert cli_model.read_bytes() == lib_model.read_bytes(), (key, j)
+
+
 def test_usage_error_exit_code(tmp_path):
     assert main(["decompose", "--in", "x.npy", "--algo", "bogus", "--ranks", "2x2"]) == 1
     assert main(["bench", "--source", "hilbert", "--ranks", "2x2"]) == 1  # missing --out
@@ -197,6 +239,10 @@ def test_usage_error_exit_code(tmp_path):
     src = tmp_path / "x.npy"
     np.save(src, hilbert_tensor((4, 4, 4)))
     assert main(["decompose", "--in", str(src), "--algo", "thosvd", "--ranks", "2x2x2",
+                 "--order", "1;2;3"]) == 1
+    # the flags are checked before --in is read
+    missing = str(tmp_path / "missing.npy")
+    assert main(["decompose", "--in", missing, "--algo", "thosvd", "--ranks", "2x2x2",
                  "--order", "1;2;3"]) == 1
 
 
@@ -283,14 +329,12 @@ def test_all_zero_inputs_decompose_exactly(tmp_path, capsys):
         assert load_model(image_model).ranks == (2, 2, 1)
 
 
-@pytest.mark.parametrize("algo", ["thosvd", "rsthosvd"])
-def test_decompose_huge_finite_tensor(tmp_path, capsys, algo):
-    # entries near 1e200 overflow the Gram matrix A A^T and a plain sum of
-    # squares, but not the tensor
+def _assert_decompose_scale_invariant(tmp_path, capsys, algo, scale):
+    """decompose of x * scale prints x's error and saves orthonormal, finite factors."""
     x = np.random.default_rng(19).standard_normal((6, 7, 8))
-    plain, src = tmp_path / "plain.npy", tmp_path / "huge.npy"
+    plain, src = tmp_path / "plain.npy", tmp_path / "scaled.npy"
     np.save(plain, x)
-    np.save(src, x * 1e200)
+    np.save(src, x * scale)
 
     def printed_error(path, *extra):
         args = ["decompose", "--in", str(path), "--algo", algo, "--ranks", "2x2x2", *extra]
@@ -305,3 +349,17 @@ def test_decompose_huge_finite_tensor(tmp_path, capsys, algo):
     model = load_model(model_path)
     assert all(np.allclose(u.T @ u, np.eye(2), atol=1e-12) for u in model.factors)
     assert np.isfinite(reconstruct(model)).all()
+
+
+@pytest.mark.parametrize("algo", ["thosvd", "rsthosvd"])
+def test_decompose_huge_finite_tensor(tmp_path, capsys, algo):
+    # entries near 1e200 overflow the Gram matrix A A^T and a plain sum of
+    # squares, but not the tensor
+    _assert_decompose_scale_invariant(tmp_path, capsys, algo, 1e200)
+
+
+@pytest.mark.parametrize("algo", ["thosvd", "rsthosvd"])
+def test_decompose_tiny_finite_tensor(tmp_path, capsys, algo):
+    # entries near 1e-200 make the Gram matrix A A^T and a plain sum of
+    # squares underflow, but not the tensor
+    _assert_decompose_scale_invariant(tmp_path, capsys, algo, 1e-200)

@@ -13,7 +13,6 @@ from tucksketch.linalg import (
     _min_norm_lstsq,
     _qr_left_factor,
     _row_basis,
-    orthonormalize,
     rsvd,
     sketch,
     sub_sketch,
@@ -126,38 +125,6 @@ def test_linalg_never_calls_scipy_qr(monkeypatch):
     sub_sketch(a, 5, 11, 2, RngStream(10))
     rsvd(a, 5, 3, RngStream(11))
     truncated_svd(np.ones((6, 2)), 4)
-
-
-# ---------------------------------------------------------- orthonormalize
-
-
-def test_orthonormalize_identity():
-    assert np.allclose(np.abs(orthonormalize(np.eye(4))), np.eye(4), atol=1e-12)
-
-
-def test_orthonormalize_single_column():
-    v = np.array([[3.0], [0.0], [4.0]])
-    q = orthonormalize(v)
-    assert q.shape == (3, 1)
-    assert np.allclose(np.abs(q[:, 0]), [0.6, 0.0, 0.8], atol=1e-14)
-
-
-def test_orthonormalize_projector_fixes_range():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((30, 8))
-    q = orthonormalize(a)
-    assert q.shape == (30, 8)
-    assert np.linalg.norm(q.T @ q - np.eye(8)) <= 1e-12
-    assert np.linalg.norm(q @ (q.T @ a) - a) <= 1e-10 * np.linalg.norm(a)
-
-
-def test_orthonormalize_rank_deficient_and_zero():
-    rng = np.random.default_rng(3)
-    basis = rng.standard_normal((10, 3))
-    a = basis @ rng.standard_normal((3, 6))
-    q = orthonormalize(a)
-    assert q.shape == (10, 3)
-    assert orthonormalize(np.zeros((5, 4))).shape == (5, 0)
 
 
 # ----------------------------------------------------------------- thin_svd
@@ -455,7 +422,6 @@ def test_returned_bases_are_orthonormal():
     stream = RngStream(21)
     candidates = [
         thin_qr(a)[0],
-        orthonormalize(a),
         thin_svd(a)[0],
         thin_svd(a)[2].T,
         truncated_svd(a, 7)[0],
@@ -522,12 +488,21 @@ def test_min_norm_lstsq_rank_deficient_falls_back_on_any_layout(layout):
     assert np.allclose(x, expected, atol=1e-10 * np.linalg.norm(expected))
 
 
-def _sketch_with_orthonormal_omega(a, k, l, power_iters, seed):
-    """The two-sided sketch with Omega orthonormalized, from the same draws."""
+def _svd_basis(a):
+    """The left singular vectors of a full-rank a: an orthonormal basis of range(a)."""
+    return np.linalg.svd(a, full_matrices=False)[0]
+
+
+def _sketch_with_orthonormal_omega(a, k, l, power_iters, seed, psi_basis=_svd_basis):
+    """The two-sided sketch with Omega orthonormalized by an SVD, from the same draws.
+
+    Psi's rows are psi_basis of the transposed Gaussian draw: by default its
+    left singular vectors, a basis other than the library's Householder Q.
+    """
     m, n = a.shape
     rng = RngStream(seed)
-    omega = orthonormalize(rng.signs(n, k))
-    psi = orthonormalize(rng.normal(l, m).T).T
+    omega = _svd_basis(rng.signs(n, k))
+    psi = psi_basis(rng.normal(l, m).T).T
     q = np.linalg.qr(a @ omega)[0]
     for _ in range(power_iters):
         q = np.linalg.qr(a @ np.linalg.qr(a.T @ q)[0])[0]
@@ -546,6 +521,24 @@ def test_sketch_does_not_depend_on_the_basis_of_omega(power_iters):
     )
     expected = _sketch_with_orthonormal_omega(a, k, l, power_iters, seed)
     assert np.linalg.norm(q @ xc - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("power_iters", [0, 1])
+def test_sketch_does_not_depend_on_the_basis_of_psi(power_iters):
+    # the Householder rows of Psi are a rotation of its singular-vector rows,
+    # and X_c = (Psi Q)^+ Psi A does not see a rotation of orthonormal rows
+    a = matrix_with_spectrum(60, 45, 1.0 / np.arange(1, 46), seed=47)
+    k, l, seed = 6, 13, 48
+    by_svd = _sketch_with_orthonormal_omega(a, k, l, power_iters, seed)
+    by_qr = _sketch_with_orthonormal_omega(
+        a, k, l, power_iters, seed, psi_basis=lambda g: thin_qr(g)[0]
+    )
+    assert np.linalg.norm(by_qr - by_svd) <= 1e-12 * np.linalg.norm(by_svd)
+    # the two bases differ: the test compares two rotations, not one matrix twice
+    rng = RngStream(seed)
+    rng.signs(a.shape[1], k)
+    g = rng.normal(l, a.shape[0]).T
+    assert not np.allclose(np.abs(thin_qr(g)[0]), np.abs(_svd_basis(g)))
 
 
 # ---------------------------------------------------------------- left factor
@@ -643,6 +636,16 @@ def test_left_factor_layouts_and_input_untouched(layout, route):
     assert scipy.linalg.svdvals(ref.T @ u).min() >= 1 - 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-200, 1e-250, 1e-300])
+def test_left_factor_of_tiny_entries_takes_no_subnormal_gram_matrix(scale):
+    # below lambda_r = tiny / eps the products that form A A^T are subnormal
+    # and lose digits; the R-only QR route scales its norms instead
+    a = np.random.default_rng(56).standard_normal((6, 56))
+    assert _gram_eigh(a, 3) is not None
+    assert _gram_eigh(a * scale, 3) is None
+    assert np.max(np.abs(_left_factor(a * scale, 3) - _left_factor(a, 3))) <= 1e-13
+
+
 def test_left_factor_tall_keeps_truncated_svd():
     a = np.random.default_rng(55).standard_normal((30, 4))
     assert np.array_equal(_left_factor(a, 3), _canonical_signs(truncated_svd(a, 3)[0]))
@@ -676,7 +679,7 @@ def _householder_sub_sketch(a, k, l, power_iters, seed):
     m, n = a.shape
     rng = RngStream(seed)
     omega = rng.signs(n, k)
-    psi = orthonormalize(rng.normal(l, m).T).T
+    psi = thin_qr(rng.normal(l, m).T)[0].T
     w = psi @ a
     q, _ = thin_qr(a @ omega)
     for _ in range(power_iters):

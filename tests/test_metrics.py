@@ -149,6 +149,28 @@ def test_scores_of_huge_finite_entries(shape, graded, scale):
     assert psnr(x * scale, xhat * scale, 2.0 * scale) == pytest.approx(quality, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+def test_scores_of_tiny_finite_entries(shape, graded, scale):
+    # entries below about 1e-154 square to subnormals or zero; the scores
+    # must not notice
+    x, xhat = _pair(shape, "mixed", seed=3)
+    if graded:  # blocks whose magnitudes differ by 150 orders
+        big = np.arange(x.size).reshape(x.shape) >= x.size // 2
+        x = np.where(big, 1e150 * x, x)
+        xhat = np.asfortranarray(np.where(big, 1e150 * xhat, xhat))
+    err, quality = relative_error(x, xhat), psnr(x, xhat, 2.0)
+    assert np.isfinite(err) and np.isfinite(quality)
+    assert relative_error(x * scale, xhat * scale) == pytest.approx(err, rel=1e-12)
+    assert psnr(x * scale, xhat * scale, 2.0 * scale) == pytest.approx(quality, rel=1e-12)
+    # a peak of ordinary size over tiny entries: a finite PSNR, shifted by the scale
+    assert psnr(x * scale, xhat * scale, 2.0) == pytest.approx(
+        quality - 20.0 * math.log10(scale), rel=1e-12
+    )
+
+
 # ------------------------------------------------------------- tail energies
 
 

@@ -402,11 +402,8 @@ def test_default_sketch_sizes_run_clamped(name):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("scale", [1e160, 1e200])
-@pytest.mark.parametrize("name", list(PIPELINES))
-def test_huge_finite_entries_overflow_no_gram_matrix(name, scale):
-    # A A^T of every unfolding overflows to inf; the factor steps must take
-    # their QR routes instead of reading eigenpairs of an inf matrix
+def _assert_scale_invariant(name, scale):
+    """The pipeline on x * scale, without a warning, is its model of x scaled."""
     x = random_tucker_tensor((6, 7, 8), (2, 2, 2), seed=16)
     x += 1e-3 * np.sqrt(np.mean(x**2)) * np.random.default_rng(17).standard_normal(x.shape)
     cfg = ApproxConfig(target_ranks=(2, 2, 2))
@@ -422,6 +419,22 @@ def test_huge_finite_entries_overflow_no_gram_matrix(name, scale):
     # route unscaled, which rotates it within the same range
     rel = 1e-6 if name == "sub_sketch_sthosvd" else 1e-10
     assert relative_error(x, approx) == pytest.approx(relative_error(x, unscaled), rel=rel)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+@pytest.mark.parametrize("name", list(PIPELINES))
+def test_huge_finite_entries_overflow_no_gram_matrix(name, scale):
+    # A A^T of every unfolding overflows to inf; the factor steps must take
+    # their QR routes instead of reading eigenpairs of an inf matrix
+    _assert_scale_invariant(name, scale)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-200, 1e-250, 1e-300])
+@pytest.mark.parametrize("name", list(PIPELINES))
+def test_tiny_finite_entries_take_no_subnormal_gram_matrix(name, scale):
+    # A A^T of every unfolding is subnormal, or nearly so; the factor steps
+    # must take their QR routes instead of eigenpairs that lost their digits
+    _assert_scale_invariant(name, scale)
 
 
 def test_r_sthosvd_with_clamped_oversampling_matches_sthosvd():
