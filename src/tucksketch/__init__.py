@@ -1,84 +1,19 @@
 """Sketch-accelerated low-rank Tucker approximation of dense tensors."""
 
-from .config import ApproxConfig
-from .datagen import (
-    SparseGenConfig,
-    add_awgn,
-    add_scaled_noise,
-    gaussian_tensor,
-    hilbert_tensor,
-    sparse_lowrank_tensor,
-)
-from .linalg import (
-    rsvd,
-    sketch,
-    sub_sketch,
-    thin_qr,
-    thin_svd,
-    truncated_svd,
-)
-from .metrics import (
-    BoundReport,
-    SpectrumSummary,
-    bound_oracle,
-    f_factor,
-    mode_tail_delta,
-    psnr,
-    relative_error,
-    spectrum_summary,
-    tail_energy,
-)
-from .rng import RngStream
-from .tensor import fold, frobenius_norm, mode_n_product, unfold
-from .tucker import (
-    TuckerModel,
-    load_model,
-    r_sthosvd,
-    reconstruct,
-    save_model,
-    sketch_sthosvd,
-    sthosvd,
-    sub_sketch_sthosvd,
-    thosvd,
-)
+from . import config, datagen, linalg, metrics, rng, tensor, tucker
+from .config import *
+from .datagen import *
+from .linalg import *
+from .metrics import *
+from .rng import *
+from .tensor import *
+from .tucker import *
 
 __version__ = "0.1.0"
 
+# every module's public names, in import order; the root declares none of its own
 __all__ = [
-    "ApproxConfig",
-    "SparseGenConfig",
-    "add_awgn",
-    "add_scaled_noise",
-    "gaussian_tensor",
-    "hilbert_tensor",
-    "sparse_lowrank_tensor",
-    "rsvd",
-    "sketch",
-    "sub_sketch",
-    "thin_qr",
-    "thin_svd",
-    "truncated_svd",
-    "BoundReport",
-    "SpectrumSummary",
-    "bound_oracle",
-    "f_factor",
-    "mode_tail_delta",
-    "psnr",
-    "relative_error",
-    "spectrum_summary",
-    "tail_energy",
-    "RngStream",
-    "fold",
-    "frobenius_norm",
-    "mode_n_product",
-    "unfold",
-    "TuckerModel",
-    "load_model",
-    "r_sthosvd",
-    "reconstruct",
-    "save_model",
-    "sketch_sthosvd",
-    "sthosvd",
-    "sub_sketch_sthosvd",
-    "thosvd",
+    name
+    for module in (config, datagen, linalg, metrics, rng, tensor, tucker)
+    for name in module.__all__
 ]

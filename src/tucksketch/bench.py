@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -56,21 +56,10 @@ _SKETCHED = {"sketch", "subsketch"}
 # pipeline streams so the data never shares draws with the algorithms.
 _GENERATION_STREAM = 1 << 32
 
-CSV_HEADER = [
-    "experiment",
-    "algorithm",
-    "ranks",
-    "sketch_sizes",
-    "q",
-    "seed",
-    "rel_error",
-    "psnr",
-    "wall_ms",
-]
-
-
 @dataclass
 class BenchRow:
+    """One report row; its fields, in order, are the CSV columns."""
+
     experiment: str
     algorithm: str
     ranks: tuple[int, ...]
@@ -80,6 +69,9 @@ class BenchRow:
     rel_error: float
     psnr: float | None
     wall_ms: float
+
+
+CSV_HEADER = [f.name for f in fields(BenchRow)]
 
 
 @dataclass(frozen=True)
@@ -124,16 +116,20 @@ class ExperimentConfig:
 
 
 def build_source_tensor(cfg: ExperimentConfig) -> tuple[np.ndarray, float | None]:
-    """Materialize the experiment tensor; returns (tensor, PSNR peak or None)."""
+    """Materialize the experiment tensor; returns (tensor, PSNR peak or None).
+
+    Every generator and noise model draws from one stream keyed by
+    ``base_seed`` and ``_GENERATION_STREAM``. So ``bench --source sparse
+    --seed s`` does not build the same tensor as ``gen-sparse --seed s``,
+    which draws from ``RngStream(s)``.
+    """
     gen_rng = RngStream(cfg.base_seed, stream=_GENERATION_STREAM)
     if cfg.source == "hilbert":
         x, peak = hilbert_tensor(cfg.dims), None
     elif cfg.source == "sparse":
         if len(set(cfg.dims)) != 1 or len(cfg.dims) != 3:
             raise ValueError("sparse source requires cubic dims n x n x n")
-        sparse_cfg = SparseGenConfig(
-            n=cfg.dims[0], gamma=cfg.gamma, density=cfg.density, seed=cfg.base_seed
-        )
+        sparse_cfg = SparseGenConfig(n=cfg.dims[0], gamma=cfg.gamma, density=cfg.density)
         x, peak = sparse_lowrank_tensor(sparse_cfg, gen_rng), None
     elif cfg.source == "gaussian":
         x, peak = gaussian_tensor(cfg.dims, gen_rng), None
@@ -212,16 +208,25 @@ def _mean_row(trials: list[BenchRow]) -> BenchRow:
     )
 
 
-def _fmt_ranks(ranks: tuple[int, ...] | None) -> str:
-    return "" if ranks is None else "x".join(str(r) for r in ranks)
-
-
-def _fmt_float(v: float | None) -> str:
-    if v is None:
+def _format(value) -> str:
+    """One CSV cell: blank for None, x-joined integers, six-digit scientific floats."""
+    if value is None:
         return ""
-    if math.isinf(v):
-        return "inf"
-    return f"{v:.6e}"
+    if isinstance(value, tuple):
+        return "x".join(str(v) for v in value)
+    if isinstance(value, float):
+        return "inf" if math.isinf(value) else f"{value:.6e}"
+    return str(value)
+
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split("x"))
+
+
+# column -> parser of a nonblank cell (a blank cell reads as None); the
+# other columns are text as written. float() reads write_csv's "inf".
+_PARSERS = {"ranks": _parse_ints, "sketch_sizes": _parse_ints, "q": int, "seed": int}
+_PARSERS.update(dict.fromkeys(["rel_error", "psnr", "wall_ms"], float))
 
 
 def write_csv(rows: list[BenchRow], path) -> None:
@@ -230,29 +235,13 @@ def write_csv(rows: list[BenchRow], path) -> None:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
         for row in rows:
-            writer.writerow(
-                [
-                    row.experiment,
-                    row.algorithm,
-                    _fmt_ranks(row.ranks),
-                    _fmt_ranks(row.sketch_sizes),
-                    "" if row.q is None else str(row.q),
-                    "" if row.seed is None else str(row.seed),
-                    _fmt_float(row.rel_error),
-                    _fmt_float(row.psnr),
-                    _fmt_float(row.wall_ms),
-                ]
-            )
+            writer.writerow([_format(getattr(row, name)) for name in CSV_HEADER])
 
 
-def _parse_ranks(text: str) -> tuple[int, ...] | None:
-    return tuple(int(t) for t in text.split("x")) if text else None
-
-
-def _parse_float(text: str) -> float | None:
-    if not text:
-        return None
-    return math.inf if text == "inf" else float(text)
+def _parse_cell(name: str, text: str):
+    if name not in _PARSERS:
+        return text
+    return _PARSERS[name](text) if text else None
 
 
 def read_csv(path) -> list[BenchRow]:
@@ -262,20 +251,7 @@ def read_csv(path) -> list[BenchRow]:
         header = next(reader)
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header}")
-        rows = []
-        for rec in reader:
-            experiment, algorithm, ranks, sizes, q, seed, err, snr, wall = rec
-            rows.append(
-                BenchRow(
-                    experiment=experiment,
-                    algorithm=algorithm,
-                    ranks=_parse_ranks(ranks),
-                    sketch_sizes=_parse_ranks(sizes),
-                    q=int(q) if q else None,
-                    seed=int(seed) if seed else None,
-                    rel_error=_parse_float(err),
-                    psnr=_parse_float(snr),
-                    wall_ms=_parse_float(wall),
-                )
-            )
-    return rows
+        return [
+            BenchRow(*(_parse_cell(name, text) for name, text in zip(CSV_HEADER, rec, strict=True)))
+            for rec in reader
+        ]

@@ -42,10 +42,7 @@ THOSVD's error by 4e-5 relative. Two kernels use it:
 
 So a randomized mode costs its GEMMs over A plus factorizations of k x k
 matrices; on a separated spectrum no n x k matrix is factored. STHOSVD stays
-on ``truncated_svd``: on the acceptance suite's speed-ordering tensor (one
-BLAS thread) a Gram-route STHOSVD took 0.086 s against Sketch-STHOSVD's
-0.114 s, where the paper's claim (criterion 6) needs Sketch at most half of
-STHOSVD, and no sketch kernel change listed in the roadmap reaches 0.5x.
+on ``truncated_svd``; the README says why.
 
 The randomized kernels are the interesting part:
 
@@ -61,9 +58,10 @@ The column test matrix Omega is a matrix of random signs drawn from raw
 Philox bits (``RngStream.signs``), the standard drop-in for a Gaussian one
 (Halko, Martinsson and Tropp, SIAM Review 2011, section 4.6; Martinsson and
 Tropp, Acta Numerica 2020): 64 entries per raw word instead of one
-Box-Muller normal each. When Omega would be square (k equals the column
-count, which ``ApproxConfig.plan``'s clamp produces on small modes), no
-Omega is drawn and Y = A: a square sign matrix is singular for many draws.
+Box-Muller normal each. ``rsvd`` and the sketches take their range basis
+from one helper, ``_range_basis``, which draws no Omega when it would be
+square (k equals the column count, which ``ApproxConfig.plan``'s clamp
+produces on small modes).
 The row test matrix Psi of the sketches stays Gaussian, with its rows
 replaced by the orthonormal Q^T of a Householder QR (``thin_qr``) of its
 transpose. The expected-error bound that ``metrics.bound_oracle`` evaluates
@@ -280,6 +278,19 @@ def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return _complete_basis(u, extra), np.vstack([c, np.zeros((extra, n))])
 
 
+def _range_basis(a: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
+    """Orthonormal basis Q of range(a @ Omega) for a k-column random-sign Omega.
+
+    Omega is used raw: orthonormalizing it would not change the range. When
+    k equals the column count n, Q is taken from a itself and no Omega is
+    drawn: any invertible Omega leaves range(a @ Omega) = range(a), but a
+    square sign matrix is often singular (66% of all 4 x 4 sign matrices
+    are).
+    """
+    n = a.shape[1]
+    return thin_qr(a if k == n else a @ rng.signs(n, k))[0]
+
+
 def rsvd(a: np.ndarray, r: int, p: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Randomized rank-r SVD with oversampling p, as the pair (u, diag(s) @ vt).
 
@@ -289,10 +300,7 @@ def rsvd(a: np.ndarray, r: int, p: int, rng: RngStream) -> tuple[np.ndarray, np.
     projection B = Q^T a from ``_left_factor``: ``eigh`` of the k x k Gram
     matrix B B^T, or an R-only QR of B^T when the spectrum fails the guard.
     Neither forms the n x k right factor. The pair is (Q U_b, U_b^T B), whose
-    C = U_b^T B equals diag(s) @ vt up to rounding. When k equals the column
-    count n, Q is taken from a itself and no Omega is drawn: any invertible
-    Omega leaves range(a @ Omega) = range(a), but a square sign matrix is
-    often singular (66% of all 4 x 4 sign matrices are).
+    C = U_b^T B equals diag(s) @ vt up to rounding.
     """
     m, n = a.shape
     if r < 1:
@@ -303,8 +311,7 @@ def rsvd(a: np.ndarray, r: int, p: int, rng: RngStream) -> tuple[np.ndarray, np.
         raise ValueError(
             f"rank {r} plus oversampling {p} exceeds min(m, n) = {min(m, n)}"
         )
-    k = r + p
-    q, _ = thin_qr(a if k == n else a @ rng.signs(n, k))
+    q = _range_basis(a, r + p, rng)
     b = q.T @ a
     u = _left_factor(b, r)
     return q @ u, u.T @ b
@@ -345,14 +352,10 @@ def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _two_sided_sketch(
     a: np.ndarray, k: int, l: int, power_iters: int, rng: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    m, n = a.shape
-    # Omega is used raw and Psi gets orthonormal rows; `sketch` says why.
-    # With k = n, Y = a: a square sign Omega would add nothing but the risk
-    # of being singular.
-    y = a if k == n else a @ rng.signs(n, k)
-    psi = thin_qr(rng.normal(l, m).T)[0].T
+    # Omega is drawn before Psi; Psi gets orthonormal rows, `sketch` says why.
+    q = _range_basis(a, k, rng)
+    psi = thin_qr(rng.normal(l, a.shape[0]).T)[0].T
     w = psi @ a
-    q, _ = thin_qr(y)
     for _ in range(power_iters):
         q, _ = thin_qr(a @ _row_basis(q.T @ a))
     return q, _min_norm_lstsq(psi @ q, w)

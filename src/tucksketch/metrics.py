@@ -56,6 +56,10 @@ def spectrum_summary(x: np.ndarray) -> SpectrumSummary:
 # (256 KiB) stays in cache while each block is squared and summed.
 _BLOCK = 1 << 15
 _TINY = np.finfo(np.float64).tiny
+# An error sum below _TINY is redone scaled when the reference sum is below
+# this: above it, the true relative error is under sqrt(size + 1) * eps
+# whatever the squares that underflowed.
+_UNDERFLOW_REF = _TINY / np.finfo(np.float64).eps ** 2
 
 
 def _sum_squares(
@@ -70,13 +74,17 @@ def _sum_squares(
     by math.fsum, so the result depends only on the values and their layout.
 
     s is 1.0 unless a plain sum of squares is not finite (entries above
-    about 1e154) or the plain sum of x's squares is below the smallest normal
-    double (entries below about 1e-154, whose squares lose digits or flush to
-    zero). Then the pass is redone with each block j divided by its largest
-    magnitude s_j, as LAPACK's dnrm2 scales, and adding (s_j / s)**2 times
-    its sums, where s is the largest s_j. So inputs of ordinary size cost
-    nothing extra, a zero x costs a second pass with the same result, and a
-    non-finite entry still gives a non-finite sum.
+    about 1e154), or the plain sum of x's squares is below the smallest
+    normal double (entries below about 1e-154, whose squares lose digits or
+    flush to zero), or the error's sum is below it while x's sum is below
+    tiny / eps**2 (``_UNDERFLOW_REF``, about 4.5e-277), so that nonzero
+    differences may have squared to subnormals or to zero. Then the pass is
+    redone with each block j divided by the power of two s_j at or below its
+    largest magnitude, as LAPACK's dnrm2 scales, and adding (s_j / s)**2
+    times its sums, where s is the largest s_j. So inputs of ordinary size
+    cost nothing extra, a zero x, or an exact match of a small one, costs a
+    second pass with the same result, and a non-finite entry still gives a
+    non-finite sum.
     """
     it = np.nditer(
         [x, xhat],
@@ -94,7 +102,10 @@ def _sum_squares(
             if scaled:
                 peak = float(np.maximum(np.abs(a).max(), np.abs(b).max()))
                 if 0.0 < peak < math.inf:
-                    s, a, b = peak, a / peak, b / peak
+                    # a power of two, so a / s and b / s, and their
+                    # difference, are exact
+                    s = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+                    a, b = a / s, b / s
             d = buf[: a.size]
             np.square(a, out=d)
             ref_part = float(np.sum(d))
@@ -107,7 +118,8 @@ def _sum_squares(
         err = math.fsum(e * (s / scale) ** 2 for s, _, e in parts)
     except OverflowError:  # finite block sums whose total overflows
         ref = err = math.inf
-    if scaled or (math.isfinite(ref) and math.isfinite(err) and ref >= _TINY):
+    normal = math.isfinite(ref) and math.isfinite(err) and ref >= _TINY
+    if scaled or (normal and (err >= _TINY or ref >= _UNDERFLOW_REF)):
         return scale, ref, err
     return _sum_squares(x, xhat, scaled=True)
 

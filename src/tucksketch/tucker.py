@@ -21,9 +21,13 @@ C (r_n x the unfolding's columns). The loop then fixes the signs, in one
 place: every column of U_n whose largest-magnitude entry is negative is
 negated, with the matching row of C (Bro, Acar and Kolda, J. Chemometrics
 2008). So the next mode's random draws act on a core that does not carry
-LAPACK's arbitrary signs, and a kernel swap that only moves rounding or
-signs leaves the model alone. The loop folds C back into a core whose mode
-n now has size r_n. ``thosvd`` factors the unshrunk unfoldings and needs no
+LAPACK's arbitrary signs, and a swap of SVD kernels that only moves
+rounding or signs leaves the model alone up to rounding. A sketch step's
+U_n is a basis Q of the sketched range, not singular vectors: its rotation
+depends on the route that built it (the Gram and Householder routes of
+``linalg._row_basis`` differ), and the next mode's draws act on the rotated
+core, so a swap there moves the model. The loop folds C back into a core
+whose mode n now has size r_n. ``thosvd`` factors the unshrunk unfoldings and needs no
 core per mode, so it keeps its own loop, and it needs only U of each:
 ``linalg._left_factor`` takes it from ``eigh`` of the Gram matrix A A^T
 when the spectrum passes a sqrt(eps) guard, and from an R-only QR
@@ -34,11 +38,8 @@ sub-Sketch's power step takes its basis of range(A^T Q) from ``eigh`` of a
 k x k Gram matrix, keeping the Householder QR for spectra that fail the
 guard. So R-STHOSVD and sub-Sketch-STHOSVD cost a few GEMMs over each
 unfolding plus k x k factorizations wherever the guard passes, as the paper
-counts them. ``sthosvd`` keeps the full truncated SVD for now. On the
-acceptance suite's speed-ordering tensor (one BLAS thread) a Gram-route
-STHOSVD prototype took 0.086 s against Sketch-STHOSVD's 0.114 s, so
-criterion 6 (Sketch at most half of STHOSVD) would fail, and no sketch
-kernel change listed in the roadmap reaches that 0.5x.
+counts them. ``sthosvd`` keeps the full truncated SVD for now; the README
+says why.
 
 The randomized pipelines draw from ``RngStream(cfg.seed)`` when no rng is
 passed. The command line and the bench reach the pipelines by name through
@@ -61,7 +62,6 @@ from .tensor import as_tensor, fold, mode_n_product, unfold
 
 __all__ = [
     "TuckerModel",
-    "ApproxConfig",
     "thosvd",
     "sthosvd",
     "r_sthosvd",

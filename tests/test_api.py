@@ -24,6 +24,18 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+def test_package_exports_its_modules_public_names():
+    # the root declares no name of its own: its __all__ is the library
+    # modules' lists, in import order
+    library = ["config", "datagen", "linalg", "metrics", "rng", "tensor", "tucker"]
+    expected = [
+        name for m in library for name in importlib.import_module(f"tucksketch.{m}").__all__
+    ]
+    assert tucksketch.__all__ == expected
+    assert len(expected) == len(set(expected))
+    assert all(hasattr(tucksketch, name) for name in expected)
+
+
 def load_layertrace():
     spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)

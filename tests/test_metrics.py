@@ -171,6 +171,19 @@ def test_scores_of_tiny_finite_entries(shape, graded, scale):
     )
 
 
+@pytest.mark.parametrize("exponent, gap", [(-505, 1e-9), (-498, 1e-13)])
+def test_scores_of_errors_that_square_below_tiny(exponent, gap):
+    # x's squares stay normal while the differences' squares are subnormal
+    # (2^-505, about 2e-152) or flush to zero (2^-498 with a gap of 1e-13);
+    # a power of two scales every entry and difference exactly
+    x = np.random.default_rng(0).standard_normal(1000)
+    xhat = x + gap * np.random.default_rng(1).standard_normal(1000)
+    scale = 2.0**exponent
+    err, quality = relative_error(x, xhat), psnr(x, xhat, 2.0)
+    assert relative_error(x * scale, xhat * scale) == pytest.approx(err, rel=1e-12, abs=0)
+    assert psnr(x * scale, xhat * scale, 2.0 * scale) == pytest.approx(quality, rel=1e-12, abs=0)
+
+
 # ------------------------------------------------------------- tail energies
 
 
