@@ -3,13 +3,13 @@
 `ALGORITHMS` is the one table of algorithm keys (``thosvd``, ``sthosvd``,
 ``rsthosvd``, ``sketch``, ``subsketch``): each key maps to its report name
 and to the name of its pipeline function in `tucksketch.tucker`. An
-`ExperimentConfig` names the data (source, dims, noise, ``base_seed``) and
-carries one `ApproxConfig` per rank set, which fixes everything the pipelines
-see. Rows record relative error, PSNR (image experiments only), and the wall
-time of the decomposition call alone; tensor generation and metric evaluation
-sit outside the timed region. Trial j runs with seed = config seed XOR j, so
-error columns are reproducible run to run while timings vary; ``base_seed``
-only seeds the data generation.
+`ExperimentConfig` names the data (one of `SOURCES`, dims, noise,
+``base_seed``) and carries one `ApproxConfig` per rank set, which fixes
+everything the pipelines see. Rows record relative error, PSNR (image
+experiments only), and the wall time of the decomposition call alone; tensor
+generation and metric evaluation sit outside the timed region. Trial j runs
+with seed = config seed XOR j, so error columns are reproducible run to run
+while timings vary; ``base_seed`` only seeds the data generation.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .tucker import TuckerModel, reconstruct
 
 __all__ = [
     "ALGORITHMS",
+    "SOURCES",
+    "AGGREGATES",
     "CSV_HEADER",
     "BenchRow",
     "ExperimentConfig",
@@ -48,6 +50,10 @@ ALGORITHMS = {
     "sketch": ("Sketch-STHOSVD", "sketch_sthosvd"),
     "subsketch": ("sub-Sketch-STHOSVD", "sub_sketch_sthosvd"),
 }
+
+# the data sources an experiment can name, and how it may merge its trials
+SOURCES = ("hilbert", "sparse", "gaussian", "image")
+AGGREGATES = ("none", "mean")
 
 _RANDOMIZED = {"rsthosvd", "sketch", "subsketch"}
 _SKETCHED = {"sketch", "subsketch"}
@@ -79,7 +85,7 @@ class ExperimentConfig:
     """Descriptor for one benchmark sweep: the data, and one ApproxConfig per rank set."""
 
     experiment: str
-    source: str  # hilbert | sparse | gaussian | image
+    source: str  # one of SOURCES
     algorithms: tuple[str, ...]
     approx: tuple[ApproxConfig, ...]
     dims: tuple[int, ...] | None = None
@@ -90,10 +96,10 @@ class ExperimentConfig:
     density: float = SparseGenConfig.density
     delta: float | None = None
     snr_db: float | None = None
-    aggregate: str = "none"  # none | mean
+    aggregate: str = "none"  # one of AGGREGATES
 
     def __post_init__(self):
-        if self.source not in ("hilbert", "sparse", "gaussian", "image"):
+        if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
         for key in self.algorithms:
             if key not in ALGORITHMS:
@@ -102,7 +108,7 @@ class ExperimentConfig:
             raise ValueError("at least one ApproxConfig is required")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.aggregate not in ("none", "mean"):
+        if self.aggregate not in AGGREGATES:
             raise ValueError(f"unknown aggregate mode {self.aggregate!r}")
         if self.source == "image":
             if self.image_path is None:
@@ -248,7 +254,7 @@ def read_csv(path) -> list[BenchRow]:
     """Parse a file written by write_csv back into its rows."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)  # None for an empty file
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header}")
         return [

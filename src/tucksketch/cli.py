@@ -20,7 +20,7 @@ import zipfile
 
 import numpy as np
 
-from .bench import ALGORITHMS, ExperimentConfig, run_bench, run_trial, write_csv
+from .bench import AGGREGATES, ALGORITHMS, SOURCES, ExperimentConfig, run_bench, run_trial, write_csv
 from .config import ApproxConfig
 from .datagen import SparseGenConfig, hilbert_tensor, sparse_lowrank_tensor
 from .imageio import ImageFormatError, load_image_tensor, save_image_tensor
@@ -201,7 +201,7 @@ def _build_parser() -> _Parser:
 
     ben = subs.add_parser("bench", help="run a sweep and write a CSV report")
     ben.add_argument("--experiment", default="bench")
-    ben.add_argument("--source", required=True, choices=["hilbert", "sparse", "gaussian", "image"])
+    ben.add_argument("--source", required=True, choices=SOURCES)
     ben.add_argument("--dims", default=None, help="e.g. 100x100x100")
     ben.add_argument("--image", default=None, help="PPM/PGM path for source=image")
     ben.add_argument("--algo", default="all", help="all or comma list")
@@ -211,7 +211,7 @@ def _build_parser() -> _Parser:
     ben.add_argument("--density", type=float, default=ExperimentConfig.density)
     ben.add_argument("--delta", type=float, default=None, help="additive noise scale")
     ben.add_argument("--snr", type=float, default=None, help="white-noise SNR in dB")
-    ben.add_argument("--aggregate", choices=["none", "mean"], default=ExperimentConfig.aggregate)
+    ben.add_argument("--aggregate", choices=AGGREGATES, default=ExperimentConfig.aggregate)
     ben.add_argument("--out", required=True)
     ben.set_defaults(func=_cmd_bench)
 

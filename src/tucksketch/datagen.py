@@ -1,4 +1,9 @@
-"""Generators for the experiment tensor families and the two noise models."""
+"""Generators for the experiment tensor families and the two noise models.
+
+Every generator returns a column-major tensor, the layout that
+`tensor.unfold` reads without a copy in modes 1 and N, and the noise models
+keep the layout of their input.
+"""
 
 from __future__ import annotations
 
@@ -53,12 +58,18 @@ class SparseGenConfig:
 
 
 def hilbert_tensor(dims) -> np.ndarray:
-    """Entry (i_1, ..., i_N) is 1 / (i_1 + ... + i_N) with 1-based indices."""
+    """Entry (i_1, ..., i_N) is 1 / (i_1 + ... + i_N) with 1-based indices.
+
+    The tensor is built column-major: the index sums are formed over the
+    reversed dims in row-major order and transposed. Sums of small integers
+    are exact, so every entry is the correctly rounded reciprocal.
+    """
     dims = tuple(int(d) for d in dims)
     if len(dims) == 0 or any(d < 1 for d in dims):
         raise ValueError("dims must be a nonempty tuple of positive integers")
-    grids = np.ix_(*(np.arange(1, d + 1, dtype=np.float64) for d in dims))
-    return 1.0 / reduce(np.add, grids)
+    grids = np.ix_(*(np.arange(1, d + 1, dtype=np.float64) for d in reversed(dims)))
+    sums = reduce(np.add, grids)
+    return np.divide(1.0, sums, out=sums).T
 
 
 def term_weights(cfg: SparseGenConfig) -> np.ndarray:
@@ -81,8 +92,8 @@ def sparse_factor_vectors(cfg: SparseGenConfig, rng: RngStream) -> tuple[np.ndar
 
 
 def outer_sum_3(weights: np.ndarray, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Weighted sum of three-way outer products: sum_t w_t x_t o y_t o z_t."""
-    return np.einsum("ti,tj,tk->ijk", weights[:, None] * xs, ys, zs, optimize=True)
+    """Weighted sum of three-way outer products: sum_t w_t x_t o y_t o z_t, column-major."""
+    return np.einsum("ti,tj,tk->ijk", weights[:, None] * xs, ys, zs, optimize=True, order="F")
 
 
 def sparse_lowrank_tensor(cfg: SparseGenConfig, rng: RngStream | None = None) -> np.ndarray:
@@ -106,7 +117,7 @@ def add_scaled_noise(x: np.ndarray, delta: float, rng: RngStream) -> np.ndarray:
     if delta < 0:
         raise ValueError("noise scale must be nonnegative")
     if delta == 0.0:
-        return x.copy()
+        return x.copy(order="K")
     return x + delta * gaussian_tensor(x.shape, rng)
 
 
@@ -122,7 +133,7 @@ def add_awgn(x: np.ndarray, snr_db: float, rng: RngStream) -> np.ndarray:
     power = float(np.mean(np.square(x)))
     if power == 0.0:
         warnings.warn("zero signal: returning the input unchanged", RuntimeWarning)
-        return x.copy()
+        return x.copy(order="K")
     snr_db = min(float(snr_db), _SNR_CAP_DB)
     sigma = np.sqrt(power / 10.0 ** (snr_db / 10.0))
     return x + sigma * gaussian_tensor(x.shape, rng)

@@ -44,7 +44,7 @@ def _read_header_tokens(blob: bytes, count: int) -> tuple[list[bytes], int]:
 
 
 def load_image_tensor(path) -> np.ndarray:
-    """Read a P5/P6 file into an (H, W, C) float64 tensor with values 0-255."""
+    """Read a P5/P6 file into a column-major (H, W, C) float64 tensor, values 0-255."""
     with open(path, "rb") as f:
         blob = f.read()
     tokens, payload_start = _read_header_tokens(blob, 4)
@@ -67,7 +67,7 @@ def load_image_tensor(path) -> np.ndarray:
             f"truncated payload: expected {expected} bytes, found {len(payload)}"
         )
     pixels = np.frombuffer(payload, dtype=np.uint8, count=expected)
-    return pixels.reshape((height, width, channels)).astype(np.float64)
+    return pixels.reshape((height, width, channels)).astype(np.float64, order="F")
 
 
 def save_image_tensor(x: np.ndarray, path) -> None:

@@ -53,7 +53,7 @@ def spectrum_summary(x: np.ndarray) -> SpectrumSummary:
 
 
 # Elements per block of the fused scoring pass: the float64 work buffer
-# (256 KiB) stays in cache while each block is squared and summed.
+# (256 KiB) stays in cache while each block's difference is formed and summed.
 _BLOCK = 1 << 15
 _TINY = np.finfo(np.float64).tiny
 # An error sum below _TINY is redone scaled when the reference sum is below
@@ -69,9 +69,11 @@ def _sum_squares(
 
     The iterator walks both operands in their common memory order and
     gathers or casts at most one block of each at a time, so mixed layouts,
-    strided views and integer inputs never cost a full-size copy. Each block
-    is reduced by NumPy's pairwise sum and the block sums are added exactly
-    by math.fsum, so the result depends only on the values and their layout.
+    strided views and integer inputs never cost a full-size copy. Each of a
+    block's two sums is one BLAS dot, of the block with itself and of its
+    difference with itself, and the block sums are added exactly by
+    math.fsum, so the result depends only on the values, their layout and
+    the BLAS library and its thread count (a threaded dot splits a block).
 
     s is 1.0 unless a plain sum of squares is not finite (entries above
     about 1e154), or the plain sum of x's squares is below the smallest
@@ -106,12 +108,8 @@ def _sum_squares(
                     # difference, are exact
                     s = math.ldexp(1.0, math.frexp(peak)[1] - 1)
                     a, b = a / s, b / s
-            d = buf[: a.size]
-            np.square(a, out=d)
-            ref_part = float(np.sum(d))
-            np.subtract(a, b, out=d)
-            np.square(d, out=d)
-            parts.append((s, ref_part, float(np.sum(d))))
+            d = np.subtract(a, b, out=buf[: a.size])
+            parts.append((s, float(np.dot(a, a)), float(np.dot(d, d))))
     scale = max((s for s, _, _ in parts), default=1.0)
     try:
         ref = math.fsum(r * (s / scale) ** 2 for s, r, _ in parts)
@@ -127,13 +125,14 @@ def _sum_squares(
 def relative_error(x: np.ndarray, xhat: np.ndarray) -> float:
     """Frobenius-norm error of xhat relative to x.
 
-    Both norms come from one blocked pass of pairwise float64 sums (integer
-    inputs are converted, never wrapped); entries too large or too small to
-    square are scaled block by block. The result is deterministic for a
-    given input layout but may differ in the last bits from a ratio of
-    sorted-sum `frobenius_norm` values, which alone is bitwise invariant
-    under rearranging the entries. A zero x gives 0.0 when xhat is zero too
-    (an exact reconstruction, as `psnr` gives +inf) and raises otherwise.
+    Both norms come from one blocked pass of float64 sums, a BLAS dot per
+    block (integer inputs are converted, never wrapped); entries too large
+    or too small to square are scaled block by block. The result is
+    deterministic for a given input layout and BLAS setup but may differ in
+    the last bits from a ratio of sorted-sum `frobenius_norm` values, which
+    alone is bitwise invariant under rearranging the entries. A zero x gives
+    0.0 when xhat is zero too (an exact reconstruction, as `psnr` gives +inf)
+    and raises otherwise.
     """
     if x.shape != xhat.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {xhat.shape}")
@@ -148,9 +147,10 @@ def relative_error(x: np.ndarray, xhat: np.ndarray) -> float:
 def psnr(x: np.ndarray, xhat: np.ndarray, peak: float) -> float:
     """Peak signal-to-noise ratio in dB; +inf when the inputs are identical.
 
-    The mean squared error uses the same blocked pairwise float64 sums as
-    `relative_error`: deterministic for a given input layout, and possibly
-    different in the last bits from one computed with `frobenius_norm`.
+    The mean squared error uses the same blocked float64 sums, a BLAS dot
+    per block, as `relative_error`: deterministic for a given input layout
+    and BLAS setup, and possibly different in the last bits from one
+    computed with `frobenius_norm`.
     """
     if peak <= 0:
         raise ValueError("peak must be positive")

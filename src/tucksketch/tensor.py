@@ -4,6 +4,12 @@ Tensors are plain float64 ndarrays. Mode indices are 1-based throughout the
 public API. The mode-n unfolding places entry (i_1, ..., i_N) at row i_n and
 column 1 + sum_{k != n} (i_k - 1) * prod_{m < k, m != n} I_m (1-based), i.e.
 the remaining indices vary first-index-fastest.
+
+The library makes column-major (Fortran-ordered) tensors: the generators,
+the image loader and `tucker.reconstruct` return them. In that layout the
+mode-1 and mode-N unfoldings are views, with no copy; the other modes, and
+any mode of a row-major tensor, are copied. `as_tensor` keeps the caller's
+layout.
 """
 
 from __future__ import annotations
@@ -76,9 +82,9 @@ def frobenius_norm(x: np.ndarray) -> float:
 
     The squares are summed in sorted order, so the result is bit-identical
     under any rearrangement of the entries (unfoldings in particular). The
-    sort makes it several times slower than the blocked pairwise sums that
-    `relative_error` and `psnr` use, which may differ from it in the last
-    bits.
+    sort makes it several times slower than the blocked sums, a BLAS dot per
+    block, that `relative_error` and `psnr` use, which may differ from it in
+    the last bits.
     """
     sq = np.square(np.ravel(x), dtype=np.float64)
     sq.sort()

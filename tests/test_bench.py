@@ -279,3 +279,10 @@ def test_csv_rejects_bad_header(tmp_path):
     path.write_text("nope,nope\n")
     with pytest.raises(ValueError):
         read_csv(path)
+
+
+def test_csv_rejects_empty_file(tmp_path):
+    path = tmp_path / "zero.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        read_csv(path)

@@ -4,11 +4,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tucksketch.bench import ALGORITHMS, read_csv
+from tucksketch import cli
+from tucksketch.bench import AGGREGATES, ALGORITHMS, SOURCES, read_csv
 from tucksketch.cli import _add_approx_flags, _approx_config, main
 from tucksketch.config import ApproxConfig
 from tucksketch.datagen import hilbert_tensor
 from tucksketch.imageio import load_image_tensor, save_image_tensor
+from tucksketch.tensor import unfold
 from tucksketch.tucker import (
     load_model,
     reconstruct,
@@ -22,6 +24,27 @@ def test_gen_hilbert(tmp_path):
     out = tmp_path / "h.npy"
     assert main(["gen-hilbert", "--dims", "6x7x8", "--out", str(out)]) == 0
     assert np.array_equal(np.load(out), hilbert_tensor((6, 7, 8)))
+
+
+def test_generated_tensor_keeps_its_layout_through_decompose(tmp_path, monkeypatch):
+    # np.save records Fortran order and np.load restores it, so decompose
+    # unfolds the generated tensor's modes 1 and N without a copy
+    out = tmp_path / "h.npy"
+    assert main(["gen-hilbert", "--dims", "6x7x8", "--out", str(out)]) == 0
+    seen = []
+    real_run_trial = cli.run_trial
+
+    def recording_run_trial(experiment, key, x, *args):
+        seen.append(x)
+        return real_run_trial(experiment, key, x, *args)
+
+    monkeypatch.setattr(cli, "run_trial", recording_run_trial)
+    args = ["decompose", "--in", str(out), "--algo", "rsthosvd", "--ranks", "2x3x4"]
+    assert main(args) == 0
+    (x,) = seen
+    assert x.flags.f_contiguous
+    assert np.array_equal(x, hilbert_tensor((6, 7, 8)))
+    assert np.shares_memory(unfold(x, 1), x) and np.shares_memory(unfold(x, 3), x)
 
 
 def test_gen_sparse_deterministic(tmp_path):
@@ -214,6 +237,20 @@ def test_approx_flag_defaults_are_the_config_defaults():
         assert getattr(args, flag) == defaults[field], flag
     assert args.sketch_extra is None
     assert _approx_config(args, (2, 2)) == ApproxConfig(target_ranks=(2, 2))
+
+
+def test_bench_choices_are_the_bench_tables():
+    # the CLI offers the sources and aggregate modes that the config accepts
+    parser = cli._build_parser()
+    base = ["bench", "--ranks", "2x2x2", "--out", "x.csv"]
+    for source in SOURCES:
+        assert parser.parse_args(base + ["--source", source]).source == source
+    for mode in AGGREGATES:
+        args = parser.parse_args(base + ["--source", "hilbert", "--aggregate", mode])
+        assert args.aggregate == mode
+    for bad in (["--source", "nope"], ["--source", "hilbert", "--aggregate", "median"]):
+        with pytest.raises(cli._UsageError, match="invalid choice"):
+            parser.parse_args(base + bad)
 
 
 def test_image_compress_without_sketch_extra_runs_the_library_sizes(tmp_path):

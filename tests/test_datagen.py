@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -216,3 +217,59 @@ def test_noise_floor_for_downstream_decompositions():
     floor = delta * np.sqrt(noisy.size)
     assert noisy_abs >= 0.9 * floor
     assert noisy_abs <= 1.5 * (clean_abs + floor)
+
+
+# ------------------------------------------------------------------- layout
+
+
+def _c_hilbert(dims):
+    # the same sums, formed row-major
+    grids = np.ix_(*(np.arange(1, d + 1, dtype=np.float64) for d in dims))
+    return 1.0 / functools.reduce(np.add, grids)
+
+
+def _c_sparse(cfg):
+    xs, ys, zs = sparse_factor_vectors(cfg, RngStream(cfg.seed))
+    return np.einsum("ti,tj,tk->ijk", term_weights(cfg)[:, None] * xs, ys, zs, optimize=True)
+
+
+def _c_gaussian(dims, seed):
+    # the draws fill the tensor first index fastest
+    draws = RngStream(seed).normal(math.prod(dims))
+    return np.ascontiguousarray(np.transpose(draws.reshape(dims[::-1])))
+
+
+def assert_column_major_copy_of(x, ref):
+    """x is F-contiguous, bit-equal to ref, and unfolds in modes 1 and N as views."""
+    assert x.flags.f_contiguous
+    assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
+    assert np.shares_memory(unfold(x, 1), x)
+    assert np.shares_memory(unfold(x, x.ndim), x)
+
+
+# name -> (generator call, the row-major reference of its values)
+LAYOUT_CASES = {
+    "hilbert": (lambda: hilbert_tensor((7, 5, 6)), lambda: _c_hilbert((7, 5, 6))),
+    "hilbert-4d": (lambda: hilbert_tensor((3, 4, 2, 5)), lambda: _c_hilbert((3, 4, 2, 5))),
+    "sparse": (
+        lambda: sparse_lowrank_tensor(SparseGenConfig(n=30, gamma=4.0, seed=2)),
+        lambda: _c_sparse(SparseGenConfig(n=30, gamma=4.0, seed=2)),
+    ),
+    "gaussian": (lambda: gaussian_tensor((4, 6, 5), RngStream(7)), lambda: _c_gaussian((4, 6, 5), 7)),
+}
+
+
+@pytest.mark.parametrize("case", LAYOUT_CASES)
+def test_generators_return_column_major(case):
+    make, reference = LAYOUT_CASES[case]
+    assert_column_major_copy_of(make(), reference())
+
+
+@pytest.mark.parametrize("case", LAYOUT_CASES)
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+def test_scaled_noise_keeps_column_major(case, delta):
+    make, reference = LAYOUT_CASES[case]
+    x, ref = make(), reference()
+    assert ref.flags.c_contiguous
+    noisy = add_scaled_noise(x, delta, RngStream(11))
+    assert_column_major_copy_of(noisy, add_scaled_noise(ref, delta, RngStream(11)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tucksketch.imageio import ImageFormatError, load_image_tensor, save_image_tensor
+from tucksketch.tensor import unfold
 
 
 def test_load_single_pixel_pgm(tmp_path):
@@ -95,3 +96,17 @@ def test_load_rejects_malformed(tmp_path, blob):
     path.write_bytes(blob)
     with pytest.raises(ImageFormatError):
         load_image_tensor(path)
+
+
+@pytest.mark.parametrize("magic, channels", [(b"P5", 1), (b"P6", 3)])
+def test_load_returns_column_major(tmp_path, magic, channels):
+    # 5 rows x 4 columns, checked against a row-major copy of the payload
+    payload = bytes(range(5 * 4 * channels))
+    path = tmp_path / "img"
+    path.write_bytes(magic + b"\n4 5\n255\n" + payload)
+    x = load_image_tensor(path)
+    ref = np.frombuffer(payload, dtype=np.uint8).reshape(5, 4, channels).astype(np.float64)
+    assert x.flags.f_contiguous
+    assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
+    assert np.shares_memory(unfold(x, 1), x)
+    assert np.shares_memory(unfold(x, 3), x)

@@ -145,8 +145,8 @@ def test_scores_of_huge_finite_entries(shape, graded, scale):
         xhat = np.asfortranarray(np.where(small, 1e-150 * xhat, xhat))
     err, quality = relative_error(x, xhat), psnr(x, xhat, 2.0)
     assert np.isfinite(err) and np.isfinite(quality)
-    assert relative_error(x * scale, xhat * scale) == pytest.approx(err, rel=1e-12)
-    assert psnr(x * scale, xhat * scale, 2.0 * scale) == pytest.approx(quality, rel=1e-12)
+    assert relative_error(x * scale, xhat * scale) == pytest.approx(err, rel=1e-12, abs=0)
+    assert psnr(x * scale, xhat * scale, 2.0 * scale) == pytest.approx(quality, rel=1e-12, abs=0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -163,11 +163,11 @@ def test_scores_of_tiny_finite_entries(shape, graded, scale):
         xhat = np.asfortranarray(np.where(big, 1e150 * xhat, xhat))
     err, quality = relative_error(x, xhat), psnr(x, xhat, 2.0)
     assert np.isfinite(err) and np.isfinite(quality)
-    assert relative_error(x * scale, xhat * scale) == pytest.approx(err, rel=1e-12)
-    assert psnr(x * scale, xhat * scale, 2.0 * scale) == pytest.approx(quality, rel=1e-12)
+    assert relative_error(x * scale, xhat * scale) == pytest.approx(err, rel=1e-12, abs=0)
+    assert psnr(x * scale, xhat * scale, 2.0 * scale) == pytest.approx(quality, rel=1e-12, abs=0)
     # a peak of ordinary size over tiny entries: a finite PSNR, shifted by the scale
     assert psnr(x * scale, xhat * scale, 2.0) == pytest.approx(
-        quality - 20.0 * math.log10(scale), rel=1e-12
+        quality - 20.0 * math.log10(scale), rel=1e-12, abs=0
     )
 
 
