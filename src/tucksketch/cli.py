@@ -3,7 +3,7 @@
 Every flag that fills a config field takes its default from that field
 (`ApproxConfig`, `ExperimentConfig`, `SparseGenConfig`). Without
 ``--sketch-extra`` the sketch sizes stay None, so the sketch pipelines run the
-library's l_n = 2 r_n + 1; ``--sketch-extra e`` asks for l_n = r_n + e.
+library's l_n = 2 r_n + 1; ``--sketch-extra e`` asks for l_n = r_n + e, e >= 2.
 ``decompose`` and ``image-compress`` run one timed trial through
 `bench.run_trial`, and ``bench`` runs a sweep; the algorithm keys are those
 of `bench.ALGORITHMS`.
@@ -168,7 +168,7 @@ def _add_approx_flags(sub, ranks_help: str = "target ranks, e.g. 10x10x10") -> N
         dest="sketch_extra",
         type=int,
         default=ApproxConfig.sketch_sizes,
-        help="sketch size above the rank: l_n = r_n + this (default l_n = 2 r_n + 1)",
+        help="sketch size above the rank, e >= 2: l_n = r_n + e (default l_n = 2 r_n + 1)",
     )
     sub.add_argument(
         "--q", type=int, default=ApproxConfig.power_iters, help="subspace power iterations"

@@ -16,8 +16,8 @@ class ModePlan:
     rank         target rank r_n
     kernel       "svd" (deterministic truncated SVD), "rsvd" or "sketch"
     p            oversampling of an "rsvd" step
-    l            sketch size of a "sketch" step, clamped to I_n
-    requested_l  the sketch size asked for, before that clamp
+    l            sketch size of a "sketch" step, clamped to I_n and at least
+                 r_n + 2 (`ApproxConfig` says why)
     """
 
     mode: int
@@ -25,7 +25,6 @@ class ModePlan:
     kernel: str
     p: int | None = None
     l: int | None = None
-    requested_l: int | None = None
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,8 @@ class ApproxConfig:
 
     target_ranks      per-mode target ranks r_n, 1 <= r_n <= I_n
     processing_order  1-based permutation of the modes; natural order if None
-    oversample        extra random-sign columns of Omega for the randomized SVD pipeline
-    sketch_sizes      per-mode sketch sizes l_n (> r_n); defaults to 2 r_n + 1
+    oversample        extra random columns of Omega for the randomized SVD pipeline
+    sketch_sizes      per-mode sketch sizes l_n (>= r_n + 2); defaults to 2 r_n + 1
     power_iters       subspace power iterations for the sub-sketch pipeline
     seed              stream seed used when no explicit RngStream is supplied
 
@@ -43,10 +42,10 @@ class ApproxConfig:
     two-sided correction multiplies the expected squared error by
     1 + r_n / (l_n - r_n - 1) (Tropp, Yurtsever, Udell and Cevher, SIMAX
     2017, Thm 4.3): the default l_n = 2 r_n + 1 makes that factor 2, where
-    l_n = r_n + 2 makes it r_n + 1. At l_n = r_n + 1 the factor is
-    infinite: the sketch pipelines warn on each mode that runs there,
-    requested or clamped; the config does not, since most pipelines never
-    sketch.
+    l_n = r_n + 2 makes it r_n + 1. The theorem assumes l_n > k + 1, so a
+    size below r_n + 2 is rejected here, and `plan` gives a mode with
+    I_n < r_n + 2, where the clamp to I_n would break that rule, the
+    deterministic SVD.
 
     `plan(shape, kernel)` is the one place that turns these fields into
     per-mode steps for a tensor of a given shape: it checks the ranks and the
@@ -82,8 +81,8 @@ class ApproxConfig:
             if len(sizes) != len(self.target_ranks):
                 raise ValueError("sketch_sizes must match target_ranks in length")
             for r, l in zip(self.target_ranks, sizes):
-                if l <= r:
-                    raise ValueError(f"sketch size {l} must exceed target rank {r}")
+                if l < r + 2:
+                    raise ValueError(f"sketch size {l} must be at least target rank {r} + 2")
 
     def plan(self, shape: tuple[int, ...], kernel: str) -> tuple[ModePlan, ...]:
         """Each mode's step for a tensor of this shape, in processing order.
@@ -94,8 +93,9 @@ class ApproxConfig:
         product of the sizes left by the modes before it. "rsvd" runs with
         p = min(oversample, min(rows, cols) - r_n), and falls back to "svd"
         when r_n > min(rows, cols). "sketch" runs with l_n clamped to I_n,
-        and falls back to "svd" when r_n >= I_n (so the clamped l_n <= r_n)
-        or r_n is above the column count.
+        and falls back to "svd" when I_n < r_n + 2 (where the clamped l_n
+        would be below r_n + 2) or r_n is above the column count. So every
+        sketch step runs with r_n + 2 <= l_n <= I_n.
 
         Raises ValueError when the rank count or the processing order does
         not match the tensor's order, or a rank is outside 1..I_n (sketch
@@ -124,8 +124,8 @@ class ApproxConfig:
             cols = math.prod(dims) // rows
             if kernel == "rsvd" and r <= min(rows, cols):
                 step = ModePlan(n, r, "rsvd", p=min(self.oversample, min(rows, cols) - r))
-            elif kernel == "sketch" and r < rows and r <= cols:
-                step = ModePlan(n, r, "sketch", l=min(sizes[n - 1], rows), requested_l=sizes[n - 1])
+            elif kernel == "sketch" and r + 2 <= rows and r <= cols:
+                step = ModePlan(n, r, "sketch", l=min(sizes[n - 1], rows))
             else:
                 step = ModePlan(n, r, "svd")
             steps.append(step)

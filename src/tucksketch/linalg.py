@@ -37,8 +37,10 @@ THOSVD's error by 4e-5 relative. Two kernels use it:
   give the same factor up to rounding. THOSVD takes each factor from it,
   and ``rsvd`` the SVD of its projection.
 * ``_row_basis`` -- an orthonormal basis of range(B^T) for the power step of
-  ``sub_sketch``: B^T V Lambda^(-1/2) on the Gram route, or else the Q of a
-  Householder QR of B^T, as before.
+  ``sub_sketch``: the Q of a Householder QR of B^T, or on the Gram route
+  B^T R_m^(-1) with R_m^T R_m = B B^T taken from the k x k eigenpairs,
+  which is that Q up to rounding and column signs. So the power step, and
+  the model, do not depend on the route.
 
 So a randomized mode costs its GEMMs over A plus factorizations of k x k
 matrices; on a separated spectrum no n x k matrix is factored. STHOSVD stays
@@ -54,14 +56,16 @@ The randomized kernels are the interesting part:
                    applications of A and A.T with re-orthonormalization in
                    between (subspace power iteration).
 
-The column test matrix Omega is a matrix of random signs drawn from raw
-Philox bits (``RngStream.signs``), the standard drop-in for a Gaussian one
-(Halko, Martinsson and Tropp, SIAM Review 2011, section 4.6; Martinsson and
-Tropp, Acta Numerica 2020): 64 entries per raw word instead of one
-Box-Muller normal each. ``rsvd`` and the sketches take their range basis
-from one helper, ``_range_basis``, which draws no Omega when it would be
-square (k equals the column count, which ``ApproxConfig.plan``'s clamp
-produces on small modes).
+On unfoldings of 64 or more columns the column test matrix Omega is a
+matrix of random signs drawn from raw Philox bits (``RngStream.signs``),
+the standard drop-in for a Gaussian one (Halko, Martinsson and Tropp, SIAM
+Review 2011, section 4.6; Martinsson and Tropp, Acta Numerica 2020): 64
+entries per raw word instead of one Box-Muller normal each. Below 64
+columns Omega is Gaussian, because a sign matrix with few rows is often
+rank-deficient. ``rsvd`` and the sketches take their range basis from one
+helper, ``_range_basis``, which makes that choice and draws no Omega when
+it would be square (k equals the column count, which ``ApproxConfig.plan``'s
+clamp produces on small modes).
 The row test matrix Psi of the sketches stays Gaussian, with its rows
 replaced by the orthonormal Q^T of a Householder QR (``thin_qr``) of its
 transpose. The expected-error bound that ``metrics.bound_oracle`` evaluates
@@ -228,13 +232,19 @@ def _left_factor(a: np.ndarray, r: int) -> np.ndarray:
 def _row_basis(b: np.ndarray) -> np.ndarray:
     """An orthonormal basis of range(b.T) for a short, wide k x n matrix b (k <= n).
 
-    When the k x k Gram matrix b @ b.T = V diag(lambda) V^T passes the guard
-    lambda_k > sqrt(eps) lambda_1, the basis is b.T @ V diag(lambda)^(-1/2),
-    a syrk, a k x k ``eigh`` and one GEMM; otherwise it is the Q of a
-    Householder QR of b.T, formed in full. Each Gram-route column lies in
-    range(b.T) up to the rounding of the product, so the weakest direction is
-    off by about eps sigma_1 / sigma_k relative, as for Householder, which is
-    eps^(3/4) at the guard; the columns are orthonormal to about
+    Both routes give the Q of a Householder QR of b.T, up to rounding and
+    column signs, so the power step's model does not depend on the route
+    (its Householder QR of A @ basis ignores column signs). When the k x k
+    Gram matrix b @ b.T = V diag(lambda) V^T passes the guard
+    lambda_k > sqrt(eps) lambda_1, the basis is b.T @ V diag(lambda)^(-1/2)
+    Q_m, where Q_m R_m is the QR of diag(lambda)^(1/2) V^T: since
+    R_m^T R_m = b b^T, that is b.T R_m^(-1), whose R_m is the Householder R
+    up to row signs. It costs a syrk, a k x k ``eigh``, a k x k QR and one
+    GEMM over b. Otherwise the basis is the Q of a Householder QR of b.T,
+    formed in full. Each Gram-route column lies in range(b.T) up to the
+    rounding of the product, so the weakest direction is off by about
+    eps sigma_1 / sigma_k relative, as for Householder, which is eps^(3/4)
+    at the guard; the columns are orthonormal to about
     eps sigma_1^2 / sigma_k^2, at most sqrt(eps), which the QR that follows
     in the power step absorbs.
     """
@@ -242,7 +252,8 @@ def _row_basis(b: np.ndarray) -> np.ndarray:
     if pair is None:
         return thin_qr(b.T)[0]
     w, v = pair
-    return b.T @ (v / np.sqrt(w))
+    root = np.sqrt(w)
+    return b.T @ ((v / root) @ thin_qr(root[:, None] * v.T)[0])
 
 
 def _complete_basis(q: np.ndarray, extra: int) -> np.ndarray:
@@ -278,23 +289,33 @@ def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return _complete_basis(u, extra), np.vstack([c, np.zeros((extra, n))])
 
 
+# Below this many columns, Omega is Gaussian instead of random signs.
+_SIGN_MIN_COLS = 64
+
+
 def _range_basis(a: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
-    """Orthonormal basis Q of range(a @ Omega) for a k-column random-sign Omega.
+    """Orthonormal basis Q of range(a @ Omega) for a k-column random Omega.
 
     Omega is used raw: orthonormalizing it would not change the range. When
     k equals the column count n, Q is taken from a itself and no Omega is
-    drawn: any invertible Omega leaves range(a @ Omega) = range(a), but a
-    square sign matrix is often singular (66% of all 4 x 4 sign matrices
-    are).
+    drawn: any invertible Omega leaves range(a @ Omega) = range(a). Below
+    ``_SIGN_MIN_COLS`` columns Omega is Gaussian, and random signs from 64
+    columns on. A sign matrix with few rows is often rank-deficient (two
+    columns of a 4 x 2 one are parallel with probability 1/8, and 66% of all
+    4 x 4 sign matrices are singular), and Q's missing directions are then
+    set by rounding, which moves the model when the input is rescaled; a
+    square sign matrix of order 64 or more is singular with probability
+    near eps.
     """
     n = a.shape[1]
-    return thin_qr(a if k == n else a @ rng.signs(n, k))[0]
+    draw = rng.signs if n >= _SIGN_MIN_COLS else rng.normal
+    return thin_qr(a if k == n else a @ draw(n, k))[0]
 
 
 def rsvd(a: np.ndarray, r: int, p: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Randomized rank-r SVD with oversampling p, as the pair (u, diag(s) @ vt).
 
-    Projects a onto the range Q of a @ Omega for a random-sign Omega with
+    Projects a onto the range Q of a @ Omega for a random Omega with
     k = r + p columns (Halko, Martinsson and Tropp, SIAM Review 2011), then
     takes the r leading left singular vectors U_b of the short, wide k x n
     projection B = Q^T a from ``_left_factor``: ``eigh`` of the k x k Gram
@@ -365,11 +386,13 @@ def sketch(a: np.ndarray, k: int, l: int, rng: RngStream) -> tuple[np.ndarray, n
     """Two-sided sketch: the pair (q, xc), a rank-<=k approximation q @ xc of a.
 
     Requires k <= min(l, n) and l <= m. The column test matrix Omega is
-    random signs from raw Philox bits, used raw: orthonormalizing it would
-    not change range(a @ Omega), so q, and q @ xc, are the same up to
-    rounding. The row test matrix Psi stays Gaussian and is given
-    orthonormal rows, because re-weighting the rows of Psi does change the
-    least-squares solution xc = (Psi @ q)^+ (Psi @ a). A rotation R of
+    random signs from raw Philox bits, or Gaussian when a has fewer than
+    ``_SIGN_MIN_COLS`` columns (``_range_basis``), used raw:
+    orthonormalizing it would not change range(a @ Omega), so q, and
+    q @ xc, are the same up to rounding. The row test matrix Psi stays
+    Gaussian and is given orthonormal rows, because re-weighting the rows
+    of Psi does change the least-squares solution
+    xc = (Psi @ q)^+ (Psi @ a). A rotation R of
     orthonormal rows does not, since (R Psi q)^+ R Psi a = (Psi q)^+ Psi a,
     so the rows are the Q^T of a Householder QR (``thin_qr``) of Psi^T: any
     orthonormal basis of the row space gives the same xc up to rounding.

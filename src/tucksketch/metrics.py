@@ -222,13 +222,6 @@ class BoundReport:
         return sum(m.term for m in self.modes)
 
 
-def _finite_product(*factors: float) -> float:
-    """Product that treats any infinite factor as dominating (inf, never nan)."""
-    if any(math.isinf(f) for f in factors):
-        return math.inf
-    return math.prod(factors)
-
-
 def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
     """Expected squared-error bound for the chosen pipeline on this tensor.
 
@@ -244,15 +237,17 @@ def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
     so its damping is 1. l_n is the size the pipeline runs with, clamped to
     I_n, and a mode the pipeline truncates deterministically gets Delta_n:
     both come from `ApproxConfig.plan`, which also rejects the ranks and
-    orders that the pipelines reject. The minimum over the split index rho
-    (1 <= rho < r_n - 1) is evaluated exhaustively, and an empty domain
-    (r_n <= 2) makes the mode term +inf.
+    orders that the pipelines reject, and which sketches only with
+    l_n >= r_n + 2. The minimum over the split index rho
+    (1 <= rho < r_n - 1) is evaluated exhaustively. Every factor is then
+    finite; an empty domain (r_n <= 2) makes the mode term +inf.
 
     The theorem is proved for Gaussian test matrices. The sketch kernels
-    keep Psi Gaussian but draw Omega as random signs (``RngStream.signs``),
-    so for them this bound is an empirical check, not a theorem: on the
-    acceptance suite's Monte Carlo test (criterion 4) the measured mean
-    squared error is 4.76 against a bound of 21.3.
+    keep Psi Gaussian but draw Omega as random signs (``RngStream.signs``)
+    on unfoldings of 64 or more columns, so for them this bound is an
+    empirical check, not a theorem: on the acceptance suite's Monte Carlo
+    test (criterion 4) the measured mean squared error is 4.76 against a
+    bound of 21.3.
     """
     if variant not in BOUND_VARIANTS:
         raise ValueError(f"unknown bound variant {variant!r}")
@@ -278,13 +273,11 @@ def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
             continue
         sigma = summary.mode(n)
         damping = _singular_gap(sigma, r) ** (4 * power_iters)
-        best_rho, best = None, math.inf
-        for rho in rho_domain:
-            cand = _finite_product(
-                1.0 + f_factor(rho, r) * damping, tail_energy(sigma, rho + 1)
-            )
-            if cand < best:
-                best_rho, best = rho, cand
-        term = _finite_product(1.0 + f_factor(r, l), best)
+        # the first rho of the smallest product
+        best, best_rho = min(
+            ((1.0 + f_factor(rho, r) * damping) * tail_energy(sigma, rho + 1), rho)
+            for rho in rho_domain
+        )
+        term = (1.0 + f_factor(r, l)) * best
         modes.append(ModeBound(delta_sq, best_rho, term))
     return BoundReport(modes)

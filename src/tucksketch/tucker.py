@@ -23,20 +23,20 @@ negated, with the matching row of C (Bro, Acar and Kolda, J. Chemometrics
 2008). So the next mode's random draws act on a core that does not carry
 LAPACK's arbitrary signs, and a swap of SVD kernels that only moves
 rounding or signs leaves the model alone up to rounding. A sketch step's
-U_n is a basis Q of the sketched range, not singular vectors: its rotation
-depends on the route that built it (the Gram and Householder routes of
-``linalg._row_basis`` differ), and the next mode's draws act on the rotated
-core, so a swap there moves the model. The loop folds C back into a core
-whose mode n now has size r_n. ``thosvd`` factors the unshrunk unfoldings and needs no
-core per mode, so it keeps its own loop, and it needs only U of each:
+U_n is a basis Q of the sketched range, not singular vectors; the Gram and
+Householder routes of ``linalg._row_basis`` build the same basis up to
+rounding and column signs, so the route does not move it either. The loop
+folds C back into a core whose mode n now has size r_n. ``thosvd`` factors
+the unshrunk unfoldings and needs no core per mode, so it keeps its own
+loop, and it needs only U of each:
 ``linalg._left_factor`` takes it from ``eigh`` of the Gram matrix A A^T
 when the spectrum passes a sqrt(eps) guard, and from an R-only QR
 otherwise, never forming V, and gives its columns the same signs. The
 randomized steps use the same Gram route on their short, wide stages:
 ``rsvd`` takes U of its k x n projection Q^T A from ``_left_factor``, and
-sub-Sketch's power step takes its basis of range(A^T Q) from ``eigh`` of a
-k x k Gram matrix, keeping the Householder QR for spectra that fail the
-guard. So R-STHOSVD and sub-Sketch-STHOSVD cost a few GEMMs over each
+sub-Sketch's power step takes its basis of range(A^T Q) from ``eigh`` and
+a QR of k x k matrices, keeping the Householder QR for spectra that fail
+the guard. So R-STHOSVD and sub-Sketch-STHOSVD cost a few GEMMs over each
 unfolding plus k x k factorizations wherever the guard passes, as the paper
 counts them. ``sthosvd`` keeps the full truncated SVD for now; the README
 says why.
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,17 +118,6 @@ def _sequential(
     factors: list[np.ndarray | None] = [None] * x.ndim
     for step in plan:
         n, r, m = step.mode, step.rank, unfold(core, step.mode)
-        if step.l == r + 1:  # only a "sketch" step has an l
-            how = (
-                f"{step.l} = rank + 1 as requested"
-                if step.requested_l == step.l
-                else f"{step.requested_l} clamped to the mode size {step.l} = rank + 1"
-            )
-            warnings.warn(
-                f"mode {n}: sketch size {how}; the expected-error bound is "
-                "vacuous for this mode",
-                RuntimeWarning,
-            )
         if step.kernel == "svd":
             u, c = truncated_svd(m, r)
         elif step.kernel == "rsvd":

@@ -328,6 +328,29 @@ def test_parameter_error_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sketch_extra_below_two_exits_3_before_reading_input(tmp_path, capsys, monkeypatch):
+    import tucksketch.bench as bench
+
+    # a sketch step needs l_n >= r_n + 2 (Tropp et al., SIMAX 2017, Thm 4.3),
+    # so --sketch-extra 1 or 0 is a parameter error on every command that
+    # takes the flag, found before --in is read or a tensor is built
+    built = []
+    monkeypatch.setattr(bench, "build_source_tensor", lambda cfg: built.append(cfg))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for extra in ("1", "0"):
+        flags = ["--sketch-extra", extra]
+        assert main(["decompose", "--in", str(tmp_path / "missing.npy"), "--algo", "sketch",
+                     "--ranks", "2x2x2", *flags]) == 3
+        assert main(["image-compress", "--in", str(tmp_path / "missing.ppm"),
+                     "--algo", "subsketch", "--ranks", "2x2x1", *flags, "--out", str(out)]) == 3
+        assert main(["bench", "--source", "hilbert", "--dims", "6x6x6", "--ranks", "2x2x2",
+                     *flags, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("parameter error: sketch size") == 6
+    assert built == [] and not out.exists()
+
+
 def test_decompose_reads_images(tmp_path, capsys):
     img = np.full((8, 6, 3), 100.0)
     src = tmp_path / "flat.ppm"

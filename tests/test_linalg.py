@@ -493,6 +493,11 @@ def _svd_basis(a):
     return np.linalg.svd(a, full_matrices=False)[0]
 
 
+def _draw_omega(rng, n, k):
+    """Omega as the kernels draw it: random signs from 64 columns on, Gaussian below."""
+    return rng.signs(n, k) if n >= 64 else rng.normal(n, k)
+
+
 def _sketch_with_orthonormal_omega(a, k, l, power_iters, seed, psi_basis=_svd_basis):
     """The two-sided sketch with Omega orthonormalized by an SVD, from the same draws.
 
@@ -501,7 +506,7 @@ def _sketch_with_orthonormal_omega(a, k, l, power_iters, seed, psi_basis=_svd_ba
     """
     m, n = a.shape
     rng = RngStream(seed)
-    omega = _svd_basis(rng.signs(n, k))
+    omega = _svd_basis(_draw_omega(rng, n, k))
     psi = psi_basis(rng.normal(l, m).T).T
     q = np.linalg.qr(a @ omega)[0]
     for _ in range(power_iters):
@@ -536,7 +541,7 @@ def test_sketch_does_not_depend_on_the_basis_of_psi(power_iters):
     assert np.linalg.norm(by_qr - by_svd) <= 1e-12 * np.linalg.norm(by_svd)
     # the two bases differ: the test compares two rotations, not one matrix twice
     rng = RngStream(seed)
-    rng.signs(a.shape[1], k)
+    _draw_omega(rng, a.shape[1], k)
     g = rng.normal(l, a.shape[0]).T
     assert not np.allclose(np.abs(thin_qr(g)[0]), np.abs(_svd_basis(g)))
 
@@ -662,9 +667,9 @@ def test_left_factor_rejects_bad_rank():
 
 
 def _range_sample(a, k, seed):
-    """rsvd's Y: a @ Omega for a sign Omega of k columns, or a itself when k is the column count."""
+    """rsvd's Y: a @ Omega for an Omega of k columns, or a itself when k is the column count."""
     n = a.shape[1]
-    return a if k == n else a @ RngStream(seed).signs(n, k)
+    return a if k == n else a @ _draw_omega(RngStream(seed), n, k)
 
 
 def _svd_of_projection_rsvd(a, r, p, seed):
@@ -678,7 +683,7 @@ def _householder_sub_sketch(a, k, l, power_iters, seed):
     """sub_sketch with the Householder power step: the Q of (Q^T a)^T, formed in full."""
     m, n = a.shape
     rng = RngStream(seed)
-    omega = rng.signs(n, k)
+    omega = _draw_omega(rng, n, k)
     psi = thin_qr(rng.normal(l, m).T)[0].T
     w = psi @ a
     q, _ = thin_qr(a @ omega)
@@ -733,6 +738,9 @@ def test_sub_sketch_spans_householder_range_on_separated_spectrum(power_iters, l
     q_ref, xc_ref = _householder_sub_sketch(a, k, l, power_iters, seed)
     assert _gram_eigh(q_ref.T @ a, k) is not None
     assert scipy.linalg.svdvals(q.T @ q_ref).min() >= 1 - 1e-12
+    # the same basis, not a rotation of it: the routes differ only in
+    # column signs, which the QR of a @ basis does not see
+    assert np.max(np.abs(q - q_ref)) <= 1e-12
     assert np.linalg.norm(q @ xc - q_ref @ xc_ref) <= 1e-10 * np.linalg.norm(a)
 
 
@@ -764,8 +772,13 @@ def test_row_basis_orthonormal_span_of_rows(k, n, route, layout):
     assert basis.shape == (n, k)
     assert np.linalg.norm(basis.T @ basis - np.eye(k)) <= 1e-8
     assert np.linalg.norm(b.T - basis @ (basis.T @ b.T)) <= 1e-12 * np.linalg.norm(b)
+    householder = thin_qr(b.T)[0]
     if route == "qr":
-        assert np.array_equal(basis, thin_qr(b.T)[0])
+        assert np.array_equal(basis, householder)
+    else:
+        # b.T R^-1 from the Gram matrix: the Householder Q up to column signs
+        signs = np.sign(np.sum(basis * householder, axis=0))
+        assert np.max(np.abs(basis * signs - householder)) <= 1e-11
 
 
 def test_row_basis_of_zero_matrix_is_orthonormal():

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -410,6 +411,23 @@ def test_bound_empty_split_domain_is_infinite():
         report = bound_oracle(x, cfg, "sketch")
     assert all(math.isinf(m.term) for m in report.modes)
     assert math.isinf(report.total)
+
+
+def test_bound_of_a_mode_too_short_to_sketch_is_its_tail():
+    # I_1 = r_1 + 1 leaves no sketch size with l >= r + 2, so the pipelines
+    # truncate mode 1 by the SVD and its term is the finite Delta_1
+    x = np.random.default_rng(12).standard_normal((5, 8, 8))
+    cfg = ApproxConfig(target_ranks=(4, 4, 4))
+    delta = mode_tail_delta(spectrum_summary(x), 1, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for variant in ("sketch", "sub_sketch"):
+            report = bound_oracle(x, cfg, variant)
+            first = report.modes[0]
+            assert first.chosen_rho is None
+            assert first.term == first.delta_sq == delta > 0.0
+            assert all(mode.chosen_rho is not None for mode in report.modes[1:])
+            assert math.isfinite(report.total)
 
 
 def test_bound_report_total_is_mode_sum():
