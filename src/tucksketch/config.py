@@ -31,7 +31,8 @@ class ModePlan:
 class ApproxConfig:
     """Parameters shared by all pipelines.
 
-    target_ranks      per-mode target ranks r_n, 1 <= r_n <= I_n
+    target_ranks      per-mode target ranks r_n, 1 <= r_n <= I_n and
+                      r_n <= the product of the other ranks
     processing_order  1-based permutation of the modes; natural order if None
     oversample        extra random columns of Omega for the randomized SVD pipeline
     sketch_sizes      per-mode sketch sizes l_n (>= r_n + 2); defaults to 2 r_n + 1
@@ -46,6 +47,13 @@ class ApproxConfig:
     size below r_n + 2 is rejected here, and `plan` gives a mode with
     I_n < r_n + 2, where the clamp to I_n would break that rule, the
     deterministic SVD.
+
+    Every tensor's multilinear rank has r_n <= prod_{m != n} r_m, since the
+    mode-n unfolding of a Tucker model is U_n G_(n) (kron of the other
+    U_m)^T (De Lathauwer, De Moor and Vandewalle, SIMAX 2000). Ranks that no
+    tensor has, such as (2, 2, 6) or any rank above 1 of an order-1 tensor,
+    are rejected here. So every unfolding a pipeline factors has at least
+    r_n columns.
 
     `plan(shape, kernel)` is the one place that turns these fields into
     per-mode steps for a tensor of a given shape: it checks the ranks and the
@@ -66,6 +74,10 @@ class ApproxConfig:
         object.__setattr__(self, "target_ranks", tuple(int(r) for r in self.target_ranks))
         if len(self.target_ranks) == 0 or any(r < 1 for r in self.target_ranks):
             raise ValueError("target ranks must be a nonempty tuple of positive integers")
+        for n, r in enumerate(self.target_ranks, start=1):
+            others = math.prod(self.target_ranks) // r
+            if r > others:
+                raise ValueError(f"target rank {r} of mode {n} exceeds {others}, the product of the other ranks")
         if self.processing_order is not None:
             order = tuple(int(i) for i in self.processing_order)
             object.__setattr__(self, "processing_order", order)
@@ -90,12 +102,13 @@ class ApproxConfig:
         ``kernel`` is "svd", "rsvd" or "sketch": the kernel the pipeline would
         like to run on every mode. Modes are visited in processing order while
         the core shrinks, so a mode's unfolding has I_n rows and as columns the
-        product of the sizes left by the modes before it. "rsvd" runs with
-        p = min(oversample, min(rows, cols) - r_n), and falls back to "svd"
-        when r_n > min(rows, cols). "sketch" runs with l_n clamped to I_n,
-        and falls back to "svd" when I_n < r_n + 2 (where the clamped l_n
-        would be below r_n + 2) or r_n is above the column count. So every
-        sketch step runs with r_n + 2 <= l_n <= I_n.
+        product of the sizes left by the modes before it, each at least its
+        r_m; so by the rank rule (see above) r_n is within both sides of
+        every unfolding. "rsvd" runs with
+        p = min(oversample, min(rows, cols) - r_n). "sketch" runs with l_n
+        clamped to I_n, and falls back to "svd" only when I_n < r_n + 2,
+        where the clamped l_n would be below r_n + 2. So every sketch step
+        runs with r_n + 2 <= l_n <= I_n.
 
         Raises ValueError when the rank count or the processing order does
         not match the tensor's order, or a rank is outside 1..I_n (sketch
@@ -122,9 +135,9 @@ class ApproxConfig:
         for n in order:
             r, rows = ranks[n - 1], dims[n - 1]
             cols = math.prod(dims) // rows
-            if kernel == "rsvd" and r <= min(rows, cols):
+            if kernel == "rsvd":
                 step = ModePlan(n, r, "rsvd", p=min(self.oversample, min(rows, cols) - r))
-            elif kernel == "sketch" and r + 2 <= rows and r <= cols:
+            elif kernel == "sketch" and r + 2 <= rows:
                 step = ModePlan(n, r, "sketch", l=min(sizes[n - 1], rows))
             else:
                 step = ModePlan(n, r, "svd")

@@ -217,8 +217,7 @@ def _left_factor(a: np.ndarray, r: int) -> np.ndarray:
 
     A wide a (m <= n) takes the Gram route when its spectrum allows and the
     R-only QR route otherwise; neither forms the n x r right factor. A tall
-    a, which includes every r above the column count, keeps the u of
-    ``truncated_svd(a, r)``.
+    a keeps the u of ``truncated_svd(a, r)``, which requires r <= n.
     """
     m, n = a.shape
     if not 1 <= r <= m:
@@ -256,37 +255,17 @@ def _row_basis(b: np.ndarray) -> np.ndarray:
     return b.T @ ((v / root) @ thin_qr(root[:, None] * v.T)[0])
 
 
-def _complete_basis(q: np.ndarray, extra: int) -> np.ndarray:
-    """Append extra orthonormal columns orthogonal to range(q)."""
-    m, k = q.shape
-    if extra == 0:
-        return q
-    if k + extra > m:
-        raise ValueError("cannot extend basis beyond the ambient dimension")
-    # The full Q of q's QR is orthogonal and its first k columns span range(q).
-    v, t = _householder(q)
-    full, _ = dgemqrt(v, t, np.eye(m, k + extra, order="F"), overwrite_c=1)
-    return np.hstack([q, full[:, k:]])
-
-
 def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading r singular triplets of a, as the pair (u, c) with c = diag(s) @ vt.
 
-    When r exceeds min(m, n), u gains an orthonormal completion and c gains
-    zero rows: the padded singular values are zero, and an orthonormal
-    completion of v does not exist once r exceeds the column count.
+    Requires 1 <= r <= min(m, n). The pipelines meet it by the rank rule of
+    `ApproxConfig` (r_n at most the product of the other ranks, so at most
+    the column count of every unfolding they factor).
     """
-    m, n = a.shape
-    if r < 1:
-        raise ValueError("rank must be at least 1")
-    if r > m:
-        raise ValueError(f"rank {r} exceeds the row count {m}")
+    if not 1 <= r <= min(a.shape):
+        raise ValueError(f"rank {r} out of range for a {a.shape[0]} x {a.shape[1]} matrix")
     u, s, vt = thin_svd(a)
-    c = s[:r, None] * vt[:r]
-    extra = r - s.size
-    if extra <= 0:
-        return u[:, :r], c
-    return _complete_basis(u, extra), np.vstack([c, np.zeros((extra, n))])
+    return u[:, :r], s[:r, None] * vt[:r]
 
 
 # Below this many columns, Omega is Gaussian instead of random signs.

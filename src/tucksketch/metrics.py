@@ -194,12 +194,13 @@ def f_factor(s: float, t: float) -> float:
 
 
 def _singular_gap(sigma: np.ndarray, r: int) -> float:
-    """sigma_{r+1} / sigma_r, with 0 when either value vanishes."""
-    lead = sigma[r - 1] if r <= sigma.size else 0.0
+    """sigma_{r+1} / sigma_r, with 0 when either vanishes; sigma_{r+1} is 0 at r = len(sigma).
+
+    sigma_r exists: ``ApproxConfig``'s rank rule keeps r_n within both sides
+    of the mode-n unfolding.
+    """
     trail = sigma[r] if r < sigma.size else 0.0
-    if lead == 0.0:
-        return 0.0
-    return float(trail / lead)
+    return float(trail / sigma[r - 1]) if sigma[r - 1] != 0.0 else 0.0
 
 
 @dataclass

@@ -322,7 +322,7 @@ def test_parameter_error_exit_code(tmp_path, capsys):
     save_image_tensor(np.full((16, 16, 3), 100.0), img)
     out = tmp_path / "out.ppm"
     capsys.readouterr()
-    assert main(["image-compress", "--in", str(img), "--algo", "thosvd", "--ranks", "40x4x3",
+    assert main(["image-compress", "--in", str(img), "--algo", "thosvd", "--ranks", "20x8x3",
                  "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("parameter error: ")
     assert not out.exists()
@@ -348,6 +348,29 @@ def test_sketch_extra_below_two_exits_3_before_reading_input(tmp_path, capsys, m
                      *flags, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.count("parameter error: sketch size") == 6
+    assert built == [] and not out.exists()
+
+
+def test_ranks_above_the_product_of_the_others_exit_3_before_reading_input(
+    tmp_path, capsys, monkeypatch
+):
+    import tucksketch.bench as bench
+
+    # no tensor has multilinear rank (2, 2, 6): r_n <= prod_{m != n} r_m, so
+    # such ranks are a parameter error on every command, found before --in
+    # is read or a tensor is built
+    built = []
+    monkeypatch.setattr(bench, "build_source_tensor", lambda cfg: built.append(cfg))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["decompose", "--in", str(tmp_path / "missing.npy"), "--algo", "sthosvd",
+                 "--ranks", "2x2x6", "--out", str(out)]) == 3
+    assert main(["image-compress", "--in", str(tmp_path / "missing.ppm"), "--algo", "thosvd",
+                 "--ranks", "2x2x6", "--out", str(out)]) == 3
+    assert main(["bench", "--source", "hilbert", "--dims", "6x6x6", "--ranks", "2x2x2,2x2x6",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("parameter error: target rank 6 of mode 3 exceeds 4,") == 3
     assert built == [] and not out.exists()
 
 

@@ -268,7 +268,7 @@ def test_bound_zero_for_exact_rank_deterministic():
 @pytest.mark.parametrize("variant", BOUND_VARIANTS)
 @pytest.mark.parametrize(
     "cfg",
-    [ApproxConfig(target_ranks=(9, 2, 2)), ApproxConfig(target_ranks=(2, 2, 2), processing_order=(2, 1))],
+    [ApproxConfig(target_ranks=(7, 3, 3)), ApproxConfig(target_ranks=(2, 2, 2), processing_order=(2, 1))],
     ids=["rank-above-dimension", "short-order"],
 )
 def test_bound_oracle_rejects_what_the_pipelines_reject(variant, cfg):
@@ -450,7 +450,9 @@ def test_singular_gap_zero_conventions():
     assert _singular_gap(sigma, 1) == pytest.approx(2.0 / 3.0)
     assert _singular_gap(sigma, 3) == 0.0  # trailing value is exactly zero
     assert _singular_gap(sigma, 4) == 0.0  # zero leading value
-    assert _singular_gap(sigma, 5) == 0.0  # past the end of the spectrum
+    assert _singular_gap(sigma[:3], 3) == 0.0  # no sigma_{r+1} at r = len(sigma)
+    # r > len(sigma) cannot occur: ApproxConfig's rank rule keeps r_n within
+    # both sides of the unfolding
 
 
 def test_bound_sketch_collapses_for_exact_rank():

@@ -214,10 +214,11 @@ def reference_sequential(x, cfg, kernel, rng):
 def test_pipelines_match_reference_loop(name, kernel):
     # Mode 2 goes first and mode 3, full rank, goes last. At r = (5, 5, 6)
     # mode 2's l = 11 clamps to 10, and mode 3's 6 x 25 unfolding gives
-    # R-STHOSVD p = 0 and the sketches the SVD fallback. At r = (2, 2, 6)
-    # mode 3's 6 x 4 unfolding sends every kernel to the SVD fallback.
+    # R-STHOSVD p = 0 and the sketches the SVD fallback. At r = (3, 2, 5)
+    # mode 3's 6 x 6 unfolding gives R-STHOSVD p = 1 and the sketches the
+    # SVD fallback, since I_3 = 6 < r_3 + 2.
     x = np.random.default_rng(16).standard_normal((12, 10, 6))
-    for ranks in ((5, 5, 6), (2, 2, 6)):
+    for ranks in ((5, 5, 6), (3, 2, 5)):
         cfg = ApproxConfig(target_ranks=ranks, processing_order=(2, 1, 3), power_iters=2)
         got = PIPELINES[name](x, cfg, RngStream(17))
         assert_same_model(got, reference_sequential(x, cfg, kernel, RngStream(17)))
@@ -319,9 +320,31 @@ def test_degenerate_full_rank_modes():
 def test_rank_out_of_range():
     x = np.zeros((4, 4, 4)) + 1.0
     with pytest.raises(ValueError):
-        thosvd(x, ApproxConfig(target_ranks=(5, 2, 2)))
+        thosvd(x, ApproxConfig(target_ranks=(5, 3, 3)))
     with pytest.raises(ValueError):
         sthosvd(x, ApproxConfig(target_ranks=(2, 2)))
+
+
+@pytest.mark.parametrize(
+    "ranks, message",
+    [
+        ((2, 2, 6), "target rank 6 of mode 3 exceeds 4,"),
+        ((1, 1, 5), "target rank 5 of mode 3 exceeds 1,"),
+        ((9, 2, 2), "target rank 9 of mode 1 exceeds 4,"),
+        ((3,), "target rank 3 of mode 1 exceeds 1,"),
+    ],
+    ids=["2x2x6", "1x1x5", "9x2x2", "order-1"],
+)
+def test_ranks_above_the_product_of_the_others_rejected(ranks, message):
+    # the mode-n unfolding of a Tucker model is U_n G_(n) (kron U_m)^T, so
+    # r_n <= prod_{m != n} r_m for every tensor (an order-1 tensor has rank 1)
+    with pytest.raises(ValueError, match=message):
+        ApproxConfig(target_ranks=ranks)
+
+
+@pytest.mark.parametrize("ranks", [(2, 2, 4), (1, 1, 1), (50, 50, 3), (1,), (4, 4)])
+def test_ranks_within_the_product_of_the_others_accepted(ranks):
+    assert ApproxConfig(target_ranks=ranks).target_ranks == ranks
 
 
 def test_invalid_processing_order():
@@ -364,13 +387,6 @@ def test_default_sketch_sizes_and_plan():
         ((3, 5, 10), None, (20, 8, 10), "sketch", (7, 8, None)),
         # p clamps to min(rows, cols) - r_n, down to 0 at r_n = I_n
         ((3, 5, 10), None, (20, 8, 10), "rsvd", (5, 3, 0)),
-        # the last mode sees a 1-column unfolding after the first two
-        # shrink, so every randomized kernel falls back there, unless it is
-        # processed first
-        ((1, 1, 5), None, (3, 3, 10), "sketch", (3, 3, None)),
-        ((1, 1, 5), None, (3, 3, 10), "rsvd", (2, 2, None)),
-        ((1, 1, 5), (3, 1, 2), (3, 3, 10), "sketch", (3, 3, 10)),
-        ((1, 1, 5), (3, 1, 2), (3, 3, 10), "rsvd", (2, 2, 4)),
         # a sketch step needs l_n >= r_n + 2: I_n = r_n + 1 falls back to
         # the SVD, I_n = r_n + 2 sketches with l_n clamped to I_n
         ((3, 3), None, (4, 5), "sketch", (None, 5)),
@@ -395,6 +411,10 @@ def test_default_sketch_sizes_and_plan():
         assert plan_sizes(cfg, shape, kernel) == sizes, (ranks, order, shape, kernel)
     with pytest.raises(ValueError, match="unknown kernel"):
         cfg.plan((256, 256, 3), "sub_sketch")
+    # no tensor has ranks (1, 1, 5), so no plan needs a fallback for the
+    # 1-column unfolding its last mode would see
+    with pytest.raises(ValueError, match="target rank 5 of mode 3 exceeds 1"):
+        ApproxConfig(target_ranks=(1, 1, 5))
 
 
 @pytest.mark.parametrize("name", ["sketch_sthosvd", "sub_sketch_sthosvd"])
