@@ -33,7 +33,8 @@ class ApproxConfig:
 
     target_ranks      per-mode target ranks r_n, 1 <= r_n <= I_n and
                       r_n <= the product of the other ranks
-    processing_order  1-based permutation of the modes; natural order if None
+    processing_order  1-based permutation of 1..len(target_ranks); natural
+                      order if None
     oversample        extra random columns of Omega for the randomized SVD pipeline
     sketch_sizes      per-mode sketch sizes l_n (>= r_n + 2); defaults to 2 r_n + 1
     power_iters       subspace power iterations for the sub-sketch pipeline
@@ -81,8 +82,9 @@ class ApproxConfig:
         if self.processing_order is not None:
             order = tuple(int(i) for i in self.processing_order)
             object.__setattr__(self, "processing_order", order)
-            if sorted(order) != list(range(1, len(order) + 1)):
-                raise ValueError(f"processing order {order} is not a permutation of 1..N")
+            ndim = len(self.target_ranks)
+            if sorted(order) != list(range(1, ndim + 1)):
+                raise ValueError(f"processing order {order} is not a permutation of 1..{ndim}")
         if self.oversample < 0:
             raise ValueError("oversampling must be nonnegative")
         if self.power_iters < 1:
@@ -110,9 +112,9 @@ class ApproxConfig:
         where the clamped l_n would be below r_n + 2. So every sketch step
         runs with r_n + 2 <= l_n <= I_n.
 
-        Raises ValueError when the rank count or the processing order does
-        not match the tensor's order, or a rank is outside 1..I_n (sketch
-        sizes always match the ranks in length).
+        Raises ValueError when the rank count does not match the tensor's
+        order, or a rank is outside 1..I_n (the processing order and the
+        sketch sizes always match the ranks in length).
         """
         if kernel not in ("svd", "rsvd", "sketch"):
             raise ValueError(f"unknown kernel {kernel!r}")
@@ -125,8 +127,6 @@ class ApproxConfig:
         order = self.processing_order
         if order is None:
             order = tuple(range(1, ndim + 1))
-        elif len(order) != ndim:
-            raise ValueError(f"processing order {order} does not cover {ndim} modes")
         sizes = self.sketch_sizes
         if sizes is None:
             sizes = tuple(2 * r + 1 for r in ranks)

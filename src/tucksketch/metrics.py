@@ -2,6 +2,8 @@
 
 The bound computations need the full singular spectrum of every mode
 unfolding, so they are desk-scale testing utilities, not production paths.
+`spectrum_summary` returns those spectra as a plain list of arrays, mode 1
+first, and `tail_energy` reads tails off one of them.
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ from .config import ApproxConfig
 from .tensor import unfold
 
 __all__ = [
-    "SpectrumSummary",
     "spectrum_summary",
     "BoundReport",
     "ModeBound",
     "relative_error",
     "psnr",
     "tail_energy",
-    "mode_tail_delta",
     "f_factor",
     "bound_oracle",
     "BOUND_VARIANTS",
@@ -33,23 +33,12 @@ __all__ = [
 BOUND_VARIANTS = ("thosvd", "sthosvd", "sketch", "sub_sketch")
 
 
-@dataclass
-class SpectrumSummary:
-    """Full singular values of every mode unfolding, each sorted nonincreasing."""
+def spectrum_summary(x: np.ndarray) -> list[np.ndarray]:
+    """Singular values of each mode unfolding, mode 1 first, each nonincreasing.
 
-    per_mode: list[np.ndarray]
-
-    def mode(self, n: int) -> np.ndarray:
-        if not 1 <= n <= len(self.per_mode):
-            raise ValueError(f"mode {n} out of range")
-        return self.per_mode[n - 1]
-
-
-def spectrum_summary(x: np.ndarray) -> SpectrumSummary:
-    """Dense SVD of each unfolding; the reference spectrum for all bounds."""
-    return SpectrumSummary(
-        [scipy.linalg.svdvals(unfold(x, n)) for n in range(1, x.ndim + 1)]
-    )
+    A dense SVD per unfolding: the reference spectrum for all bounds.
+    """
+    return [scipy.linalg.svdvals(unfold(x, n)) for n in range(1, x.ndim + 1)]
 
 
 # Elements per block of the fused scoring pass: the float64 work buffer
@@ -176,14 +165,6 @@ def tail_energy(sigma: np.ndarray, j: int) -> float:
     return float(np.sum(sigma[j - 1 :] ** 2))
 
 
-def mode_tail_delta(summary: SpectrumSummary, n: int, r: int) -> float:
-    """Mode-n tail energy beyond rank r: sum of sigma_i^2 for i > r."""
-    if r < 0:
-        raise ValueError("rank must be nonnegative")
-    sigma = summary.mode(n)
-    return tail_energy(sigma, min(r, sigma.size) + 1)
-
-
 def f_factor(s: float, t: float) -> float:
     """s / (t - s - 1); +inf at t == s + 1 where the bound turns vacuous."""
     if t < s + 1:
@@ -191,16 +172,6 @@ def f_factor(s: float, t: float) -> float:
     if t == s + 1:
         return math.inf
     return s / (t - s - 1)
-
-
-def _singular_gap(sigma: np.ndarray, r: int) -> float:
-    """sigma_{r+1} / sigma_r, with 0 when either vanishes; sigma_{r+1} is 0 at r = len(sigma).
-
-    sigma_r exists: ``ApproxConfig``'s rank rule keeps r_n within both sides
-    of the mode-n unfolding.
-    """
-    trail = sigma[r] if r < sigma.size else 0.0
-    return float(trail / sigma[r - 1]) if sigma[r - 1] != 0.0 else 0.0
 
 
 @dataclass
@@ -233,15 +204,18 @@ def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
 
         (1 + f(r_n, l_n)) * min_rho (1 + f(rho, r_n) * g^(4q)) * tau_{rho+1}^2,
 
-    where tau_j^2 is the tail energy from sigma_j on, g = sigma_{r+1}/sigma_r
-    is the singular gap and q the power iteration count; "sketch" is q = 0,
-    so its damping is 1. l_n is the size the pipeline runs with, clamped to
-    I_n, and a mode the pipeline truncates deterministically gets Delta_n:
-    both come from `ApproxConfig.plan`, which also rejects the ranks and
-    orders that the pipelines reject, and which sketches only with
-    l_n >= r_n + 2. The minimum over the split index rho
-    (1 <= rho < r_n - 1) is evaluated exhaustively. Every factor is then
-    finite; an empty domain (r_n <= 2) makes the mode term +inf.
+    where sigma is the mode's spectrum, ``spectrum_summary(x)[n - 1]``,
+    tau_j^2 = ``tail_energy(sigma, j)`` is the tail energy from sigma_j on
+    (so Delta_n = tau_{r_n+1}^2), g = sigma_{r+1}/sigma_r is the singular
+    gap, 0 when either vanishes or r_n = len(sigma), and q the power
+    iteration count; "sketch" is q = 0, so its damping is 1. l_n is the
+    size the pipeline runs with, clamped to I_n, and a mode the pipeline
+    truncates deterministically gets Delta_n: both come from
+    `ApproxConfig.plan`, which also rejects the ranks that the pipelines
+    reject, and which sketches only with l_n >= r_n + 2. The minimum over
+    the split index rho (1 <= rho < r_n - 1) is evaluated exhaustively.
+    Every factor is then finite; an empty domain (r_n <= 2) makes the mode
+    term +inf.
 
     The theorem is proved for Gaussian test matrices. The sketch kernels
     keep Psi Gaussian but draw Omega as random signs (``RngStream.signs``)
@@ -254,12 +228,13 @@ def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
         raise ValueError(f"unknown bound variant {variant!r}")
     kernel = "sketch" if variant in ("sketch", "sub_sketch") else "svd"
     plan = sorted(cfg.plan(x.shape, kernel), key=lambda step: step.mode)
-    summary = spectrum_summary(x)
+    spectra = spectrum_summary(x)
     power_iters = cfg.power_iters if variant == "sub_sketch" else 0
     modes: list[ModeBound] = []
     for step in plan:
         n, r, l = step.mode, step.rank, step.l
-        delta_sq = mode_tail_delta(summary, n, r)
+        sigma = spectra[n - 1]
+        delta_sq = tail_energy(sigma, r + 1)
         if step.kernel == "svd":
             modes.append(ModeBound(delta_sq, None, delta_sq))
             continue
@@ -272,8 +247,10 @@ def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
             )
             modes.append(ModeBound(delta_sq, None, math.inf))
             continue
-        sigma = summary.mode(n)
-        damping = _singular_gap(sigma, r) ** (4 * power_iters)
+        # a Python float, so that every term is one; sigma_r exists by the
+        # rank rule, and sigma_{r+1} is 0 past the end
+        gap = float(sigma[r] / sigma[r - 1]) if r < sigma.size and sigma[r - 1] != 0.0 else 0.0
+        damping = gap ** (4 * power_iters)
         # the first rho of the smallest product
         best, best_rho = min(
             ((1.0 + f_factor(rho, r) * damping) * tail_energy(sigma, rho + 1), rho)

@@ -374,6 +374,43 @@ def test_ranks_above_the_product_of_the_others_exit_3_before_reading_input(
     assert built == [] and not out.exists()
 
 
+def test_order_not_covering_the_ranks_exits_3_before_reading_input(
+    tmp_path, capsys, monkeypatch
+):
+    import tucksketch.bench as bench
+
+    # --order must be a permutation of the modes that --ranks names, so a
+    # short order is a parameter error on every command, found before --in
+    # is read or a tensor is built
+    built = []
+    monkeypatch.setattr(bench, "build_source_tensor", lambda cfg: built.append(cfg))
+    out = tmp_path / "out"
+    flags = ["--ranks", "2x2x2", "--order", "1,2"]
+    capsys.readouterr()
+    assert main(["decompose", "--in", str(tmp_path / "missing.npy"), "--algo", "sthosvd",
+                 *flags, "--out", str(out)]) == 3
+    assert main(["image-compress", "--in", str(tmp_path / "missing.ppm"), "--algo", "thosvd",
+                 *flags, "--out", str(out)]) == 3
+    assert main(["bench", "--source", "hilbert", "--dims", "6x6x6", *flags,
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("parameter error: processing order (1, 2) is not a permutation of 1..3") == 3
+    assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_input_is_a_parameter_error(tmp_path, capsys, bad):
+    x = hilbert_tensor((4, 4, 4))
+    x[1, 2, 3] = bad
+    src, out = tmp_path / "x.npy", tmp_path / "m.tuck"
+    np.save(src, x)
+    capsys.readouterr()
+    assert main(["decompose", "--in", str(src), "--algo", "sthosvd", "--ranks", "2x2x2",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "parameter error: tensor entries must be finite\n"
+    assert not out.exists()
+
+
 def test_decompose_reads_images(tmp_path, capsys):
     img = np.full((8, 6, 3), 100.0)
     src = tmp_path / "flat.ppm"

@@ -15,7 +15,6 @@ from tucksketch.metrics import (
     BOUND_VARIANTS,
     bound_oracle,
     f_factor,
-    mode_tail_delta,
     psnr,
     relative_error,
     spectrum_summary,
@@ -207,23 +206,25 @@ def test_tail_energy_nonincreasing(values):
 
 
 def test_mode_tail_delta_edges():
+    # Delta_n at rank r is tail_energy(sigma_n, r + 1): zero at full rank,
+    # ||X||^2 at rank 0, and no tail starts past sigma_n's end
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5, 6, 7))
     summary = spectrum_summary(x)
+    assert [sigma.size for sigma in summary] == [5, 6, 7]
     for n in (1, 2, 3):
-        assert mode_tail_delta(summary, n, x.shape[n - 1]) <= 1e-20
-        assert mode_tail_delta(summary, n, 0) == pytest.approx(
-            frobenius_norm(x) ** 2, rel=1e-12
-        )
-    with pytest.raises(ValueError):
-        mode_tail_delta(summary, 4, 1)
+        sigma = summary[n - 1]
+        assert tail_energy(sigma, x.shape[n - 1] + 1) <= 1e-20
+        assert tail_energy(sigma, 1) == pytest.approx(frobenius_norm(x) ** 2, rel=1e-12)
+        with pytest.raises(ValueError):
+            tail_energy(sigma, x.shape[n - 1] + 2)
 
 
 def test_mode_tail_delta_nonincreasing_in_rank():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((6, 7, 8))
     summary = spectrum_summary(x)
-    deltas = [mode_tail_delta(summary, 1, r) for r in range(0, 7)]
+    deltas = [tail_energy(summary[0], r + 1) for r in range(0, 7)]
     assert all(a >= b for a, b in zip(deltas, deltas[1:]))
 
 
@@ -237,7 +238,7 @@ def test_mode_tail_delta_matches_projection_oracle():
         u, _ = truncated_svd(unfold(x, n), r)
         proj = np.eye(20) - u @ u.T
         err_sq = frobenius_norm(mode_n_product(x, proj, n)) ** 2
-        delta = mode_tail_delta(summary, n, r)
+        delta = tail_energy(summary[n - 1], r + 1)
         assert abs(err_sq - delta) <= 1e-10 * max(delta, 1e-30)
 
 
@@ -268,7 +269,7 @@ def test_bound_zero_for_exact_rank_deterministic():
 @pytest.mark.parametrize("variant", BOUND_VARIANTS)
 @pytest.mark.parametrize(
     "cfg",
-    [ApproxConfig(target_ranks=(7, 3, 3)), ApproxConfig(target_ranks=(2, 2, 2), processing_order=(2, 1))],
+    [ApproxConfig(target_ranks=(7, 3, 3)), ApproxConfig(target_ranks=(2, 2))],
     ids=["rank-above-dimension", "short-order"],
 )
 def test_bound_oracle_rejects_what_the_pipelines_reject(variant, cfg):
@@ -301,7 +302,7 @@ def test_bound_sketch_hand_computed():
     report = bound_oracle(x, cfg, "sketch")
     summary = spectrum_summary(x)
     for n, mode in enumerate(report.modes, start=1):
-        sigma = summary.mode(n)
+        sigma = summary[n - 1]
         by_rho = {1: 1.5 * tail_energy(sigma, 2), 2: 3.0 * tail_energy(sigma, 3)}
         assert mode.chosen_rho == 1 == min(by_rho, key=by_rho.get)
         assert mode.term == pytest.approx(5.0 * by_rho[1], rel=1e-12)
@@ -328,7 +329,7 @@ def test_bound_sub_sketch_hand_computed():
     report = bound_oracle(x, cfg, "sub_sketch")
     summary = spectrum_summary(x)
     for n, mode in enumerate(report.modes, start=1):
-        sigma = summary.mode(n)
+        sigma = summary[n - 1]
         gap = sigma[r] / sigma[r - 1]
         best = min(
             (1 + (rho / (r - rho - 1)) * gap ** (4 * q)) * tail_energy(sigma, rho + 1)
@@ -348,7 +349,7 @@ def test_bound_sketch_factor_two_at_default_size():
     sub = bound_oracle(x, cfg, "sub_sketch")
     summary = spectrum_summary(x)
     for n, (a, b) in enumerate(zip(sk.modes, sub.modes), start=1):
-        sigma = summary.mode(n)
+        sigma = summary[n - 1]
         best = min(
             (1 + rho / (r - rho - 1)) * tail_energy(sigma, rho + 1)
             for rho in range(1, r - 1)
@@ -366,7 +367,7 @@ def test_bound_uses_the_sketch_size_each_mode_runs_with():
     summary = spectrum_summary(x)
     for variant in ("sketch", "sub_sketch"):
         report = bound_oracle(x, cfg, variant)
-        sigma = summary.mode(1)
+        sigma = summary[0]
         damping = (sigma[4] / sigma[3]) ** 4 if variant == "sub_sketch" else 1.0
         best = min(
             (1 + (rho / (4 - rho - 1)) * damping) * tail_energy(sigma, rho + 1)
@@ -418,7 +419,7 @@ def test_bound_of_a_mode_too_short_to_sketch_is_its_tail():
     # truncate mode 1 by the SVD and its term is the finite Delta_1
     x = np.random.default_rng(12).standard_normal((5, 8, 8))
     cfg = ApproxConfig(target_ranks=(4, 4, 4))
-    delta = mode_tail_delta(spectrum_summary(x), 1, 4)
+    delta = tail_energy(spectrum_summary(x)[0], 4 + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for variant in ("sketch", "sub_sketch"):
@@ -443,16 +444,29 @@ def test_bound_unknown_variant():
         bound_oracle(np.ones((2, 2)), ApproxConfig(target_ranks=(1, 1)), "nope")
 
 
-def test_singular_gap_zero_conventions():
-    from tucksketch.metrics import _singular_gap
+def test_singular_gap_zero_conventions(monkeypatch):
+    import tucksketch.metrics as metrics
 
-    sigma = np.array([3.0, 2.0, 1.0, 0.0])
-    assert _singular_gap(sigma, 1) == pytest.approx(2.0 / 3.0)
-    assert _singular_gap(sigma, 3) == 0.0  # trailing value is exactly zero
-    assert _singular_gap(sigma, 4) == 0.0  # zero leading value
-    assert _singular_gap(sigma[:3], 3) == 0.0  # no sigma_{r+1} at r = len(sigma)
-    # r > len(sigma) cannot occur: ApproxConfig's rank rule keeps r_n within
-    # both sides of the unfolding
+    # the gap g = sigma_{r+1} / sigma_r is 0 when sigma_{r+1} = 0 (mode 1),
+    # when sigma_r = 0 (mode 2, where the ratio would be 0/0) and at
+    # r = len(sigma) (mode 3). At r = 3 and l = 5 (2r + 1 clamped to I_n)
+    # the only split index is rho = 1, so with g = 0 each sub-Sketch term is
+    # (1 + f(3, 5)) * (1 + f(1, 3) * 0) * tau_2^2 = 4 * tau_2^2, a Python
+    # float; Sketch has no damping and gives (1 + 3) * (1 + 1) * tau_2^2
+    spectra = [
+        np.array([3.0, 2.0, 1.0, 0.0]),
+        np.array([3.0, 2.0, 0.0, 0.0]),
+        np.array([3.0, 2.0, 1.0]),
+    ]
+    monkeypatch.setattr(metrics, "spectrum_summary", lambda x: spectra)
+    x = np.zeros((5, 5, 5))
+    cfg = ApproxConfig(target_ranks=(3, 3, 3))
+    sub = bound_oracle(x, cfg, "sub_sketch")
+    sk = bound_oracle(x, cfg, "sketch")
+    for tau2_sq, a, b in zip((5.0, 4.0, 5.0), sub.modes, sk.modes):
+        assert type(a.term) is float and a.term == 4.0 * tau2_sq
+        assert b.term == 8.0 * tau2_sq
+        assert a.chosen_rho == b.chosen_rho == 1
 
 
 def test_bound_sketch_collapses_for_exact_rank():
@@ -467,5 +481,5 @@ def test_bound_sketch_collapses_for_exact_rank():
         report = bound_oracle(x, cfg, variant)
         for n, mode in enumerate(report.modes, start=1):
             assert mode.delta_sq <= 1e-25 * frobenius_norm(x) ** 2
-            floor = min(tail_energy(summary.mode(n), 3), tail_energy(summary.mode(n), 2))
+            floor = min(tail_energy(summary[n - 1], 3), tail_energy(summary[n - 1], 2))
             assert mode.term >= floor > 0.0

@@ -350,6 +350,10 @@ def test_ranks_within_the_product_of_the_others_accepted(ranks):
 def test_invalid_processing_order():
     with pytest.raises(ValueError):
         ApproxConfig(target_ranks=(2, 2, 2), processing_order=(1, 1, 2))
+    # the order is a permutation of the ranks' modes, checked where it is set
+    for order in ((2, 1), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.3"):
+            ApproxConfig(target_ranks=(2, 2, 2), processing_order=order)
     x = np.ones((4, 4, 4))
     cfg = ApproxConfig(target_ranks=(2, 2), processing_order=(2, 1))
     with pytest.raises(ValueError):
