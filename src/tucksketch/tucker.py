@@ -23,9 +23,9 @@ negated, with the matching row of C (Bro, Acar and Kolda, J. Chemometrics
 2008). So the next mode's random draws act on a core that does not carry
 LAPACK's arbitrary signs, and a swap of SVD kernels that only moves
 rounding or signs leaves the model alone up to rounding. A sketch step's
-U_n is a basis Q of the sketched range, not singular vectors; the Gram and
-Householder routes of ``linalg._row_basis`` build the same basis up to
-rounding and column signs, so the route does not move it either. The loop
+U_n is a basis Q of the sketched range, not singular vectors; the two
+routes of sub-Sketch's power step (``linalg.sub_sketch``) build the same
+basis up to rounding, so the route does not move it either. The loop
 folds C back into a core whose mode n now has size r_n. ``thosvd`` factors
 the unshrunk unfoldings and needs no core per mode, so it keeps its own
 loop, and it needs only U of each:
@@ -34,12 +34,12 @@ when the spectrum passes a sqrt(eps) guard, and from an R-only QR
 otherwise, never forming V, and gives its columns the same signs. The
 randomized steps use the same Gram route on their short, wide stages:
 ``rsvd`` takes U of its k x n projection Q^T A from ``_left_factor``, and
-sub-Sketch's power step takes its basis of range(A^T Q) from ``eigh`` and
-a QR of k x k matrices, keeping the Householder QR for spectra that fail
-the guard. So R-STHOSVD and sub-Sketch-STHOSVD cost a few GEMMs over each
-unfolding plus k x k factorizations wherever the guard passes, as the paper
-counts them. ``sthosvd`` keeps the full truncated SVD for now; the README
-says why.
+sub-Sketch's power step takes the QR of A (Q^T A)^T with no basis of
+range(A^T Q) in between, keeping the Householder QR of (Q^T A)^T for
+spectra that fail the guard. So R-STHOSVD and sub-Sketch-STHOSVD cost a
+few GEMMs over each unfolding plus k x k factorizations wherever the guard
+passes, as the paper counts them. ``sthosvd`` keeps the full truncated SVD
+for now; the README says why.
 
 The randomized pipelines draw from ``RngStream(cfg.seed)`` when no rng is
 passed. The command line and the bench reach the pipelines by name through

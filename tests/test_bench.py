@@ -190,6 +190,8 @@ def test_descriptor_validation():
         small_hilbert_config(rank_sets=())
     with pytest.raises(ValueError):
         small_hilbert_config(trials=0)
+    with pytest.raises(ValueError, match="unknown aggregate mode 'median'"):
+        small_hilbert_config(aggregate="median")
     # every rank set is checked against dims when the config is made
     for bad in ([(2, 2, 2), (11, 2, 2)], [(2, 2)]):
         with pytest.raises(ValueError):

@@ -328,6 +328,55 @@ def test_parameter_error_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--oversample", "-1"], "oversampling must be nonnegative"),
+        (["--q", "0"], "power iteration count must be at least 1"),
+        (["--ranks", "0x2x2"], "target ranks must be a nonempty tuple of positive integers"),
+    ],
+    ids=["oversample", "q", "zero-rank"],
+)
+def test_bad_approx_flags_exit_3_before_reading_input(tmp_path, capsys, flags, message):
+    missing = str(tmp_path / "missing.npy")
+    capsys.readouterr()
+    assert main(["decompose", "--in", missing, "--algo", "subsketch", "--ranks", "2x2x2",
+                 *flags]) == 3
+    assert capsys.readouterr().err == f"parameter error: {message}\n"
+
+
+def test_decompose_takes_exactly_one_algorithm(tmp_path, capsys):
+    src = tmp_path / "x.npy"
+    np.save(src, hilbert_tensor((4, 4, 4)))
+    capsys.readouterr()
+    assert main(["decompose", "--in", str(src), "--algo", "all", "--ranks", "2x2x2"]) == 1
+    assert capsys.readouterr().err == "usage error: decompose takes exactly one algorithm\n"
+
+
+def test_npz_input_is_an_io_error(tmp_path, capsys):
+    src = tmp_path / "x.npz"
+    np.savez(src, x=hilbert_tensor((4, 4, 4)))
+    capsys.readouterr()
+    assert main(["decompose", "--in", str(src), "--algo", "sthosvd", "--ranks", "2x2x2"]) == 2
+    assert "an .npz archive, not one array" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--source", "sparse", "--dims", "10x10x12"], "sparse source requires cubic dims n x n x n"),
+        (["--source", "hilbert"], "source 'hilbert' requires dims"),
+    ],
+    ids=["sparse-not-cubic", "hilbert-without-dims"],
+)
+def test_bench_source_errors_exit_3(tmp_path, capsys, flags, message):
+    out = tmp_path / "r.csv"
+    capsys.readouterr()
+    assert main(["bench", *flags, "--ranks", "2x2x2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"parameter error: {message}\n"
+    assert not out.exists()
+
+
 def test_sketch_extra_below_two_exits_3_before_reading_input(tmp_path, capsys, monkeypatch):
     import tucksketch.bench as bench
 

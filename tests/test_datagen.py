@@ -151,6 +151,9 @@ def test_gaussian_tensor_deterministic_and_shapes():
     assert np.array_equal(a, b)
     single = gaussian_tensor((1,), RngStream(2))
     assert single.shape == (1,)
+    for bad in ((), (3, 0)):
+        with pytest.raises(ValueError, match="nonempty tuple of positive integers"):
+            gaussian_tensor(bad, RngStream(2))
 
 
 def test_gaussian_tensor_moments():

@@ -89,6 +89,7 @@ def test_save_rejects_bad_shapes():
         b"P5\n1 1\n255",                 # truncated header
         b"P5\nx 1\n255\n\x00",          # non-numeric field
         b"P5\n0 1\n255\n",               # zero dimension
+        b"P6\n# a comment with no end",  # comment runs off the header
     ],
 )
 def test_load_rejects_malformed(tmp_path, blob):

@@ -11,7 +11,6 @@ from tucksketch.linalg import (
     _left_factor,
     _min_norm_lstsq,
     _qr_left_factor,
-    _row_basis,
     rsvd,
     sketch,
     sub_sketch,
@@ -264,6 +263,13 @@ def test_rsvd_with_k_equal_to_the_column_count_is_exact():
 def test_rsvd_rejects_oversized_sketch():
     with pytest.raises(ValueError):
         rsvd(np.zeros((10, 8)), 6, 3, RngStream(0))
+
+
+def test_rsvd_rejects_zero_rank_and_negative_oversampling():
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        rsvd(np.ones((10, 8)), 0, 2, RngStream(0))
+    with pytest.raises(ValueError, match="oversampling must be nonnegative"):
+        rsvd(np.ones((10, 8)), 2, -1, RngStream(0))
 
 
 def test_rsvd_mean_residual_within_tail_regime():
@@ -537,9 +543,8 @@ def assert_orthonormal_columns(u, tol=1e-12):
 def test_left_factor_routes_agree_on_separated_spectrum():
     sigma = 2.0 ** -np.arange(12)
     a = matrix_with_spectrum(12, 300, sigma, seed=50)
-    pair = _gram_eigh(a, 5)
-    assert pair is not None
-    gram = pair[1]
+    gram = _gram_eigh(a, 5)
+    assert gram is not None
     qr = _qr_left_factor(a, 5)
     assert scipy.linalg.svdvals(gram.T @ qr).min() >= 1 - 1e-12
     gram, qr = _canonical_signs(gram), _canonical_signs(qr)
@@ -661,16 +666,18 @@ def _svd_of_projection_rsvd(a, r, p, seed):
 
 
 def _householder_sub_sketch(a, k, l, power_iters, seed):
-    """sub_sketch with the Householder power step: the Q of (Q^T a)^T, formed in full."""
+    """sub_sketch with the Householder power step: the Q of (Q^T a)^T, formed in full.
+
+    The correction is formed as the library forms it, ((Psi Q)^+ Psi) a.
+    """
     m, n = a.shape
     rng = RngStream(seed)
-    omega = _draw_omega(rng, n, k)
+    y = a if k == n else a @ _draw_omega(rng, n, k)
     psi = thin_qr(rng.normal(l, m).T)[0].T
-    w = psi @ a
-    q, _ = thin_qr(a @ omega)
+    q, _ = thin_qr(y)
     for _ in range(power_iters):
         q, _ = thin_qr(a @ thin_qr((q.T @ a).T)[0])
-    return q, _min_norm_lstsq(psi @ q, w)
+    return q, _min_norm_lstsq(psi @ q, psi) @ a
 
 
 def _stored(a, layout):
@@ -710,19 +717,48 @@ def test_rsvd_zero_and_graded_inputs_keep_orthonormal_factors():
     assert np.linalg.norm(u @ c - u_ref @ c_ref) <= 1e-12 * np.linalg.norm(a)
 
 
+# sigma_1 / sigma_6 = 8000 puts lambda_6 / lambda_1 of the first six at 1.6e-8,
+# just above the sqrt(eps) guard, with the rest 1e-3 sigma_6 and below
+_NEAR_GUARD = np.concatenate([8000.0 ** (-np.arange(6) / 5), 1e-3 / 8000 * 2.0 ** -np.arange(34)])
+
+
 @pytest.mark.parametrize("layout", ["C", "F"])
 @pytest.mark.parametrize("power_iters", [1, 2])
 def test_sub_sketch_spans_householder_range_on_separated_spectrum(power_iters, layout):
-    a = _stored(matrix_with_spectrum(80, 300, 2.0 ** -np.arange(40), seed=63), layout)
     k, l, seed = 6, 13, 64
-    q, xc = sub_sketch(a, k, l, power_iters, RngStream(seed))
-    q_ref, xc_ref = _householder_sub_sketch(a, k, l, power_iters, seed)
-    assert _gram_eigh(q_ref.T @ a, k) is not None
-    assert scipy.linalg.svdvals(q.T @ q_ref).min() >= 1 - 1e-12
-    # the same basis, not a rotation of it: the routes differ only in
-    # column signs, which the QR of a @ basis does not see
-    assert np.max(np.abs(q - q_ref)) <= 1e-12
-    assert np.linalg.norm(q @ xc - q_ref @ xc_ref) <= 1e-10 * np.linalg.norm(a)
+    cases = [
+        ((80, 300), 2.0 ** -np.arange(40), 1e-12),
+        # k = n: Q^T a is 6 x 6, and no Omega is drawn
+        ((40, 6), 2.0 ** -np.arange(6), 1e-12),
+        ((80, 300), _NEAR_GUARD, 1e-10),
+    ]
+    for shape, sigma, tol in cases:
+        a = _stored(matrix_with_spectrum(*shape, sigma, seed=63), layout)
+        before = a.copy()
+        q, xc = sub_sketch(a, k, l, power_iters, RngStream(seed))
+        assert np.array_equal(a, before)
+        q_ref, xc_ref = _householder_sub_sketch(a, k, l, power_iters, seed)
+        assert _gram_eigh(q_ref.T @ a, k) is not None
+        assert_orthonormal_columns(q)
+        assert scipy.linalg.svdvals(q.T @ q_ref).min() >= 1 - 1e-12
+        # the same basis, not a rotation of it: a @ (Q^T a)^T and a times the
+        # Householder Q of (Q^T a)^T differ by an upper triangle on the
+        # right, which leaves a Householder Q unchanged, signs included
+        assert np.max(np.abs(q - q_ref)) <= tol, shape
+        assert np.linalg.norm(q @ xc - q_ref @ xc_ref) <= 1e-10 * np.linalg.norm(a)
+
+
+def test_sub_sketch_of_zero_matrix_takes_householder_route():
+    a = np.zeros((30, 40))
+    k, l, seed = 4, 9, 67
+    q, xc = sub_sketch(a, k, l, 2, RngStream(seed))
+    # the zero Gram matrix fails the guard, so every round is Householder's
+    assert _gram_eigh(q.T @ a, k) is None
+    q_ref, xc_ref = _householder_sub_sketch(a, k, l, 2, seed)
+    assert np.array_equal(q, q_ref)
+    assert q.shape == (30, k)
+    assert_orthonormal_columns(q)
+    assert np.array_equal(xc, np.zeros((k, 40)))
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
@@ -735,37 +771,6 @@ def test_sub_sketch_graded_spectrum_keeps_householder_bits(layout):
     q, xc = sub_sketch(a, k, l, 2, RngStream(seed))
     assert np.array_equal(q, q_ref)
     assert np.array_equal(xc, xc_ref)
-
-
-@pytest.mark.parametrize("layout", ["C", "F"])
-@pytest.mark.parametrize(
-    "k, n, route",
-    [(6, 200, "gram"), (6, 200, "qr"), (9, 9, "gram"), (9, 9, "qr")],
-    ids=["wide-gram", "wide-qr", "square-gram", "square-qr"],
-)
-def test_row_basis_orthonormal_span_of_rows(k, n, route, layout):
-    sigma = 2.0 ** -np.arange(k) if route == "gram" else 1e-3 ** np.arange(k)
-    b = _stored(matrix_with_spectrum(k, n, sigma, seed=66), layout)
-    before = b.copy()
-    assert (_gram_eigh(b, k) is None) == (route == "qr")
-    basis = _row_basis(b)
-    assert np.array_equal(b, before)
-    assert basis.shape == (n, k)
-    assert np.linalg.norm(basis.T @ basis - np.eye(k)) <= 1e-8
-    assert np.linalg.norm(b.T - basis @ (basis.T @ b.T)) <= 1e-12 * np.linalg.norm(b)
-    householder = thin_qr(b.T)[0]
-    if route == "qr":
-        assert np.array_equal(basis, householder)
-    else:
-        # b.T R^-1 from the Gram matrix: the Householder Q up to column signs
-        signs = np.sign(np.sum(basis * householder, axis=0))
-        assert np.max(np.abs(basis * signs - householder)) <= 1e-11
-
-
-def test_row_basis_of_zero_matrix_is_orthonormal():
-    basis = _row_basis(np.zeros((4, 30)))
-    assert basis.shape == (30, 4)
-    assert_orthonormal_columns(basis)
 
 
 def _reference_thosvd(x, ranks):

@@ -62,6 +62,30 @@ def test_psnr_values():
         psnr(x, x, 0.0)
 
 
+def test_scores_reject_a_shape_mismatch():
+    x = np.ones((2, 3, 4))
+    for score in (relative_error, lambda x, xhat: psnr(x, xhat, 1.0)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            score(x, np.ones((2, 4, 3)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_block_sums_whose_total_overflows_are_rescaled():
+    # each block's plain sum of squares is finite (about 1.5e308), and only
+    # their exact total overflows, inside math.fsum; the pass is then redone
+    # with each block scaled by a power of two
+    rng = np.random.default_rng(9)
+    x = 6.8e151 * rng.uniform(0.99, 1.0, 2 * _BLOCK) * rng.choice([-1.0, 1.0], 2 * _BLOCK)
+    xhat = x * (1.0 + 1e-3 * rng.standard_normal(x.size))
+    sums = [float(np.dot(b, b)) for b in np.split(x, 2)]
+    assert all(math.isfinite(s) for s in sums)
+    with pytest.raises(OverflowError):
+        math.fsum(sums)
+    s = 2.0 ** 500
+    expected = np.linalg.norm(x / s - xhat / s) / np.linalg.norm(x / s)
+    assert relative_error(x, xhat) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_psnr_matches_direct_formula():
     rng = np.random.default_rng(1)
     x = rng.uniform(0, 255, size=(32, 32, 3))

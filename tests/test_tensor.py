@@ -201,6 +201,8 @@ def test_as_tensor_validation():
         as_tensor(np.array([np.nan, 1.0]))
     with pytest.raises(ValueError):
         as_tensor(np.array([np.inf, 1.0]))
+    with pytest.raises(ValueError, match="dimensions must all be positive"):
+        as_tensor(np.zeros((2, 0, 3)))
     x = as_tensor(3.5)
     assert x.shape == (1,)
     assert as_tensor([[1, 2], [3, 4]]).dtype == np.float64

@@ -9,7 +9,7 @@ from tucksketch import tucker
 from tucksketch.config import ApproxConfig
 from tucksketch.datagen import hilbert_tensor
 from tucksketch.linalg import rsvd, sketch, sub_sketch, truncated_svd
-from tucksketch.metrics import bound_oracle, relative_error, spectrum_summary, tail_energy
+from tucksketch.metrics import bound_oracle, relative_error, tail_energy
 from tucksketch.rng import RngStream
 from tucksketch.tensor import frobenius_norm, fold, mode_n_product, unfold
 from tucksketch.tucker import (
@@ -84,7 +84,6 @@ def test_deterministic_error_bound(name):
         np.random.default_rng(3).standard_normal((15, 16, 17)),
     ]
     for x in tensors:
-        summary = spectrum_summary(x)
         for r in (2, 5, 9):
             ranks = tuple(min(r, d) for d in x.shape)
             cfg = ApproxConfig(target_ranks=ranks)
@@ -342,6 +341,11 @@ def test_ranks_above_the_product_of_the_others_rejected(ranks, message):
         ApproxConfig(target_ranks=ranks)
 
 
+def test_sketch_sizes_of_the_wrong_length_rejected():
+    with pytest.raises(ValueError, match="sketch_sizes must match target_ranks in length"):
+        ApproxConfig(target_ranks=(2, 2, 2), sketch_sizes=(5, 5))
+
+
 @pytest.mark.parametrize("ranks", [(2, 2, 4), (1, 1, 1), (50, 50, 3), (1,), (4, 4)])
 def test_ranks_within_the_product_of_the_others_accepted(ranks):
     assert ApproxConfig(target_ranks=ranks).target_ranks == ranks
@@ -552,8 +556,8 @@ def test_model_load_rejects_garbage(tmp_path):
             load_model(path)
 
 
-def _container(ndim, dims, ranks, values):
-    head = b"TUCK" + struct.pack("<II", 1, ndim)
+def _container(ndim, dims, ranks, values, version=1):
+    head = b"TUCK" + struct.pack("<II", version, ndim)
     sizes = struct.pack(f"<{len(dims) + len(ranks)}Q", *dims, *ranks)
     return head + sizes + np.asarray(values, "<f8").tobytes()
 
@@ -571,8 +575,12 @@ def _container(ndim, dims, ranks, values):
         (_container(2, (2, 3), (1, 1), [1.0] * 5), "does not match"),
         (_container(2, (2, 3), (1, 1), [1.0] * 7), "does not match"),
         (_container(3, (2, 3), (1, 1), []), "truncated"),
+        (_container(2, (1, 1), (1, 1), [1.0] * 3, version=2), "unsupported container version 2"),
     ],
-    ids=["order-0", "zero-dim", "zero-rank", "rank-above-dim", "nan", "inf", "rank-2^63", "short", "long", "header"],
+    ids=[
+        "order-0", "zero-dim", "zero-rank", "rank-above-dim", "nan", "inf", "rank-2^63", "short",
+        "long", "header", "version-2",
+    ],
 )
 def test_model_load_rejects_impossible_containers(tmp_path, blob, message):
     path = tmp_path / "bad.tuck"

@@ -1,11 +1,13 @@
-"""Print the sha256 of the saved model of every pipeline on the benchmark inputs.
+"""Print the sha256 and relative error of every pipeline's saved model on the benchmark inputs.
 
 For each workload of ``perfbench/workloads.py`` (tucker-200, hilbert-100 and
 image-256 on its seed-0 image), each of the five pipelines and each trial
 seed j in 0 and 1, the pipeline runs as a benchmark library trial does, with
 ``ApproxConfig(target_ranks=ranks, seed=j)`` and ``RngStream(j)``, and the
-model's ``.tuck`` container is hashed. A refactor that keeps behaviour keeps
-every line; run it on two checkouts and diff the outputs:
+model's ``.tuck`` container is hashed. Each line ends with the model's
+relative error ``relative_error(x, reconstruct(model))`` as its ``repr``, so a
+change that moves bits shows by how much. A refactor that keeps behaviour
+keeps every line; run it on two checkouts and diff the outputs:
 
     python tools/model_hashes.py > hashes.txt
 
@@ -46,7 +48,8 @@ def main() -> int:
                     model = fn(x, cfg, workloads.RngStream(j)) if key in workloads.RANDOMIZED else fn(x, cfg)
                     tucker.save_model(model, path)
                     digest = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
-                    print(f"{wl.name} {key} seed {j} {digest}", flush=True)
+                    err = workloads.metrics.relative_error(x, tucker.reconstruct(model))
+                    print(f"{wl.name} {key} seed {j} {digest} {err!r}", flush=True)
     return 0
 
 
