@@ -3,9 +3,25 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = ["ApproxConfig", "ModePlan"]
+
+# The fields of `ApproxConfig` that hold one integer; the others hold tuples.
+_SCALARS = ("oversample", "power_iters", "seed")
+
+
+def _integers(name: str, value):
+    """value as a tuple of ints (a sequence field) or an int, by ``operator.index``.
+
+    So NumPy integers pass and a float, which ``int`` would truncate, is a
+    ValueError that names the field.
+    """
+    try:
+        return operator.index(value) if name in _SCALARS else tuple(map(operator.index, value))
+    except TypeError:
+        raise ValueError(f"{name} takes integers only, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -14,7 +30,8 @@ class ModePlan:
 
     mode         1-based mode index
     rank         target rank r_n
-    kernel       "svd" (deterministic truncated SVD), "rsvd" or "sketch"
+    kernel       "left" (THOSVD's factor of the original unfolding),
+                 "svd" (deterministic truncated SVD), "rsvd" or "sketch"
     p            oversampling of an "rsvd" step
     l            sketch size of a "sketch" step, clamped to I_n and at least
                  r_n + 2 (`ApproxConfig` says why)
@@ -40,6 +57,11 @@ class ApproxConfig:
     power_iters       subspace power iterations for the sub-sketch pipeline
     seed              stream seed used when no explicit RngStream is supplied
 
+    Every field is an integer or a tuple of integers: a value that
+    ``operator.index`` refuses, such as 2.7 or 1.5, is a ValueError that
+    names its field, never truncated. NumPy integers pass and are stored as
+    Python ints.
+
     The sketch pipelines draw k = r_n columns and l_n rows per mode. The
     two-sided correction multiplies the expected squared error by
     1 + r_n / (l_n - r_n - 1) (Tropp, Yurtsever, Udell and Cevher, SIMAX
@@ -60,8 +82,8 @@ class ApproxConfig:
     per-mode steps for a tensor of a given shape: it checks the ranks and the
     order against the shape, and gives each mode, in processing order, a
     `ModePlan` with its kernel, p or the clamped l_n, or the deterministic
-    fallback. The sequential pipelines run it, `metrics.bound_oracle` bounds
-    it, and the bench checks rank sets with it before building any data.
+    fallback. All five pipelines run it, `metrics.bound_oracle` bounds it,
+    and the bench checks rank sets with it before building any data.
     """
 
     target_ranks: tuple[int, ...]
@@ -72,7 +94,9 @@ class ApproxConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "target_ranks", tuple(int(r) for r in self.target_ranks))
+        for name in ("target_ranks", "processing_order", "sketch_sizes") + _SCALARS:
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integers(name, getattr(self, name)))
         if len(self.target_ranks) == 0 or any(r < 1 for r in self.target_ranks):
             raise ValueError("target ranks must be a nonempty tuple of positive integers")
         for n, r in enumerate(self.target_ranks, start=1):
@@ -80,29 +104,26 @@ class ApproxConfig:
             if r > others:
                 raise ValueError(f"target rank {r} of mode {n} exceeds {others}, the product of the other ranks")
         if self.processing_order is not None:
-            order = tuple(int(i) for i in self.processing_order)
-            object.__setattr__(self, "processing_order", order)
             ndim = len(self.target_ranks)
-            if sorted(order) != list(range(1, ndim + 1)):
-                raise ValueError(f"processing order {order} is not a permutation of 1..{ndim}")
+            if sorted(self.processing_order) != list(range(1, ndim + 1)):
+                raise ValueError(f"processing order {self.processing_order} is not a permutation of 1..{ndim}")
         if self.oversample < 0:
             raise ValueError("oversampling must be nonnegative")
         if self.power_iters < 1:
             raise ValueError("power iteration count must be at least 1")
         if self.sketch_sizes is not None:
-            sizes = tuple(int(l) for l in self.sketch_sizes)
-            object.__setattr__(self, "sketch_sizes", sizes)
-            if len(sizes) != len(self.target_ranks):
+            if len(self.sketch_sizes) != len(self.target_ranks):
                 raise ValueError("sketch_sizes must match target_ranks in length")
-            for r, l in zip(self.target_ranks, sizes):
+            for r, l in zip(self.target_ranks, self.sketch_sizes):
                 if l < r + 2:
                     raise ValueError(f"sketch size {l} must be at least target rank {r} + 2")
 
     def plan(self, shape: tuple[int, ...], kernel: str) -> tuple[ModePlan, ...]:
         """Each mode's step for a tensor of this shape, in processing order.
 
-        ``kernel`` is "svd", "rsvd" or "sketch": the kernel the pipeline would
-        like to run on every mode. Modes are visited in processing order while
+        ``kernel`` is "left", "svd", "rsvd" or "sketch": the kernel the
+        pipeline would like to run on every mode. "left" and "svd" run on
+        every mode, with no sizes. Modes are visited in processing order while
         the core shrinks, so a mode's unfolding has I_n rows and as columns the
         product of the sizes left by the modes before it, each at least its
         r_m; so by the rank rule (see above) r_n is within both sides of
@@ -116,7 +137,7 @@ class ApproxConfig:
         order, or a rank is outside 1..I_n (the processing order and the
         sketch sizes always match the ranks in length).
         """
-        if kernel not in ("svd", "rsvd", "sketch"):
+        if kernel not in ("left", "svd", "rsvd", "sketch"):
             raise ValueError(f"unknown kernel {kernel!r}")
         ndim, ranks = len(shape), self.target_ranks
         if len(ranks) != ndim:
@@ -140,7 +161,7 @@ class ApproxConfig:
             elif kernel == "sketch" and r + 2 <= rows:
                 step = ModePlan(n, r, "sketch", l=min(sizes[n - 1], rows))
             else:
-                step = ModePlan(n, r, "svd")
+                step = ModePlan(n, r, "svd" if kernel == "sketch" else kernel)
             steps.append(step)
             dims[n - 1] = r
         return tuple(steps)

@@ -17,9 +17,9 @@ all take that route, from 173 to 78 ms.
 Every rank-r kernel returns one plain pair (U, C) with A ~= U @ C and U of
 orthonormal columns: ``truncated_svd`` and ``rsvd`` give C = diag(s) @ V^T
 (``rsvd`` up to rounding, as U^T A), ``sketch`` and ``sub_sketch`` give the
-correction X_c. ``thin_svd`` returns NumPy's (u, s, vt). No kernel fixes
-signs; ``_canonical_signs`` does, for THOSVD's factors here and for every
-step of ``tucker._sequential``.
+correction X_c. ``thin_svd`` returns NumPy's (u, s, vt). Nothing here fixes
+signs, ``_left_factor`` included: ``tucker._sequential`` applies the sign
+rule to every step's pair, in one place.
 
 Short, wide stages take the Gram route of Vannieuwenhoven, Vandebril and
 Meerbergen (SISC 2012): ``eigh`` of the small Gram matrix B B^T instead of
@@ -30,10 +30,9 @@ eps lambda_1, stays below sqrt(eps) lambda_r; a guard of 100 eps let the
 Hilbert 100^3 unfoldings through (lambda_r / lambda_1 = 6e-14) and moved
 THOSVD's error by 4e-5 relative. ``_left_factor`` takes from it the r
 leading left singular vectors of a wide matrix, without forming V, or else
-an R-only QR of A^T and the SVD of the small triangle. Its columns carry the
-canonical sign (largest-magnitude entry positive), so both routes and any
-LAPACK build give the same factor up to rounding. THOSVD takes each factor
-from it, and ``rsvd`` the SVD of its projection.
+an R-only QR of A^T and the SVD of the small triangle. Both routes give the
+same factor up to rounding and column signs. THOSVD's steps take each
+factor from it, and ``rsvd`` the SVD of its projection.
 
 The power step of ``sub_sketch`` checks the same guard on B = Q^T A, and on
 the Gram route it forms no basis of range(B^T) at all. The Householder route
@@ -156,28 +155,6 @@ def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.svd(a, full_matrices=False)
 
 
-def _canonical_signs(u: np.ndarray, c: np.ndarray | None = None):
-    """u with each column flipped so that its entry of largest magnitude is positive.
-
-    Given c, the rows of c that match flipped columns are negated in place
-    (callers pass a kernel's freshly made c, which may be large), and the
-    pair (u, c) is returned with u @ c unchanged. This is the sign rule of
-    Bro, Acar and Kolda (J. Chemometrics 2008).
-    """
-    peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    flip = peak < 0
-    u = u * np.where(flip, -1.0, 1.0)
-    if c is None:
-        return u
-    # Row by row, not through a boolean index (a gather and a scatter of
-    # the flipped rows), and by a multiply: on an AVX-512 x86-64 CPU, NumPy
-    # 2.4.6's in-place np.negative wrote wrong values through a 64-byte
-    # stride, which is a row of an F-ordered c with 8 rows.
-    for i in np.flatnonzero(flip):
-        c[i] *= -1.0
-    return u, c
-
-
 # The Gram route runs only when lambda_r > _GRAM_GUARD * lambda_1 and
 # lambda_r > _GRAM_FLOOR.
 _GRAM_GUARD = np.sqrt(np.finfo(np.float64).eps)
@@ -223,19 +200,20 @@ def _qr_left_factor(a: np.ndarray, r: int) -> np.ndarray:
 
 
 def _left_factor(a: np.ndarray, r: int) -> np.ndarray:
-    """The r leading left singular vectors of a, as orthonormal columns with canonical signs.
+    """The r leading left singular vectors of a, as orthonormal columns.
 
     A wide a (m <= n) takes the Gram route when its spectrum allows and the
     R-only QR route otherwise; neither forms the n x r right factor. A tall
-    a keeps the u of ``truncated_svd(a, r)``, which requires r <= n.
+    a keeps the u of ``truncated_svd(a, r)``, which requires r <= n. The
+    column signs are the route's; ``tucker._sequential`` fixes them.
     """
     m, n = a.shape
     if not 1 <= r <= m:
         raise ValueError(f"rank {r} out of range for {m} rows")
     if m > n:
-        return _canonical_signs(truncated_svd(a, r)[0])
+        return truncated_svd(a, r)[0]
     v = _gram_eigh(a, r)
-    return _canonical_signs(v if v is not None else _qr_left_factor(a, r))
+    return v if v is not None else _qr_left_factor(a, r)
 
 
 def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,35 +3,41 @@
 Five pipelines produce a TuckerModel (core tensor plus per-mode orthonormal
 factors):
 
-* thosvd            -- truncated SVD of each unfolding, independently.
+* thosvd            -- leading left singular vectors of each unfolding of the
+                       original tensor, independently.
 * sthosvd           -- sequential truncation; the core shrinks after each
                        mode, so later modes get cheaper.
 * r_sthosvd         -- sequential truncation with a randomized SVD per mode.
 * sketch_sthosvd    -- sequential truncation with a two-sided sketch per mode.
 * sub_sketch_sthosvd-- as above with subspace power iteration.
 
-The four sequential pipelines share one loop, ``_sequential``, and differ
-only in the kernel they ask ``ApproxConfig.plan`` for: "svd", "rsvd" or
+All five pipelines are one loop, ``_sequential``, and differ only in the
+kernel they ask ``ApproxConfig.plan`` for: "left", "svd", "rsvd" or
 "sketch". The plan fixes, mode by mode in processing order, which kernel
 runs with which p or l_n, and where a randomized pipeline falls back to the
 deterministic truncated SVD on a mode it cannot sample. Mode n's unfolding
 of the current core goes to its kernel, which returns its pair as it is:
 the factor U_n (I_n x r_n, orthonormal columns) and the new core unfolding
 C (r_n x the unfolding's columns). The loop then fixes the signs, in one
-place: every column of U_n whose largest-magnitude entry is negative is
-negated, with the matching row of C (Bro, Acar and Kolda, J. Chemometrics
-2008). So the next mode's random draws act on a core that does not carry
-LAPACK's arbitrary signs, and a swap of SVD kernels that only moves
-rounding or signs leaves the model alone up to rounding. A sketch step's
-U_n is a basis Q of the sketched range, not singular vectors; the two
-routes of sub-Sketch's power step (``linalg.sub_sketch``) build the same
-basis up to rounding, so the route does not move it either. The loop
-folds C back into a core whose mode n now has size r_n. ``thosvd`` factors
-the unshrunk unfoldings and needs no core per mode, so it keeps its own
-loop, and it needs only U of each:
-``linalg._left_factor`` takes it from ``eigh`` of the Gram matrix A A^T
-when the spectrum passes a sqrt(eps) guard, and from an R-only QR
-otherwise, never forming V, and gives its columns the same signs. The
+place, ``_canonical_signs``: every column of U_n whose largest-magnitude
+entry is negative is negated, with the matching row of C (Bro, Acar and
+Kolda, J. Chemometrics 2008). So the next mode's random draws act on a core
+that does not carry LAPACK's arbitrary signs, and a swap of SVD kernels
+that only moves rounding or signs leaves the model alone up to rounding. A
+sketch step's U_n is a basis Q of the sketched range, not singular vectors;
+the two routes of sub-Sketch's power step (``linalg.sub_sketch``) build the
+same basis up to rounding, so the route does not move it either. The loop
+folds C back into a core whose mode n now has size r_n.
+
+THOSVD and STHOSVD differ only in where a factor comes from (Vannieuwenhoven,
+Vandebril and Meerbergen, SISC 2012): THOSVD's "left" step takes U_n from
+the unfolding of the original tensor, and its C is U_n^T times the current
+core's unfolding, the product ``mode_n_product`` would form, so the loop
+builds THOSVD's core X x_1 U_1^T ... x_N U_N^T in processing order. The
+factors do not depend on that order; the core does, by rounding. The
+"left" step needs only U of each unfolding: ``linalg._left_factor`` takes
+it from ``eigh`` of the Gram matrix A A^T when the spectrum passes a
+sqrt(eps) guard, and from an R-only QR otherwise, never forming V. The
 randomized steps use the same Gram route on their short, wide stages:
 ``rsvd`` takes U of its k x n projection Q^T A from ``_left_factor``, and
 sub-Sketch's power step takes the QR of A (Q^T A)^T with no basis of
@@ -55,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ApproxConfig
-from .linalg import _canonical_signs, _left_factor, rsvd, sketch, sub_sketch, truncated_svd
+from .linalg import _left_factor, rsvd, sketch, sub_sketch, truncated_svd
 from .rng import RngStream
 from .tensor import as_tensor, fold, mode_n_product, unfold
 
@@ -96,6 +102,26 @@ def reconstruct(model: TuckerModel) -> np.ndarray:
     return x
 
 
+def _canonical_signs(u: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u with each column flipped so that its entry of largest magnitude is positive, and c.
+
+    The rows of c that match flipped columns are negated in place (c is a
+    kernel's freshly made core unfolding, which may be large), so u @ c is
+    unchanged. A negation is exact, so flipping U_n and C after a projection
+    C = U_n^T A gives the bits of projecting with the flipped U_n.
+    """
+    peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    flip = peak < 0
+    u = u * np.where(flip, -1.0, 1.0)
+    # Row by row, not through a boolean index (a gather and a scatter of
+    # the flipped rows), and by a multiply: on an AVX-512 x86-64 CPU, NumPy
+    # 2.4.6's in-place np.negative wrote wrong values through a 64-byte
+    # stride, which is a row of an F-ordered c with 8 rows.
+    for i in np.flatnonzero(flip):
+        c[i] *= -1.0
+    return u, c
+
+
 def _sequential(
     x: np.ndarray,
     cfg: ApproxConfig,
@@ -105,20 +131,24 @@ def _sequential(
 ) -> TuckerModel:
     """The ST-HOSVD loop over ``cfg.plan(x.shape, kernel)``; the module docstring has the sign rule.
 
-    A "sketch" step runs ``sketch``, or ``sub_sketch`` when power_iters > 0.
+    A "left" step factors the original tensor's unfolding with
+    ``_left_factor`` and projects the current core onto that factor. A
+    "sketch" step runs ``sketch``, or ``sub_sketch`` when power_iters > 0.
     Randomized steps draw from rng, or from RngStream(cfg.seed) when it is
     None. The kernels are looked up by name in this module at call time, so
     a wrapper bound to one of those names sees the call.
     """
     x = as_tensor(x)
-    plan = cfg.plan(x.shape, kernel)
-    if kernel != "svd" and rng is None:
+    if kernel in ("rsvd", "sketch") and rng is None:
         rng = RngStream(cfg.seed)
     core = x
     factors: list[np.ndarray | None] = [None] * x.ndim
-    for step in plan:
+    for step in cfg.plan(x.shape, kernel):
         n, r, m = step.mode, step.rank, unfold(core, step.mode)
-        if step.kernel == "svd":
+        if step.kernel == "left":
+            u = _left_factor(m if core is x else unfold(x, n), r)
+            c = u.T @ m
+        elif step.kernel == "svd":
             u, c = truncated_svd(m, r)
         elif step.kernel == "rsvd":
             u, c = rsvd(m, r, step.p, rng)
@@ -134,19 +164,13 @@ def _sequential(
 def thosvd(x: np.ndarray, cfg: ApproxConfig) -> TuckerModel:
     """Factor each mode from the leading left singular vectors of the original unfolding.
 
-    Each U_n comes from ``linalg._left_factor``: the Gram route (``eigh`` of
-    the unfolding times its transpose) when lambda_r > sqrt(eps) lambda_1,
-    an R-only QR otherwise, so no right factor is formed. Its columns carry
-    a canonical sign, largest-magnitude entry positive.
+    The engine's "left" step: each U_n comes from ``linalg._left_factor``,
+    the Gram route (``eigh`` of the unfolding times its transpose) when
+    lambda_r > sqrt(eps) lambda_1, an R-only QR otherwise, so no right
+    factor is formed. The core X x_1 U_1^T ... x_N U_N^T is projected in
+    processing order, which moves it only by rounding.
     """
-    x = as_tensor(x)
-    cfg.plan(x.shape, "svd")
-    ranks = cfg.target_ranks
-    factors = [_left_factor(unfold(x, n), ranks[n - 1]) for n in range(1, x.ndim + 1)]
-    core = x
-    for n, u in enumerate(factors, start=1):
-        core = mode_n_product(core, u.T, n)
-    return TuckerModel(core, factors)
+    return _sequential(x, cfg, "left")
 
 
 def sthosvd(x: np.ndarray, cfg: ApproxConfig) -> TuckerModel:

@@ -1,5 +1,9 @@
 import argparse
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -301,12 +305,28 @@ def test_io_error_exit_code(tmp_path):
         src = str(tmp_path / name)
         assert main(["decompose", "--in", src, "--algo", "sthosvd", "--ranks", "2x2x2"]) == 2
     bad_img = tmp_path / "bad.ppm"
-    bad_img.write_bytes(b"P6\n2 2\n255\nxx")  # truncated payload
-    assert (
-        main(["image-compress", "--in", str(bad_img), "--algo", "sthosvd",
-              "--ranks", "1x1x1", "--out", str(tmp_path / "o.ppm")])
-        == 2
-    )
+    for blob in (b"P6\n2 2\n255\nxx", b"P6 16 16"):  # truncated payload, then header
+        bad_img.write_bytes(blob)
+        assert (
+            main(["image-compress", "--in", str(bad_img), "--algo", "sthosvd",
+                  "--ranks", "1x1x1", "--out", str(tmp_path / "o.ppm")])
+            == 2
+        )
+
+
+def test_module_entry_point_exits_with_main_s_code(tmp_path):
+    # `python -m tucksketch.cli` hands main()'s return value to sys.exit
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    base = [sys.executable, "-m", "tucksketch.cli", "decompose", "--ranks", "2x2x2"]
+    cases = [
+        (["--in", str(tmp_path / "x.npy"), "--algo", "nope"], 1, "usage error: "),
+        (["--in", str(tmp_path / "missing.npy"), "--algo", "thosvd"], 2, "i/o error: "),
+    ]
+    for args, code, message in cases:
+        done = subprocess.run(base + args, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
+        assert done.stderr.startswith(message)
 
 
 def test_parameter_error_exit_code(tmp_path, capsys):

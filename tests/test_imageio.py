@@ -87,6 +87,7 @@ def test_save_rejects_bad_shapes():
         b"P5\n1 1\n254\n\x00",          # wrong maxval
         b"P5\n2 2\n255\n\x00\x00",      # truncated payload
         b"P5\n1 1\n255",                 # truncated header
+        b"P6 16 16",                     # header ends before its maxval
         b"P5\nx 1\n255\n\x00",          # non-numeric field
         b"P5\n0 1\n255\n",               # zero dimension
         b"P6\n# a comment with no end",  # comment runs off the header

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tucksketch import tucker
-from tucksketch.config import ApproxConfig
+from tucksketch.config import ApproxConfig, ModePlan
 from tucksketch.datagen import hilbert_tensor
 from tucksketch.linalg import rsvd, sketch, sub_sketch, truncated_svd
 from tucksketch.metrics import bound_oracle, relative_error, tail_energy
@@ -14,6 +14,7 @@ from tucksketch.rng import RngStream
 from tucksketch.tensor import frobenius_norm, fold, mode_n_product, unfold
 from tucksketch.tucker import (
     TuckerModel,
+    _canonical_signs,
     load_model,
     r_sthosvd,
     reconstruct,
@@ -223,28 +224,102 @@ def test_pipelines_match_reference_loop(name, kernel):
         assert_same_model(got, reference_sequential(x, cfg, kernel, RngStream(17)))
 
 
+def _alternating_signs(r):
+    return np.where(np.arange(r) % 2 == 1, -1.0, 1.0)
+
+
 def _flip_every_other(kernel):
     """kernel with every other column of U, and the matching row of C, negated."""
 
     def flipped(*args):
         u, c = kernel(*args)
-        signs = np.where(np.arange(u.shape[1]) % 2 == 1, -1.0, 1.0)
+        signs = _alternating_signs(u.shape[1])
         return u * signs, c * signs[:, None]
 
     return flipped
 
 
-@pytest.mark.parametrize("name", ["sthosvd", "r_sthosvd", "sketch_sthosvd", "sub_sketch_sthosvd"])
+def _negate_every_other(left_factor):
+    """left_factor with every other column of its U negated."""
+
+    def negated(*args):
+        u = left_factor(*args)
+        return u * _alternating_signs(u.shape[1])
+
+    return negated
+
+
+@pytest.mark.parametrize("name", ["thosvd", "sthosvd", "r_sthosvd", "sketch_sthosvd", "sub_sketch_sthosvd"])
 def test_sequential_factor_signs_do_not_depend_on_the_kernel(name, tmp_path, monkeypatch):
     # Mode 3 is full rank, so every randomized pipeline also takes its
     # truncated-SVD fallback; the saved model must not see the flipped signs.
+    # THOSVD's factors come from _left_factor, which leaves signs to the loop.
     x = np.random.default_rng(18).standard_normal((12, 10, 4))
     cfg = ApproxConfig(target_ranks=(4, 3, 4), power_iters=1)
     save_model(PIPELINES[name](x, cfg, RngStream(5)), tmp_path / "plain.tuck")
     for kernel in ("truncated_svd", "rsvd", "sketch", "sub_sketch"):
         monkeypatch.setattr(tucker, kernel, _flip_every_other(getattr(tucker, kernel)))
+    monkeypatch.setattr(tucker, "_left_factor", _negate_every_other(tucker._left_factor))
     save_model(PIPELINES[name](x, cfg, RngStream(5)), tmp_path / "flipped.tuck")
     assert (tmp_path / "flipped.tuck").read_bytes() == (tmp_path / "plain.tuck").read_bytes()
+
+
+def test_canonical_signs_negate_rows_of_c_in_place():
+    rng = np.random.default_rng(8)
+    u = np.linalg.qr(rng.standard_normal((6, 4)))[0]
+    c = rng.standard_normal((4, 9))
+    product = u @ c
+    peaks = u[np.argmax(np.abs(u), axis=0), np.arange(4)]
+    assert (peaks < 0).any() and (peaks > 0).any()
+    expected = c * np.where(peaks < 0, -1.0, 1.0)[:, None]
+    u_out, c_out = _canonical_signs(u, c)
+    # c is the caller's array, with only the flipped rows negated
+    assert c_out is c and np.shares_memory(c_out, c)
+    assert np.array_equal(c_out, expected)
+    assert np.allclose(u_out @ c_out, product)
+    # nothing to flip: c comes back as it is
+    fixed = c.copy()
+    assert _canonical_signs(u_out, fixed)[1] is fixed
+    assert np.array_equal(fixed, c)
+    # any layout: an F-ordered c with 8 rows has rows of a 64-byte stride,
+    # through which an in-place np.negative has written wrong values
+    for order in "CF":
+        for rows in (4, 8, 9):
+            u = rng.standard_normal((rows + 2, rows))
+            u[0] = np.where(np.arange(rows) % 2 == 0, -10.0, 10.0)
+            c = np.asarray(rng.standard_normal((rows, 12)), order=order)
+            expected = c * np.where(np.arange(rows) % 2 == 0, -1.0, 1.0)[:, None]
+            assert np.array_equal(_canonical_signs(u, c)[1], expected), (order, rows)
+
+
+@pytest.mark.parametrize("layout", ["F", "C"])
+def test_thosvd_factors_do_not_depend_on_the_processing_order(layout):
+    # each factor comes from the original tensor's unfolding, whatever the
+    # order; only the core is projected in processing order, which moves it
+    # by rounding
+    x = np.asarray(hilbert_tensor((20, 22, 24)), order=layout)
+    ranks = (3, 4, 5)
+    natural = thosvd(x, ApproxConfig(target_ranks=ranks))
+    for order in itertools.permutations((1, 2, 3)):
+        model = thosvd(x, ApproxConfig(target_ranks=ranks, processing_order=order))
+        for u, u_natural in zip(model.factors, natural.factors):
+            assert np.array_equal(u, u_natural), order
+        scale = np.max(np.abs(natural.core))
+        assert np.max(np.abs(model.core - natural.core)) <= 1e-13 * scale, order
+
+
+def test_left_plan_gives_every_mode_the_left_step():
+    # THOSVD's plan: its kernel on every mode, in processing order, with no
+    # sizes and no fallback, also where a sketch plan would fall back
+    cases = [
+        ((3, 5, 10), (3, 1, 2), (20, 8, 10)),
+        ((50, 50, 3), None, (256, 256, 3)),
+        ((3, 3), (2, 1), (4, 5)),
+    ]
+    for ranks, order, shape in cases:
+        steps = ApproxConfig(target_ranks=ranks, processing_order=order).plan(shape, "left")
+        modes = order or range(1, len(shape) + 1)
+        assert steps == tuple(ModePlan(n, ranks[n - 1], "left") for n in modes)
 
 
 @pytest.mark.parametrize("name", list(PIPELINES))
@@ -381,6 +456,38 @@ def test_sketch_size_validation():
         for name in ("sketch_sthosvd", "sub_sketch_sthosvd"):
             model = PIPELINES[name](x, cfg, RngStream(0))
             assert np.array_equal(model.factors[0], reference)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("target_ranks", (2.7, 2, 2)),
+        ("sketch_sizes", (5.9, 5, 5)),
+        ("processing_order", (1.2, 2, 3)),
+        ("seed", 1.5),
+        ("oversample", 2.5),
+        ("power_iters", 1.5),
+    ],
+)
+def test_config_fields_take_only_integers(field, value):
+    # int() would truncate each of these to a valid config that runs
+    with pytest.raises(ValueError, match=f"^{field} takes integers only"):
+        ApproxConfig(**{"target_ranks": (2, 2, 2), field: value})
+
+
+def test_config_fields_take_numpy_integers_as_ints():
+    cfg = ApproxConfig(
+        target_ranks=np.array([2, 2, 2]),
+        processing_order=(np.int64(3), 1, 2),
+        sketch_sizes=np.array([5, 5, 5], dtype=np.int32),
+        oversample=np.int64(2),
+        power_iters=np.uint8(2),
+        seed=np.int64(7),
+    )
+    assert cfg == ApproxConfig((2, 2, 2), (3, 1, 2), 2, (5, 5, 5), 2, 7)
+    for value in (*cfg.target_ranks, *cfg.processing_order, *cfg.sketch_sizes):
+        assert type(value) is int
+    assert type(cfg.oversample) is type(cfg.power_iters) is type(cfg.seed) is int
 
 
 def plan_sizes(cfg, shape, kernel):

@@ -4,7 +4,11 @@ For each workload of ``perfbench/workloads.py`` (tucker-200, hilbert-100 and
 image-256 on its seed-0 image), each of the five pipelines and each trial
 seed j in 0 and 1, the pipeline runs as a benchmark library trial does, with
 ``ApproxConfig(target_ranks=ranks, seed=j)`` and ``RngStream(j)``, and the
-model's ``.tuck`` container is hashed. Each line ends with the model's
+model's ``.tuck`` container is hashed. Those are the first 30 lines. Then
+come seed-0 lines of the five pipelines on the small inputs of ``SMALL``,
+which reach paths the workloads miss: a tall unfolding, unfoldings under 64
+columns (a Gaussian Omega), order 4, a row-major layout and a processing
+order other than the natural one. Each line ends with the model's
 relative error ``relative_error(x, reconstruct(model))`` as its ``repr``, so a
 change that moves bits shows by how much. A refactor that keeps behaviour
 keeps every line; run it on two checkouts and diff the outputs:
@@ -30,26 +34,51 @@ import tempfile  # noqa: E402
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (0, 1)
 
 
+def _normal(shape, seed):
+    """A column-major tensor of ``RngStream(seed)`` normals."""
+    return workloads.RngStream(seed).normal(int(np.prod(shape))).reshape(shape, order="F")
+
+
+# name, input, ranks, processing order
+SMALL = (
+    # the 30 x 16 mode-1 unfolding is tall: THOSVD takes the truncated SVD
+    ("tall-30x4x4", lambda: _normal((30, 4, 4), 241), (3, 3, 3), None),
+    ("small-6x7x8", lambda: _normal((6, 7, 8), 242), (2, 2, 2), None),
+    ("order4-8x9x10x11", lambda: _normal((8, 9, 10, 11), 243), (2, 3, 3, 2), None),
+    ("rowmajor-12x10x14", lambda: np.ascontiguousarray(_normal((12, 10, 14), 244)), (4, 3, 5), None),
+    ("hilbert-20x22x24-order-3,1,2", lambda: workloads.datagen.hilbert_tensor((20, 22, 24)), (3, 4, 5), (3, 1, 2)),
+)
+
+
+def _line(name, key, j, x, cfg, path) -> str:
+    fn = getattr(workloads.tucker, workloads.PIPELINES[key])
+    model = fn(x, cfg, workloads.RngStream(j)) if key in workloads.RANDOMIZED else fn(x, cfg)
+    workloads.tucker.save_model(model, path)
+    digest = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+    err = workloads.metrics.relative_error(x, workloads.tucker.reconstruct(model))
+    return f"{name} {key} seed {j} {digest} {err!r}"
+
+
 def main() -> int:
-    tucker = workloads.tucker
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "model.tuck")
         for wl in workloads.WORKLOADS.values():
             x = workloads.build_input(wl.name, 0, workdir).x
-            for key, name in workloads.PIPELINES.items():
-                fn = getattr(tucker, name)
+            for key in workloads.PIPELINES:
                 for j in SEEDS:
                     cfg = workloads.ApproxConfig(target_ranks=wl.ranks, seed=j)
-                    model = fn(x, cfg, workloads.RngStream(j)) if key in workloads.RANDOMIZED else fn(x, cfg)
-                    tucker.save_model(model, path)
-                    digest = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
-                    err = workloads.metrics.relative_error(x, tucker.reconstruct(model))
-                    print(f"{wl.name} {key} seed {j} {digest} {err!r}", flush=True)
+                    print(_line(wl.name, key, j, x, cfg, path), flush=True)
+        for name, build, ranks, order in SMALL:
+            x = build()
+            for key in workloads.PIPELINES:
+                cfg = workloads.ApproxConfig(target_ranks=ranks, processing_order=order, seed=0)
+                print(_line(name, key, 0, x, cfg, path), flush=True)
     return 0
 
 
