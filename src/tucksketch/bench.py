@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import tucker
-from .config import ApproxConfig
+from .config import ApproxConfig, _integers
 from .datagen import SparseGenConfig, add_awgn, add_scaled_noise, gaussian_tensor, hilbert_tensor, sparse_lowrank_tensor
 from .imageio import load_image_tensor
 from .metrics import psnr, relative_error
@@ -82,7 +82,11 @@ CSV_HEADER = [f.name for f in fields(BenchRow)]
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Descriptor for one benchmark sweep: the data, and one ApproxConfig per rank set."""
+    """Descriptor for one benchmark sweep: the data, and one ApproxConfig per rank set.
+
+    trials, base_seed and dims take integers only, by the rule
+    `ApproxConfig` uses: a float is a ValueError, never truncated.
+    """
 
     experiment: str
     source: str  # one of SOURCES
@@ -99,6 +103,9 @@ class ExperimentConfig:
     aggregate: str = "none"  # one of AGGREGATES
 
     def __post_init__(self):
+        for name in ("trials", "base_seed", "dims"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integers(name, getattr(self, name), scalar=name != "dims"))
         if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
         for key in self.algorithms:

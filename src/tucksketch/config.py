@@ -12,14 +12,15 @@ __all__ = ["ApproxConfig", "ModePlan"]
 _SCALARS = ("oversample", "power_iters", "seed")
 
 
-def _integers(name: str, value):
-    """value as a tuple of ints (a sequence field) or an int, by ``operator.index``.
+def _integers(name: str, value, scalar: bool = False):
+    """value as an int (scalar) or a tuple of ints, by ``operator.index``.
 
     So NumPy integers pass and a float, which ``int`` would truncate, is a
-    ValueError that names the field.
+    ValueError that names the field. Every integer field of the package's
+    configs, and the generators' dims, go through it.
     """
     try:
-        return operator.index(value) if name in _SCALARS else tuple(map(operator.index, value))
+        return operator.index(value) if scalar else tuple(map(operator.index, value))
     except TypeError:
         raise ValueError(f"{name} takes integers only, got {value!r}") from None
 
@@ -96,7 +97,7 @@ class ApproxConfig:
     def __post_init__(self):
         for name in ("target_ranks", "processing_order", "sketch_sizes") + _SCALARS:
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _integers(name, getattr(self, name)))
+                object.__setattr__(self, name, _integers(name, getattr(self, name), scalar=name in _SCALARS))
         if len(self.target_ranks) == 0 or any(r < 1 for r in self.target_ranks):
             raise ValueError("target ranks must be a nonempty tuple of positive integers")
         for n, r in enumerate(self.target_ranks, start=1):

@@ -10,10 +10,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import reduce
-from math import ceil
+from math import ceil, inf, isfinite
 
 import numpy as np
 
+from .config import _integers
 from .rng import RngStream
 
 __all__ = [
@@ -36,7 +37,8 @@ class SparseGenConfig:
     The first leading_terms terms carry weight gamma / i^2, the remaining
     ones 1 / i^2; gamma controls the strength of the spectral gap between
     the two groups. Each factor vector gets ceil(density * n) nonzeros at
-    uniformly drawn distinct positions with uniform(0, 1) values.
+    uniformly drawn distinct positions with uniform(0, 1) values. gamma must
+    be positive and finite; n, the term counts and seed take integers only.
     """
 
     n: int
@@ -47,14 +49,24 @@ class SparseGenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "leading_terms", "total_terms", "seed"):
+            object.__setattr__(self, name, _integers(name, getattr(self, name), scalar=True))
         if self.n < 1:
             raise ValueError("side length must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (self.gamma > 0 and isfinite(self.gamma)):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
         if not 0 < self.density <= 1:
             raise ValueError("density must lie in (0, 1]")
         if not 1 <= self.leading_terms <= self.total_terms:
             raise ValueError("need 1 <= leading_terms <= total_terms")
+
+
+def _dims(dims) -> tuple[int, ...]:
+    """dims as a tuple of ints, checked nonempty and positive."""
+    dims = _integers("dims", dims)
+    if len(dims) == 0 or any(d < 1 for d in dims):
+        raise ValueError("dims must be a nonempty tuple of positive integers")
+    return dims
 
 
 def hilbert_tensor(dims) -> np.ndarray:
@@ -64,9 +76,7 @@ def hilbert_tensor(dims) -> np.ndarray:
     reversed dims in row-major order and transposed. Sums of small integers
     are exact, so every entry is the correctly rounded reciprocal.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) == 0 or any(d < 1 for d in dims):
-        raise ValueError("dims must be a nonempty tuple of positive integers")
+    dims = _dims(dims)
     grids = np.ix_(*(np.arange(1, d + 1, dtype=np.float64) for d in reversed(dims)))
     sums = reduce(np.add, grids)
     return np.divide(1.0, sums, out=sums).T
@@ -105,9 +115,7 @@ def sparse_lowrank_tensor(cfg: SparseGenConfig, rng: RngStream | None = None) ->
 
 def gaussian_tensor(dims, rng: RngStream) -> np.ndarray:
     """Tensor of i.i.d. N(0, 1) entries, filled first-index-fastest."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) == 0 or any(d < 1 for d in dims):
-        raise ValueError("dims must be a nonempty tuple of positive integers")
+    dims = _dims(dims)
     count = int(np.prod(dims, dtype=np.int64))
     return rng.normal(count).reshape(dims, order="F")
 
@@ -128,12 +136,17 @@ def add_awgn(x: np.ndarray, snr_db: float, rng: RngStream) -> np.ndarray:
     """White Gaussian noise at the requested signal-to-noise ratio (dB).
 
     Signal power is measured as the mean squared entry. A zero tensor has no
-    measurable signal, so it is returned unchanged with a warning.
+    measurable signal, so it is returned unchanged with a warning. An SNR
+    that leaves no finite noise scale, such as -4000 dB, -inf or NaN, is a
+    ValueError.
     """
     power = float(np.mean(np.square(x)))
     if power == 0.0:
         warnings.warn("zero signal: returning the input unchanged", RuntimeWarning)
         return x.copy(order="K")
     snr_db = min(float(snr_db), _SNR_CAP_DB)
-    sigma = np.sqrt(power / 10.0 ** (snr_db / 10.0))
+    ratio = 10.0 ** (snr_db / 10.0)
+    sigma = np.sqrt(power / ratio) if ratio > 0.0 else inf
+    if not isfinite(sigma):
+        raise ValueError(f"SNR {snr_db} dB at signal power {power} gives no finite noise scale")
     return x + sigma * gaussian_tensor(x.shape, rng)

@@ -7,6 +7,8 @@ row-major with interleaved channels, as the formats define.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 __all__ = ["ImageFormatError", "load_image_tensor", "save_image_tensor"]
@@ -16,39 +18,25 @@ class ImageFormatError(ValueError):
     """Raised for malformed or unsupported image files."""
 
 
-def _read_header_tokens(blob: bytes, count: int) -> tuple[list[bytes], int]:
-    """First `count` whitespace-separated header tokens, skipping # comments."""
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < count:
-        if pos >= len(blob):
-            raise ImageFormatError("truncated header")
-        c = blob[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            end = blob.find(b"\n", pos)
-            if end == -1:
-                raise ImageFormatError("truncated header")
-            pos = end + 1
-        else:
-            end = pos
-            while end < len(blob) and not blob[end : end + 1].isspace():
-                end += 1
-            tokens.append(blob[pos:end])
-            pos = end
-    # exactly one whitespace byte separates the header from the payload
-    if pos >= len(blob):
-        raise ImageFormatError("truncated header")
-    return tokens, pos + 1
+# The netpbm header: four tokens (magic, width, height, maxval), each a
+# maximal run of non-whitespace bytes that does not start with "#". Between
+# tokens come at least one whitespace byte, then any mix of whitespace and
+# comments, a comment running from a "#" to its "\n"; the same mix may lead
+# the magic. Exactly one whitespace byte ends the header, and the raster
+# follows. Bytes \s is the set `bytes.isspace` accepts.
+_SEP = rb"(?:\s|#[^\n]*\n)*"
+_TOKEN = rb"((?!#)\S+)"
+_HEADER = re.compile(_SEP + _TOKEN + (rb"\s" + _SEP + _TOKEN) * 3 + rb"\s")
 
 
 def load_image_tensor(path) -> np.ndarray:
     """Read a P5/P6 file into a column-major (H, W, C) float64 tensor, values 0-255."""
     with open(path, "rb") as f:
         blob = f.read()
-    tokens, payload_start = _read_header_tokens(blob, 4)
-    magic, width_s, height_s, maxval_s = tokens
+    header = _HEADER.match(blob)
+    if header is None:
+        raise ImageFormatError("truncated header")
+    magic, width_s, height_s, maxval_s = header.groups()
     if magic not in (b"P5", b"P6"):
         raise ImageFormatError(f"unsupported magic {magic!r}; expected P5 or P6")
     try:
@@ -61,7 +49,7 @@ def load_image_tensor(path) -> np.ndarray:
         raise ImageFormatError(f"unsupported maxval {maxval}; expected 255")
     channels = 3 if magic == b"P6" else 1
     expected = width * height * channels
-    payload = blob[payload_start:]
+    payload = blob[header.end():]
     if len(payload) < expected:
         raise ImageFormatError(
             f"truncated payload: expected {expected} bytes, found {len(payload)}"

@@ -14,8 +14,9 @@ factors):
 All five pipelines are one loop, ``_sequential``, and differ only in the
 kernel they ask ``ApproxConfig.plan`` for: "left", "svd", "rsvd" or
 "sketch". The plan fixes, mode by mode in processing order, which kernel
-runs with which p or l_n, and where a randomized pipeline falls back to the
-deterministic truncated SVD on a mode it cannot sample. Mode n's unfolding
+runs with which p or l_n, and where a sketch pipeline falls back to the
+deterministic truncated SVD: on a mode with I_n < r_n + 2, where no sketch
+size l_n >= r_n + 2 fits ("rsvd" runs on every mode). Mode n's unfolding
 of the current core goes to its kernel, which returns its pair as it is:
 the factor U_n (I_n x r_n, orthonormal columns) and the new core unfolding
 C (r_n x the unfolding's columns). The loop then fixes the signs, in one

@@ -207,6 +207,22 @@ def test_descriptor_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", 1.5), ("base_seed", 1.5), ("dims", (6.5, 6, 6))],
+)
+def test_descriptor_integer_fields_take_only_integers(field, value):
+    # checked before any data is built: a float is never truncated
+    with pytest.raises(ValueError, match=f"^{field} takes integers only"):
+        small_hilbert_config(**{field: value})
+
+
+def test_descriptor_integer_fields_take_numpy_integers_as_ints():
+    cfg = small_hilbert_config(trials=np.int64(2), base_seed=np.int32(7), dims=[np.int64(10)] * 3)
+    assert (cfg.trials, cfg.base_seed, cfg.dims) == (2, 7, (10, 10, 10))
+    assert all(type(v) is int for v in (cfg.trials, cfg.base_seed, *cfg.dims))
+
+
 # ------------------------------------------------------------------- CSV
 
 

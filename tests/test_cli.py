@@ -397,6 +397,24 @@ def test_bench_source_errors_exit_3(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["bench", "--source", "hilbert", "--dims", "6x6x6", "--ranks", "2x2x2", "--snr=-4000"],
+         "SNR -4000.0 dB at signal power"),
+        (["gen-sparse", "--n", "20", "--gamma=inf"], "gamma must be positive and finite, got inf"),
+        (["gen-sparse", "--n", "20", "--gamma=nan"], "gamma must be positive and finite, got nan"),
+    ],
+    ids=["snr-underflow", "gamma-inf", "gamma-nan"],
+)
+def test_non_finite_data_parameters_exit_3(tmp_path, capsys, flags, message):
+    out = tmp_path / ("r.csv" if flags[0] == "bench" else "s.npy")
+    capsys.readouterr()
+    assert main([*flags, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"parameter error: {message}")
+    assert not out.exists()
+
+
 def test_sketch_extra_below_two_exits_3_before_reading_input(tmp_path, capsys, monkeypatch):
     import tucksketch.bench as bench
 

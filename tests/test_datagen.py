@@ -131,6 +131,30 @@ def test_sparse_gap_reduces_tail():
     assert rel_tail(200.0) < rel_tail(2.0)
 
 
+@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+def test_sparse_config_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        SparseGenConfig(n=5, gamma=gamma)
+
+
+@pytest.mark.parametrize("field", ["n", "leading_terms", "total_terms", "seed"])
+def test_sparse_config_integer_fields_take_only_integers(field):
+    with pytest.raises(ValueError, match=f"^{field} takes integers only, got 10.5$"):
+        SparseGenConfig(**{"n": 20, "gamma": 1.0, "total_terms": 30, field: 10.5})
+    cfg = SparseGenConfig(**{"n": 20, "gamma": 1.0, "total_terms": 30, field: np.int64(10)})
+    assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 10
+
+
+@pytest.mark.parametrize(
+    "make", [lambda d: hilbert_tensor(d), lambda d: gaussian_tensor(d, RngStream(2))], ids=["hilbert", "gaussian"]
+)
+def test_generator_dims_take_only_integers(make):
+    for bad in ((6.5, 6, 6), (3.9, 2, 2)):
+        with pytest.raises(ValueError, match=r"^dims takes integers only"):
+            make(bad)
+    assert make(np.array([3, 2], dtype=np.int32)).shape == (3, 2)
+
+
 def test_sparse_config_validation():
     with pytest.raises(ValueError):
         SparseGenConfig(n=0, gamma=1.0)
@@ -195,6 +219,21 @@ def test_awgn_huge_snr_capped():
     x = hilbert_tensor((20, 20, 20))
     noisy = add_awgn(x, 1e9, RngStream(9))
     assert frobenius_norm(noisy - x) <= 1e-10 * frobenius_norm(x)
+
+
+@pytest.mark.parametrize("snr_db", [-4000.0, -3300.0, -3200.0, -math.inf, math.nan])
+def test_awgn_without_finite_noise_scale_is_a_parameter_error(snr_db):
+    # 10 ** (snr / 10) underflows to 0, or power / it overflows, or is NaN
+    with pytest.raises(ValueError, match=r"^SNR .* dB at signal power .* gives no finite noise scale$"):
+        add_awgn(hilbert_tensor((6, 6, 6)), snr_db, RngStream(11))
+
+
+@pytest.mark.parametrize("snr_db", [-3000.0, 20.0, 1e6])
+def test_awgn_keeps_its_bits_where_the_scale_is_finite(snr_db):
+    x = hilbert_tensor((6, 6, 6))
+    sigma = np.sqrt(float(np.mean(np.square(x))) / 10.0 ** (min(snr_db, 300.0) / 10.0))
+    expected = x + sigma * gaussian_tensor(x.shape, RngStream(11))
+    assert add_awgn(x, snr_db, RngStream(11)).tobytes() == expected.tobytes()
 
 
 def test_awgn_zero_signal_warns():
