@@ -23,7 +23,6 @@ __all__ = [
     "sparse_lowrank_tensor",
     "term_weights",
     "sparse_factor_vectors",
-    "outer_sum_3",
     "gaussian_tensor",
     "add_scaled_noise",
     "add_awgn",
@@ -101,16 +100,14 @@ def sparse_factor_vectors(cfg: SparseGenConfig, rng: RngStream) -> tuple[np.ndar
     return stacks
 
 
-def outer_sum_3(weights: np.ndarray, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Weighted sum of three-way outer products: sum_t w_t x_t o y_t o z_t, column-major."""
-    return np.einsum("ti,tj,tk->ijk", weights[:, None] * xs, ys, zs, optimize=True, order="F")
-
-
 def sparse_lowrank_tensor(cfg: SparseGenConfig, rng: RngStream | None = None) -> np.ndarray:
-    """Dense n x n x n tensor from cfg's weighted sparse rank-1 terms."""
+    """Dense n x n x n tensor from cfg's weighted sparse rank-1 terms.
+
+    The sum over terms t of w_t x_t o y_t o z_t, formed column-major.
+    """
     rng = rng if rng is not None else RngStream(cfg.seed)
     xs, ys, zs = sparse_factor_vectors(cfg, rng)
-    return outer_sum_3(term_weights(cfg), xs, ys, zs)
+    return np.einsum("ti,tj,tk->ijk", term_weights(cfg)[:, None] * xs, ys, zs, optimize=True, order="F")
 
 
 def gaussian_tensor(dims, rng: RngStream) -> np.ndarray:
@@ -121,9 +118,12 @@ def gaussian_tensor(dims, rng: RngStream) -> np.ndarray:
 
 
 def add_scaled_noise(x: np.ndarray, delta: float, rng: RngStream) -> np.ndarray:
-    """x plus delta times a standard Gaussian tensor; delta = 0 draws nothing."""
-    if delta < 0:
-        raise ValueError("noise scale must be nonnegative")
+    """x plus delta times a standard Gaussian tensor; delta = 0 draws nothing.
+
+    delta must be finite and nonnegative.
+    """
+    if not 0 <= delta < inf:
+        raise ValueError(f"noise scale must be finite and nonnegative, got {delta!r}")
     if delta == 0.0:
         return x.copy(order="K")
     return x + delta * gaussian_tensor(x.shape, rng)

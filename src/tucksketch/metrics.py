@@ -9,7 +9,6 @@ first, and `tail_energy` reads tails off one of them.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +74,11 @@ def _sum_squares(
     times its sums, where s is the largest s_j. So inputs of ordinary size
     cost nothing extra, a zero x, or an exact match of a small one, costs a
     second pass with the same result, and a non-finite entry still gives a
-    non-finite sum.
+    non-finite sum. Both operands must have the same shape: the iterator
+    would otherwise broadcast one against the other.
     """
+    if x.shape != xhat.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {xhat.shape}")
     it = np.nditer(
         [x, xhat],
         flags=["buffered", "external_loop", "zerosize_ok"],
@@ -114,17 +116,13 @@ def _sum_squares(
 def relative_error(x: np.ndarray, xhat: np.ndarray) -> float:
     """Frobenius-norm error of xhat relative to x.
 
-    Both norms come from one blocked pass of float64 sums, a BLAS dot per
-    block (integer inputs are converted, never wrapped); entries too large
-    or too small to square are scaled block by block. The result is
-    deterministic for a given input layout and BLAS setup but may differ in
-    the last bits from a ratio of sorted-sum `frobenius_norm` values, which
-    alone is bitwise invariant under rearranging the entries. A zero x gives
-    0.0 when xhat is zero too (an exact reconstruction, as `psnr` gives +inf)
-    and raises otherwise.
+    Both norms come from the blocked float64 sums of `_sum_squares`, which
+    also rejects a shape mismatch. The result may differ in the last bits
+    from a ratio of sorted-sum `frobenius_norm` values, which alone is
+    bitwise invariant under rearranging the entries. A zero x gives 0.0 when
+    xhat is zero too (an exact reconstruction, as `psnr` gives +inf) and
+    raises otherwise.
     """
-    if x.shape != xhat.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {xhat.shape}")
     _, ref_sq, err_sq = _sum_squares(x, xhat)
     if ref_sq == 0.0:
         if err_sq == 0.0:
@@ -136,15 +134,12 @@ def relative_error(x: np.ndarray, xhat: np.ndarray) -> float:
 def psnr(x: np.ndarray, xhat: np.ndarray, peak: float) -> float:
     """Peak signal-to-noise ratio in dB; +inf when the inputs are identical.
 
-    The mean squared error uses the same blocked float64 sums, a BLAS dot
-    per block, as `relative_error`: deterministic for a given input layout
-    and BLAS setup, and possibly different in the last bits from one
-    computed with `frobenius_norm`.
+    The mean squared error comes from the blocked float64 sums of
+    `_sum_squares`, as in `relative_error`, and may differ in the last bits
+    from one computed with `frobenius_norm`.
     """
     if peak <= 0:
         raise ValueError("peak must be positive")
-    if x.shape != xhat.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {xhat.shape}")
     scale, _, err_sq = _sum_squares(x, xhat)
     mse = err_sq / x.size  # in units of scale**2, as is peak / scale
     if mse == 0.0:
@@ -214,8 +209,9 @@ def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
     `ApproxConfig.plan`, which also rejects the ranks that the pipelines
     reject, and which sketches only with l_n >= r_n + 2. The minimum over
     the split index rho (1 <= rho < r_n - 1) is evaluated exhaustively.
-    Every factor is then finite; an empty domain (r_n <= 2) makes the mode
-    term +inf.
+    Every factor is then finite. When r_n <= 2 the domain is empty, and the
+    minimum is +inf by ``min``'s default, so the mode term is +inf and
+    ``chosen_rho`` None, with no warning.
 
     The theorem is proved for Gaussian test matrices. The sketch kernels
     keep Psi Gaussian but draw Omega as random signs (``RngStream.signs``)
@@ -238,23 +234,14 @@ def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
         if step.kernel == "svd":
             modes.append(ModeBound(delta_sq, None, delta_sq))
             continue
-        rho_domain = range(1, r - 1)
-        if len(rho_domain) == 0:
-            warnings.warn(
-                f"mode {n}: no admissible split index for rank {r} <= 2; "
-                "bound term is +inf",
-                RuntimeWarning,
-            )
-            modes.append(ModeBound(delta_sq, None, math.inf))
-            continue
         # a Python float, so that every term is one; sigma_r exists by the
         # rank rule, and sigma_{r+1} is 0 past the end
         gap = float(sigma[r] / sigma[r - 1]) if r < sigma.size and sigma[r - 1] != 0.0 else 0.0
         damping = gap ** (4 * power_iters)
-        # the first rho of the smallest product
+        # the first rho of the smallest product; +inf and no rho when r <= 2
         best, best_rho = min(
-            ((1.0 + f_factor(rho, r) * damping) * tail_energy(sigma, rho + 1), rho)
-            for rho in rho_domain
+            (((1.0 + f_factor(rho, r) * damping) * tail_energy(sigma, rho + 1), rho) for rho in range(1, r - 1)),
+            default=(math.inf, None),
         )
         term = (1.0 + f_factor(r, l)) * best
         modes.append(ModeBound(delta_sq, best_rho, term))

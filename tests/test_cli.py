@@ -404,8 +404,14 @@ def test_bench_source_errors_exit_3(tmp_path, capsys, flags, message):
          "SNR -4000.0 dB at signal power"),
         (["gen-sparse", "--n", "20", "--gamma=inf"], "gamma must be positive and finite, got inf"),
         (["gen-sparse", "--n", "20", "--gamma=nan"], "gamma must be positive and finite, got nan"),
+        (["bench", "--source", "hilbert", "--dims", "6x6x6", "--ranks", "2x2x2", "--delta=inf"],
+         "noise scale must be finite and nonnegative, got inf"),
+        (["bench", "--source", "hilbert", "--dims", "6x6x6", "--ranks", "2x2x2", "--delta=nan"],
+         "noise scale must be finite and nonnegative, got nan"),
+        (["bench", "--source", "hilbert", "--dims", "6x6x6", "--ranks", "2x2x2", "--delta=-1"],
+         "noise scale must be finite and nonnegative, got -1.0"),
     ],
-    ids=["snr-underflow", "gamma-inf", "gamma-nan"],
+    ids=["snr-underflow", "gamma-inf", "gamma-nan", "delta-inf", "delta-nan", "delta-negative"],
 )
 def test_non_finite_data_parameters_exit_3(tmp_path, capsys, flags, message):
     out = tmp_path / ("r.csv" if flags[0] == "bench" else "s.npy")

@@ -12,7 +12,6 @@ from tucksketch.datagen import (
     add_scaled_noise,
     gaussian_tensor,
     hilbert_tensor,
-    outer_sum_3,
     sparse_factor_vectors,
     sparse_lowrank_tensor,
     term_weights,
@@ -61,19 +60,9 @@ def test_term_weights_gap():
     assert w[9] == pytest.approx(7.0 / 100.0)
     assert w[10] == pytest.approx(1.0 / 121.0)
     assert w.shape == (200,)
-
-
-def test_outer_sum_degenerate_unit_vectors():
-    # every factor vector forced to e1: single nonzero entry sum of weights
-    cfg = SparseGenConfig(n=6, gamma=1.0)
-    w = term_weights(cfg)
-    e1 = np.zeros((cfg.total_terms, 6))
-    e1[:, 0] = 1.0
-    x = outer_sum_3(w, e1, e1, e1)
-    assert x[0, 0, 0] == pytest.approx(float(np.sum(w)))
-    assert np.count_nonzero(x) == 1
     # gamma = 1 collapses the two groups into one inverse-square series
-    assert float(np.sum(w)) == pytest.approx(sum(1.0 / i**2 for i in range(1, 201)))
+    w1 = term_weights(SparseGenConfig(n=10, gamma=1.0))
+    assert float(np.sum(w1)) == pytest.approx(sum(1.0 / i**2 for i in range(1, 201)))
 
 
 def test_sparse_vectors_structure():
@@ -195,6 +184,13 @@ def test_scaled_noise_zero_delta_bit_exact():
     assert np.array_equal(x, y)
     with pytest.raises(ValueError):
         add_scaled_noise(x, -1.0, RngStream(5))
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan], ids=["inf", "nan"])
+def test_scaled_noise_rejects_a_non_finite_scale(delta):
+    x = gaussian_tensor((6, 6), RngStream(4))
+    with pytest.raises(ValueError, match=rf"^noise scale must be finite and nonnegative, got {delta!r}$"):
+        add_scaled_noise(x, delta, RngStream(5))
 
 
 def test_scaled_noise_chi_concentration():

@@ -63,10 +63,13 @@ def test_psnr_values():
 
 
 def test_scores_reject_a_shape_mismatch():
+    # the last two pairs broadcast, so the check must come before the
+    # blocked pass, whose iterator would pair them up
     x = np.ones((2, 3, 4))
     for score in (relative_error, lambda x, xhat: psnr(x, xhat, 1.0)):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            score(x, np.ones((2, 4, 3)))
+        for shape in ((2, 4, 3), (1, 3, 4), (2, 3, 1)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                score(x, np.ones(shape))
 
 
 @pytest.mark.filterwarnings("error")
@@ -432,10 +435,12 @@ def test_bound_empty_split_domain_is_infinite():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((6, 6, 6))
     cfg = ApproxConfig(target_ranks=(2, 2, 2), sketch_sizes=(4, 4, 4))
-    with pytest.warns(RuntimeWarning):
+    # the minimum over the empty split domain is +inf, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = bound_oracle(x, cfg, "sketch")
-    assert all(math.isinf(m.term) for m in report.modes)
-    assert math.isinf(report.total)
+    assert all(m.term == math.inf and m.chosen_rho is None for m in report.modes)
+    assert report.total == math.inf
 
 
 def test_bound_of_a_mode_too_short_to_sketch_is_its_tail():

@@ -2,8 +2,9 @@
 
 For each workload of ``perfbench/workloads.py`` (tucker-200, hilbert-100 and
 image-256 on its seed-0 image), each of the five pipelines and each trial
-seed j in 0 and 1, the pipeline runs as a benchmark library trial does, with
-``ApproxConfig(target_ranks=ranks, seed=j)`` and ``RngStream(j)``, and the
+seed j in 0 and 1, the pipeline of ``tucksketch.bench.ALGORITHMS`` runs as
+``fn(x, ApproxConfig(target_ranks=ranks, seed=j))``, so the randomized ones
+draw from ``RngStream(j)`` as a benchmark library trial does, and the
 model's ``.tuck`` container is hashed. Those are the first 30 lines. Then
 come seed-0 lines of the five pipelines on the small inputs of ``SMALL``,
 which reach paths the workloads miss: a tall unfolding, unfoldings under 64
@@ -15,10 +16,10 @@ keeps every line; run it on two checkouts and diff the outputs:
 
     python tools/model_hashes.py > hashes.txt
 
-It imports ``tucksketch`` from ``src/`` and the input builder from
-``perfbench/`` of the checkout that holds this script, pins OpenBLAS to one
-thread before NumPy loads (a threaded BLAS may round differently), and writes
-its files to a temporary directory.
+It imports ``tucksketch`` from ``src/``, and only ``WORKLOADS`` and
+``build_input`` from ``perfbench/workloads.py``, of the checkout that holds
+this script, pins OpenBLAS to one thread before NumPy loads (a threaded BLAS
+may round differently), and writes its files to a temporary directory.
 """
 
 import os
@@ -35,14 +36,20 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
-import workloads  # noqa: E402
+from tucksketch import tucker  # noqa: E402
+from tucksketch.bench import ALGORITHMS  # noqa: E402
+from tucksketch.config import ApproxConfig  # noqa: E402
+from tucksketch.datagen import hilbert_tensor  # noqa: E402
+from tucksketch.metrics import relative_error  # noqa: E402
+from tucksketch.rng import RngStream  # noqa: E402
+from workloads import WORKLOADS, build_input  # noqa: E402
 
 SEEDS = (0, 1)
 
 
 def _normal(shape, seed):
     """A column-major tensor of ``RngStream(seed)`` normals."""
-    return workloads.RngStream(seed).normal(int(np.prod(shape))).reshape(shape, order="F")
+    return RngStream(seed).normal(int(np.prod(shape))).reshape(shape, order="F")
 
 
 # name, input, ranks, processing order
@@ -52,33 +59,32 @@ SMALL = (
     ("small-6x7x8", lambda: _normal((6, 7, 8), 242), (2, 2, 2), None),
     ("order4-8x9x10x11", lambda: _normal((8, 9, 10, 11), 243), (2, 3, 3, 2), None),
     ("rowmajor-12x10x14", lambda: np.ascontiguousarray(_normal((12, 10, 14), 244)), (4, 3, 5), None),
-    ("hilbert-20x22x24-order-3,1,2", lambda: workloads.datagen.hilbert_tensor((20, 22, 24)), (3, 4, 5), (3, 1, 2)),
+    ("hilbert-20x22x24-order-3,1,2", lambda: hilbert_tensor((20, 22, 24)), (3, 4, 5), (3, 1, 2)),
 )
 
 
-def _line(name, key, j, x, cfg, path) -> str:
-    fn = getattr(workloads.tucker, workloads.PIPELINES[key])
-    model = fn(x, cfg, workloads.RngStream(j)) if key in workloads.RANDOMIZED else fn(x, cfg)
-    workloads.tucker.save_model(model, path)
+def _line(name, key, x, cfg, path) -> str:
+    model = getattr(tucker, ALGORITHMS[key][1])(x, cfg)
+    tucker.save_model(model, path)
     digest = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
-    err = workloads.metrics.relative_error(x, workloads.tucker.reconstruct(model))
-    return f"{name} {key} seed {j} {digest} {err!r}"
+    err = relative_error(x, tucker.reconstruct(model))
+    return f"{name} {key} seed {cfg.seed} {digest} {err!r}"
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "model.tuck")
-        for wl in workloads.WORKLOADS.values():
-            x = workloads.build_input(wl.name, 0, workdir).x
-            for key in workloads.PIPELINES:
+        for wl in WORKLOADS.values():
+            x = build_input(wl.name, 0, workdir).x
+            for key in ALGORITHMS:
                 for j in SEEDS:
-                    cfg = workloads.ApproxConfig(target_ranks=wl.ranks, seed=j)
-                    print(_line(wl.name, key, j, x, cfg, path), flush=True)
+                    cfg = ApproxConfig(target_ranks=wl.ranks, seed=j)
+                    print(_line(wl.name, key, x, cfg, path), flush=True)
         for name, build, ranks, order in SMALL:
             x = build()
-            for key in workloads.PIPELINES:
-                cfg = workloads.ApproxConfig(target_ranks=ranks, processing_order=order, seed=0)
-                print(_line(name, key, 0, x, cfg, path), flush=True)
+            for key in ALGORITHMS:
+                cfg = ApproxConfig(target_ranks=ranks, processing_order=order, seed=0)
+                print(_line(name, key, x, cfg, path), flush=True)
     return 0
 
 
