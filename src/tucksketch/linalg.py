@@ -7,6 +7,23 @@ back. Every product or triangular solve that touches the long side of a
 matrix reads it in its stored layout, through a transposed view rather than
 a full-size copy.
 
+A product A G^T whose inner dimension is the long side of A (the sketch
+A Omega, and the power step's A B^T and A Q_b) is formed as (G A^T)^T, by
+``_times_transpose``. For an F-ordered A, which is what ``tensor.unfold``
+returns (copied middle modes and row-major inputs included), A^T and G are
+then C-ordered operands of one plain GEMM. Measured on a shared 2-core
+x86-64 machine, OpenBLAS 0.3.31 on one thread, fastest of 15, in ms:
+
+    A (F-ordered)                        G rows   a @ g.T   (g @ a.T).T
+    200 x 40000                          20       24.9      16.3
+    200 x 40000, a copied mode-2 one     20       24.1      13.8
+    100 x 10000                          15       3.2       1.4
+
+Q^T A, THOSVD's U^T A and the sketches' ((Psi Q)^+ Psi) A are as fast as
+written (U^T A on a 200^3 tensor at r = 20: 20.9 ms either way), and so is
+``reconstruct``'s U @ unfold(G): its last product on a 200^3 model at rank
+20 took 31.8 ms as written and 44.8 ms the other way round.
+
 Every Householder QR here runs through ``_householder``, a blocked
 ``dgeqrt`` in Level-3 panels of ``_QR_BLOCK`` columns: ``thin_qr`` applies
 its reflectors to the identity with ``dgemqrt`` to form Q, and the R-only QR
@@ -32,7 +49,27 @@ THOSVD's error by 4e-5 relative. ``_left_factor`` takes from it the r
 leading left singular vectors of a wide matrix, without forming V, or else
 an R-only QR of A^T and the SVD of the small triangle. Both routes give the
 same factor up to rounding and column signs. THOSVD's steps take each
-factor from it, and ``rsvd`` the SVD of its projection.
+factor from it, from the Gram matrix of an unfolding that
+``tensor._unfolding_gram`` forms with no unfold copy, and ``rsvd`` the SVD of
+its projection.
+
+The m x m Gram matrix gives up every eigenpair to one divide-and-conquer
+``eigh`` (``driver="evd"``), and the top r are kept. LAPACK's index-subset
+path, asked for the top r only, costs more wherever r is a large share of
+m, and less than 1 ms less where r is a small one. Measured on the same
+machine and OpenBLAS 0.3.31 (and its LAPACK), the two calls interleaved,
+best of 100-300, in ms:
+
+    (m, r)       where it runs                      subset   all, D&C
+    (256, 50)    THOSVD on a 256 x 256 x 3 image    9.40     7.16
+    (55, 50)     rsvd on that image                 1.45     0.36
+    (25, 20)     rsvd on a 200^3 tensor at r = 20   0.229    0.094
+    (15, 10)     rsvd on Hilbert 100^3 at r = 10    0.095    0.060
+    (200, 20)    THOSVD on a 200^3 tensor           4.48     5.45
+    (100, 10)    THOSVD on Hilbert 100^3 (fails)    1.12     1.52
+
+Without eigenvectors the subset call took 9.0 ms at (256, 50), against
+4.7 ms for all eigenvalues: the subset path itself is the cost.
 
 The power step of ``sub_sketch`` checks the same guard on B = Q^T A, and on
 the Gram route it forms no basis of range(B^T) at all. The Householder route
@@ -92,6 +129,7 @@ from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 from .rng import RngStream
+from .tensor import _unfolding_gram, unfold
 
 __all__ = [
     "thin_qr",
@@ -161,31 +199,32 @@ _GRAM_GUARD = np.sqrt(np.finfo(np.float64).eps)
 _GRAM_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
-def _gram_eigh(a: np.ndarray, r: int) -> np.ndarray | None:
-    """The r leading eigenvectors of a @ a.T, in descending order, or None below the guard.
+def _gram_eigh(a: np.ndarray, r: int, mode: int = 1) -> np.ndarray | None:
+    """The r leading eigenvectors of A_(n) A_(n)^T, in descending order, or None below the guard.
 
-    ``a @ a.T`` is one BLAS syrk that reads a in its stored layout. When
-    lambda_r <= sqrt(eps) lambda_1 (``_GRAM_GUARD``) the rounding of the Gram
-    matrix reaches the kept eigenvalues, and a factor built from them would
-    lose digits. A Gram matrix that overflows (entries of a finite a above
-    about 1e154) is also None, and so is one whose lambda_r is at most
-    tiny / eps (``_GRAM_FLOOR``, about 1e-292), where the products that
-    form it are subnormal and carry fewer digits than eps promises (a
-    6 x 56 Gaussian scaled by 1e-160 got a factor off by 2e-4). Then the
-    caller takes its QR route, which scales its norms. The eigenvalues only
-    decide the guard; no caller reads them.
+    a is a matrix (mode 1, the default: the Gram matrix a @ a.T) or a tensor
+    whose mode-n unfolding A_(n) is meant; ``tensor._unfolding_gram`` forms
+    the Gram matrix in BLAS syrk calls that read a in its stored layout, with
+    no unfold copy. Every eigenpair comes from one divide-and-conquer
+    ``eigh`` (``driver="evd"``) and the top r are returned; the module
+    docstring compares it with LAPACK's index-subset path. When lambda_r <=
+    sqrt(eps) lambda_1 (``_GRAM_GUARD``) the rounding of the Gram matrix
+    reaches the kept eigenvalues, and a factor built from them would lose
+    digits. A Gram matrix that overflows (entries of a finite a above about
+    1e154) is also None, and so is one whose lambda_r is at most tiny / eps
+    (``_GRAM_FLOOR``, about 1e-292), where the products that form it are
+    subnormal and carry fewer digits than eps promises (a 6 x 56 Gaussian
+    scaled by 1e-160 got a factor off by 2e-4). Then the caller takes its QR
+    route, which scales its norms. The eigenvalues only decide the guard; no
+    caller reads them.
     """
-    m = a.shape[0]
-    with np.errstate(over="ignore"):
-        gram = a @ a.T
+    gram = _unfolding_gram(a, mode)
     if not np.isfinite(gram).all():
         return None
-    w, v = scipy.linalg.eigh(
-        gram, subset_by_index=(m - r, m - 1), overwrite_a=True, check_finite=False
-    )
-    if not w[0] > max(_GRAM_GUARD * w[-1], _GRAM_FLOOR):
+    w, v = scipy.linalg.eigh(gram, driver="evd", overwrite_a=True, check_finite=False)
+    if not w[-r] > max(_GRAM_GUARD * w[-1], _GRAM_FLOOR):
         return None
-    return v[:, ::-1]
+    return v[:, ::-1][:, :r]
 
 
 def _qr_left_factor(a: np.ndarray, r: int) -> np.ndarray:
@@ -199,21 +238,30 @@ def _qr_left_factor(a: np.ndarray, r: int) -> np.ndarray:
     return np.linalg.svd(np.triu(v[: a.shape[0]]))[2][:r].T
 
 
-def _left_factor(a: np.ndarray, r: int) -> np.ndarray:
-    """The r leading left singular vectors of a, as orthonormal columns.
+def _left_factor(
+    a: np.ndarray, r: int, mode: int = 1, unfolding: np.ndarray | None = None
+) -> np.ndarray:
+    """The r leading left singular vectors of the mode-n unfolding A_(n) of a, orthonormal.
 
-    A wide a (m <= n) takes the Gram route when its spectrum allows and the
-    R-only QR route otherwise; neither forms the n x r right factor. A tall
-    a keeps the u of ``truncated_svd(a, r)``, which requires r <= n. The
-    column signs are the route's; ``tucker._sequential`` fixes them.
+    A wide A_(n) (I_n at most the product of the other dims) takes the Gram
+    route when its spectrum allows, from the Gram matrix that
+    ``_gram_eigh`` forms without unfolding a, and the R-only QR route
+    otherwise; neither forms the right factor. A tall A_(n) keeps the u of
+    ``truncated_svd(A_(n), r)``, which requires r at most its column count.
+    Those two routes need A_(n) itself: they take unfolding when the caller
+    has formed ``unfold(a, mode)`` already, and unfold a otherwise. A matrix
+    a with the default mode 1 is its own unfolding. The column signs are the
+    route's; ``tucker._sequential`` fixes them.
     """
-    m, n = a.shape
+    m = a.shape[mode - 1]
     if not 1 <= r <= m:
         raise ValueError(f"rank {r} out of range for {m} rows")
-    if m > n:
-        return truncated_svd(a, r)[0]
-    v = _gram_eigh(a, r)
-    return v if v is not None else _qr_left_factor(a, r)
+    wide = m <= a.size // m
+    v = _gram_eigh(a, r, mode) if wide else None
+    if v is not None:
+        return v
+    a = unfold(a, mode) if unfolding is None else unfolding
+    return _qr_left_factor(a, r) if wide else truncated_svd(a, r)[0]
 
 
 def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +297,23 @@ def _range_basis(a: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
     """
     n = a.shape[1]
     draw = rng.signs if n >= _SIGN_MIN_COLS else rng.normal
-    return thin_qr(a if k == n else a @ draw(n, k))[0]
+    return thin_qr(a if k == n else _times_transpose(a, draw(n, k).T))[0]
+
+
+def _times_transpose(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The sketch a @ g.T of a long a, formed as (g @ a.T).T, or a ValueError if it overflows.
+
+    The module docstring has the orientation rule. Entries near the largest
+    double overflow the sketch, though not a, and would reach LAPACK as inf.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (g @ a.T).T
+    if not np.isfinite(y).all():
+        raise ValueError(
+            "sketch product overflowed: the entries are too close to the largest "
+            "double (about 1.8e308); rescale the tensor"
+        )
+    return y
 
 
 def rsvd(a: np.ndarray, r: int, p: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +386,8 @@ def _two_sided_sketch(
     psi = thin_qr(rng.normal(l, a.shape[0]).T)[0].T
     for _ in range(power_iters):
         b = q.T @ a
-        q, _ = thin_qr(a @ (b.T if _gram_eigh(b, k) is not None else thin_qr(b.T)[0]))
+        g = b if _gram_eigh(b, k) is not None else thin_qr(b.T)[0].T
+        q, _ = thin_qr(_times_transpose(a, g))
     return q, _min_norm_lstsq(psi @ q, psi) @ a
 
 

@@ -9,12 +9,16 @@ The library makes column-major (Fortran-ordered) tensors: the generators,
 the image loader and `tucker.reconstruct` return them. In that layout the
 mode-1 and mode-N unfoldings are views, with no copy; the other modes, and
 any mode of a row-major tensor, are copied. `as_tensor` keeps the caller's
-layout.
+layout. The Gram matrix of an unfolding, which THOSVD factors, needs no copy
+of either layout (``_unfolding_gram``).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 __all__ = [
     "as_tensor",
@@ -46,6 +50,35 @@ def unfold(x: np.ndarray, mode: int) -> np.ndarray:
     """Mode-n matricization of x, shape (I_n, prod of the other dims)."""
     _check_mode(mode, x.ndim)
     return np.moveaxis(x, mode - 1, 0).reshape((x.shape[mode - 1], -1), order="F")
+
+
+def _unfolding_gram(x: np.ndarray, mode: int) -> np.ndarray:
+    """X_(n) X_(n)^T, without the copy ``unfold(x, n)`` makes of a contiguous x.
+
+    The Gram matrix does not depend on the order of the unfolding's columns.
+    A row-major x is the column-major x.T, whose mode N + 1 - n has the same
+    fibers. A column-major x of dims (P, I_n, S), with P and S the products
+    of the dims before and after mode n, holds S contiguous P x I_n slabs, one
+    per trailing index, so the Gram matrix is the sum of their Grams: one
+    ``dsyrk`` per slab, accumulated with beta = 1. When P or S is 1 the
+    unfolding is a view and the Gram matrix is one product; an x that is
+    neither row- nor column-major is unfolded, with a copy. Entries whose
+    squares overflow give inf, not a warning: the caller's guard reads it.
+    """
+    _check_mode(mode, x.ndim)
+    if x.flags.c_contiguous and not x.flags.f_contiguous:
+        x, mode = x.T, x.ndim + 1 - mode
+    p, i, s = math.prod(x.shape[: mode - 1]), x.shape[mode - 1], math.prod(x.shape[mode:])
+    if not x.flags.f_contiguous or 1 in (p, s):
+        a = unfold(x, mode)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return a @ a.T
+    slabs = x.reshape((p, i, s), order="F")
+    gram = np.zeros((i, i), order="F")
+    for k in range(s):
+        gram = dsyrk(1.0, slabs[:, :, k], beta=1.0, c=gram, trans=1, overwrite_c=1)
+    # dsyrk writes the upper triangle only
+    return gram + np.triu(gram, 1).T
 
 
 def fold(m: np.ndarray, mode: int, dims) -> np.ndarray:

@@ -37,9 +37,10 @@ core's unfolding, the product ``mode_n_product`` would form, so the loop
 builds THOSVD's core X x_1 U_1^T ... x_N U_N^T in processing order. The
 factors do not depend on that order; the core does, by rounding. The
 "left" step needs only U of each unfolding: ``linalg._left_factor`` takes
-it from ``eigh`` of the Gram matrix A A^T when the spectrum passes a
-sqrt(eps) guard, and from an R-only QR otherwise, never forming V. The
-randomized steps use the same Gram route on their short, wide stages:
+it from ``eigh`` of the Gram matrix A A^T, which it forms from the tensor
+without an unfold copy, when the spectrum passes a sqrt(eps) guard, and
+from an R-only QR otherwise, never forming V. The randomized steps use the
+same Gram route on their short, wide stages:
 ``rsvd`` takes U of its k x n projection Q^T A from ``_left_factor``, and
 sub-Sketch's power step takes the QR of A (Q^T A)^T with no basis of
 range(A^T Q) in between, keeping the Householder QR of (Q^T A)^T for
@@ -132,7 +133,7 @@ def _sequential(
 ) -> TuckerModel:
     """The ST-HOSVD loop over ``cfg.plan(x.shape, kernel)``; the module docstring has the sign rule.
 
-    A "left" step factors the original tensor's unfolding with
+    A "left" step factors mode n of the original tensor with
     ``_left_factor`` and projects the current core onto that factor. A
     "sketch" step runs ``sketch``, or ``sub_sketch`` when power_iters > 0.
     Randomized steps draw from rng, or from RngStream(cfg.seed) when it is
@@ -147,7 +148,7 @@ def _sequential(
     for step in cfg.plan(x.shape, kernel):
         n, r, m = step.mode, step.rank, unfold(core, step.mode)
         if step.kernel == "left":
-            u = _left_factor(m if core is x else unfold(x, n), r)
+            u = _left_factor(x, r, n, m if core is x else None)
             c = u.T @ m
         elif step.kernel == "svd":
             u, c = truncated_svd(m, r)
@@ -165,11 +166,15 @@ def _sequential(
 def thosvd(x: np.ndarray, cfg: ApproxConfig) -> TuckerModel:
     """Factor each mode from the leading left singular vectors of the original unfolding.
 
-    The engine's "left" step: each U_n comes from ``linalg._left_factor``,
-    the Gram route (``eigh`` of the unfolding times its transpose) when
-    lambda_r > sqrt(eps) lambda_1, an R-only QR otherwise, so no right
-    factor is formed. The core X x_1 U_1^T ... x_N U_N^T is projected in
-    processing order, which moves it only by rounding.
+    The engine's "left" step: each U_n comes from ``linalg._left_factor``
+    on mode n of x. On the Gram route, taken when lambda_r > sqrt(eps)
+    lambda_1, the Gram matrix X_(n) X_(n)^T is a sum of syrk calls over the
+    contiguous slabs of x (``tensor._unfolding_gram``), so no mode is
+    unfolded for it, and one divide-and-conquer ``eigh`` gives U_n. Otherwise
+    the unfolding is formed for an R-only QR. No right factor is formed, and
+    each mode's Gram matrix, so its factor, is the same in every processing
+    order. The core X x_1 U_1^T ... x_N U_N^T is projected in processing
+    order, which moves it only by rounding.
     """
     return _sequential(x, cfg, "left")
 

@@ -14,6 +14,7 @@ from tucksketch.cli import _add_approx_flags, _approx_config, main
 from tucksketch.config import ApproxConfig
 from tucksketch.datagen import hilbert_tensor
 from tucksketch.imageio import load_image_tensor, save_image_tensor
+from tucksketch.rng import RngStream
 from tucksketch.tensor import unfold
 from tucksketch.tucker import (
     load_model,
@@ -569,6 +570,32 @@ def test_decompose_huge_finite_tensor(tmp_path, capsys, algo):
     # entries near 1e200 overflow the Gram matrix A A^T and a plain sum of
     # squares, but not the tensor
     _assert_decompose_scale_invariant(tmp_path, capsys, algo, 1e200)
+
+
+def _decompose_gaussian(tmp_path, algo, scale):
+    """Exit code of ``decompose`` on the 8 x 9 x 10 ``RngStream(0)`` Gaussian times scale."""
+    x = RngStream(0).normal(720).reshape((8, 9, 10), order="F")
+    src, out = tmp_path / "x.npy", tmp_path / f"{algo}.tuck"
+    np.save(src, x * scale)
+    return main(["decompose", "--in", str(src), "--algo", algo, "--ranks", "2x2x2",
+                 "--out", str(out)])
+
+
+@pytest.mark.parametrize("algo", ["rsthosvd", "sketch", "subsketch"])
+def test_sketch_overflow_near_the_largest_double_exits_3_naming_it(tmp_path, capsys, algo):
+    # entries near 1e307 are finite, but their sketch A Omega is not
+    assert _decompose_gaussian(tmp_path, algo, 1e307) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: sketch product overflowed: ")
+    assert "largest double" in err
+    assert not (tmp_path / f"{algo}.tuck").exists()
+
+
+@pytest.mark.parametrize("algo", list(ALGORITHMS))
+def test_entries_near_1e305_run_every_pipeline(tmp_path, capsys, algo):
+    assert _decompose_gaussian(tmp_path, algo, 1e305) == 0
+    assert "rel_error=" in capsys.readouterr().out
+    assert np.isfinite(reconstruct(load_model(tmp_path / f"{algo}.tuck"))).all()
 
 
 @pytest.mark.parametrize("algo", ["thosvd", "rsthosvd"])

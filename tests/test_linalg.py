@@ -5,6 +5,8 @@ import scipy.linalg
 from tucksketch.config import ApproxConfig
 from tucksketch.datagen import add_scaled_noise, hilbert_tensor
 from tucksketch.linalg import (
+    _GRAM_FLOOR,
+    _GRAM_GUARD,
     _QR_BLOCK,
     _gram_eigh,
     _left_factor,
@@ -611,7 +613,58 @@ def test_left_factor_of_tiny_entries_takes_no_subnormal_gram_matrix(scale):
     a = np.random.default_rng(56).standard_normal((6, 56))
     assert _gram_eigh(a, 3) is not None
     assert _gram_eigh(a * scale, 3) is None
-    assert np.max(np.abs(_left_factor(a * scale, 3) - _left_factor(a, 3))) <= 1e-13
+    # the two routes agree up to column signs, which the sign rule fixes
+    tiny, plain = signed(_left_factor(a * scale, 3)), signed(_left_factor(a, 3))
+    assert np.max(np.abs(tiny - plain)) <= 1e-13
+
+
+def subset_gram_eigh(a, r):
+    """The Gram route as it stood on LAPACK's index-subset eigensolver."""
+    m = a.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a @ a.T
+    if not np.isfinite(gram).all():
+        return None
+    w, v = scipy.linalg.eigh(gram, subset_by_index=(m - r, m - 1))
+    if not w[0] > max(_GRAM_GUARD * w[-1], _GRAM_FLOOR):
+        return None
+    return v[:, ::-1]
+
+
+# (m, r) of the Gram matrices the pipelines factor on the benchmark workloads:
+# THOSVD's unfoldings and rsvd's (r + p) x n projections
+GRAM_SHAPES = [(256, 50), (55, 50), (25, 20), (15, 10), (200, 20), (100, 10)]
+
+
+@pytest.mark.parametrize("m, r", GRAM_SHAPES, ids=[f"{m}x{r}" for m, r in GRAM_SHAPES])
+@pytest.mark.parametrize(
+    "spectrum, scale, passes",
+    [
+        ("separated", 1.0, True),
+        ("separated", 1e-140, True),
+        ("separated", 1e-160, False),
+        ("separated", 1e160, False),
+        ("graded", 1.0, False),
+        ("rank-deficient", 1.0, False),
+    ],
+    ids=["separated", "small", "tiny", "overflowing", "graded", "rank-deficient"],
+)
+def test_gram_eigh_agrees_with_the_index_subset_eigh(m, r, spectrum, scale, passes):
+    # every eigenpair by divide and conquer, then the top r: the same guard
+    # decision and, under the sign rule, the same vectors as the subset call
+    if spectrum == "separated":
+        sigma = np.linspace(1.0, 0.5, m)
+    elif spectrum == "graded":
+        sigma = 10.0 ** -np.arange(m, dtype=float)
+    else:
+        sigma = np.linspace(1.0, 0.5, r - 1)
+    a = matrix_with_spectrum(m, 2 * m + 7, sigma, seed=m + r) * scale
+    got, ref = _gram_eigh(a, r), subset_gram_eigh(a, r)
+    assert (got is not None) == (ref is not None) == passes
+    if passes:
+        assert got.shape == (m, r)
+        assert_orthonormal_columns(got)
+        assert np.max(np.abs(signed(got) - signed(ref))) <= 1e-12
 
 
 def test_left_factor_tall_keeps_truncated_svd():

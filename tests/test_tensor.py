@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tucksketch.tensor import (
+    _unfolding_gram,
     as_tensor,
     fold,
     frobenius_norm,
@@ -98,6 +100,33 @@ def test_fold_zero_matrix():
 def test_fold_shape_mismatch():
     with pytest.raises(ValueError):
         fold(np.zeros((2, 5)), 1, (2, 3, 2))
+
+
+@pytest.mark.parametrize("layout", ["F", "C"])
+@pytest.mark.parametrize("dims", [(30, 40, 50), (12, 13, 14, 15)], ids=["order3", "order4"])
+def test_unfolding_gram_is_the_unfoldings_gram_without_a_copy(dims, layout):
+    x = np.asarray(np.random.default_rng(61).standard_normal(dims), order=layout)
+    for mode in range(1, len(dims) + 1):
+        a = unfold(x, mode)
+        ref = a @ a.T
+        tracemalloc.start()
+        try:
+            gram = _unfolding_gram(x, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref)), mode
+        assert np.array_equal(gram, gram.T), mode
+        # no unfold copy: only the small Gram matrix is allocated
+        assert peak < x.nbytes / 8, (mode, peak, x.nbytes)
+
+
+def test_unfolding_gram_of_a_strided_view_unfolds_it():
+    x = np.random.default_rng(62).standard_normal((8, 12, 10))[:, ::2, 1:]
+    assert not (x.flags.c_contiguous or x.flags.f_contiguous)
+    for mode in (1, 2, 3):
+        a = unfold(x, mode)
+        assert np.allclose(_unfolding_gram(x, mode), a @ a.T, rtol=1e-13, atol=0)
 
 
 def test_mode_product_identity():
