@@ -39,10 +39,11 @@ def load_image_tensor(path) -> np.ndarray:
     magic, width_s, height_s, maxval_s = header.groups()
     if magic not in (b"P5", b"P6"):
         raise ImageFormatError(f"unsupported magic {magic!r}; expected P5 or P6")
-    try:
-        width, height, maxval = int(width_s), int(height_s), int(maxval_s)
-    except ValueError as exc:
-        raise ImageFormatError("non-numeric header field") from exc
+    # ASCII digits only: int() also takes a sign and "_" separators, so
+    # "1_6" would read as 16
+    if not all(field.isdigit() for field in (width_s, height_s, maxval_s)):
+        raise ImageFormatError("non-numeric header field")
+    width, height, maxval = int(width_s), int(height_s), int(maxval_s)
     if width < 1 or height < 1:
         raise ImageFormatError("image dimensions must be positive")
     if maxval != 255:

@@ -238,9 +238,7 @@ def _qr_left_factor(a: np.ndarray, r: int) -> np.ndarray:
     return np.linalg.svd(np.triu(v[: a.shape[0]]))[2][:r].T
 
 
-def _left_factor(
-    a: np.ndarray, r: int, mode: int = 1, unfolding: np.ndarray | None = None
-) -> np.ndarray:
+def _left_factor(a: np.ndarray, r: int, mode: int = 1) -> np.ndarray:
     """The r leading left singular vectors of the mode-n unfolding A_(n) of a, orthonormal.
 
     A wide A_(n) (I_n at most the product of the other dims) takes the Gram
@@ -248,10 +246,10 @@ def _left_factor(
     ``_gram_eigh`` forms without unfolding a, and the R-only QR route
     otherwise; neither forms the right factor. A tall A_(n) keeps the u of
     ``truncated_svd(A_(n), r)``, which requires r at most its column count.
-    Those two routes need A_(n) itself: they take unfolding when the caller
-    has formed ``unfold(a, mode)`` already, and unfold a otherwise. A matrix
-    a with the default mode 1 is its own unfolding. The column signs are the
-    route's; ``tucker._sequential`` fixes them.
+    Those two routes need A_(n) itself and form ``unfold(a, mode)``: a view
+    for the first or last mode of a column-major a, a copy for a middle one.
+    A matrix a with the default mode 1 is its own unfolding. The column
+    signs are the route's; ``tucker._sequential`` fixes them.
     """
     m = a.shape[mode - 1]
     if not 1 <= r <= m:
@@ -260,7 +258,7 @@ def _left_factor(
     v = _gram_eigh(a, r, mode) if wide else None
     if v is not None:
         return v
-    a = unfold(a, mode) if unfolding is None else unfolding
+    a = unfold(a, mode)
     return _qr_left_factor(a, r) if wide else truncated_svd(a, r)[0]
 
 
@@ -342,15 +340,6 @@ def rsvd(a: np.ndarray, r: int, p: int, rng: RngStream) -> tuple[np.ndarray, np.
     return q @ u, u.T @ b
 
 
-def _check_sketch_params(m: int, n: int, k: int, l: int) -> None:
-    if k < 1 or l < 1:
-        raise ValueError("sketch sizes must be positive")
-    if k > min(l, n):
-        raise ValueError(f"sketch size k={k} must satisfy k <= min(l={l}, n={n})")
-    if l > m:
-        raise ValueError(f"sketch size l={l} must not exceed the row count {m}")
-
-
 def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least-squares solve of a @ x = b via QR, never an explicit pseudo-inverse.
 
@@ -381,6 +370,15 @@ def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _two_sided_sketch(
     a: np.ndarray, k: int, l: int, power_iters: int, rng: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
+    """The body of `sketch` and `sub_sketch`, so neither calls the other: each keeps its own trace span."""
+    if power_iters < 0:
+        raise ValueError("power iteration count must be nonnegative")
+    if k < 1 or l < 1:
+        raise ValueError("sketch sizes must be positive")
+    if k > min(l, a.shape[1]):
+        raise ValueError(f"sketch size k={k} must satisfy k <= min(l={l}, n={a.shape[1]})")
+    if l > a.shape[0]:
+        raise ValueError(f"sketch size l={l} must not exceed the row count {a.shape[0]}")
     # Omega is drawn before Psi; Psi gets orthonormal rows, `sketch` says why.
     q = _range_basis(a, k, rng)
     psi = thin_qr(rng.normal(l, a.shape[0]).T)[0].T
@@ -394,7 +392,9 @@ def _two_sided_sketch(
 def sketch(a: np.ndarray, k: int, l: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided sketch: the pair (q, xc), a rank-<=k approximation q @ xc of a.
 
-    Requires k <= min(l, n) and l <= m. The column test matrix Omega is
+    A ValueError names the first broken size rule, in this order: k and l
+    positive, k <= min(l, n), l <= m. ``_two_sided_sketch``, the body it
+    shares with `sub_sketch`, checks them. The column test matrix Omega is
     random signs from raw Philox bits, or Gaussian when a has fewer than
     ``_SIGN_MIN_COLS`` columns (``_range_basis``), used raw:
     orthonormalizing it would not change range(a @ Omega), so q, and
@@ -411,7 +411,6 @@ def sketch(a: np.ndarray, k: int, l: int, rng: RngStream) -> tuple[np.ndarray, n
     2017, Thm 4.3) is proved for Gaussian test matrices; with the sign Omega
     it holds as an empirical check.
     """
-    _check_sketch_params(*a.shape, k, l)
     return _two_sided_sketch(a, k, l, 0, rng)
 
 
@@ -430,9 +429,8 @@ def sub_sketch(
     product with A. Otherwise it
     takes the Householder Q of the n x k B.T first, so a graded spectrum
     keeps the Householder step bit for bit.
-    With q = 0 this is exactly `sketch`, draw for draw.
+    With q = 0 this is exactly `sketch`, draw for draw. A negative q is a
+    ValueError, checked before the sizes, which follow `sketch`'s rules in
+    its order.
     """
-    if q < 0:
-        raise ValueError("power iteration count must be nonnegative")
-    _check_sketch_params(*a.shape, k, l)
     return _two_sided_sketch(a, k, l, q, rng)

@@ -138,8 +138,8 @@ def psnr(x: np.ndarray, xhat: np.ndarray, peak: float) -> float:
     `_sum_squares`, as in `relative_error`, and may differ in the last bits
     from one computed with `frobenius_norm`.
     """
-    if peak <= 0:
-        raise ValueError("peak must be positive")
+    if not 0 < peak < math.inf:
+        raise ValueError(f"peak must be positive and finite, got {peak!r}")
     scale, _, err_sq = _sum_squares(x, xhat)
     mse = err_sq / x.size  # in units of scale**2, as is peak / scale
     if mse == 0.0:

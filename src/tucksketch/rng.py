@@ -16,7 +16,11 @@ x86-64 box, NumPy 2.4.6). Their row test matrices Psi stay Gaussian
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .config import _integers
 
 __all__ = ["RngStream"]
 
@@ -24,11 +28,16 @@ _MASK64 = (1 << 64) - 1
 
 
 class RngStream:
-    """Deterministic random stream identified by (seed, stream)."""
+    """Deterministic random stream identified by (seed, stream).
+
+    The key and every size pass `config._integers`, the rule of the configs:
+    an integer, NumPy's included, is taken as it is, and a float, which
+    ``int`` would truncate, is a ValueError that names the argument.
+    """
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.stream = int(stream) & _MASK64
+        self.seed = _integers("seed", seed, scalar=True) & _MASK64
+        self.stream = _integers("stream", stream, scalar=True) & _MASK64
         # SeedSequence hashes (seed, stream) with a fixed, platform-stable
         # algorithm; providing entropy explicitly avoids any OS randomness.
         self._bits = np.random.Philox(
@@ -37,7 +46,7 @@ class RngStream:
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles, i.i.d. uniform on the open interval (0, 1)."""
-        raw = self._bits.random_raw(int(n))
+        raw = self._bits.random_raw(_integers("n", n, scalar=True))
         raw >>= np.uint64(12)
         # Convert in place: the doubles overwrite the integers they come from,
         # which NumPy allows for an elementwise operation on identical memory.
@@ -50,9 +59,14 @@ class RngStream:
         """Standard normal draws via Box-Muller.
 
         Returns a vector of length rows when cols is None, otherwise a
-        (rows, cols) matrix filled first-index-fastest.
+        (rows, cols) matrix filled first-index-fastest. A zero size gives an
+        empty draw, and a negative one is a ValueError.
         """
-        count = int(rows) if cols is None else int(rows) * int(cols)
+        rows = _integers("rows", rows, scalar=True)
+        shape = (rows,) if cols is None else (rows, _integers("cols", cols, scalar=True))
+        if min(shape) < 0:
+            raise ValueError(f"draw sizes must be nonnegative, got {shape}")
+        count = math.prod(shape)
         pairs = (count + 1) // 2
         u = self.uniform(2 * pairs)
         # In place: the first half becomes radius * cos(angle) and the second
@@ -67,10 +81,7 @@ class RngStream:
         np.sin(angle, out=angle)
         angle *= radius
         radius *= cos
-        z = u[:count]
-        if cols is None:
-            return z
-        return z.reshape((rows, cols), order="F")
+        return u[:count].reshape(shape, order="F")
 
     def signs(self, rows: int, cols: int) -> np.ndarray:
         """(rows, cols) matrix of i.i.d. random signs, +1 or -1 with equal probability.
@@ -81,9 +92,10 @@ class RngStream:
         little-endian bytes. The unused high bits of the last word are
         dropped, so each draw advances the stream by whole words.
         """
+        rows, cols = _integers("rows", rows, scalar=True), _integers("cols", cols, scalar=True)
         if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        count = int(rows) * int(cols)
+        count = rows * cols
         raw = self._bits.random_raw(-(-count // 64)).astype("<u8", copy=False)
         bits = np.unpackbits(raw.view(np.uint8), bitorder="little", count=count)
         z = np.empty(count)
@@ -93,6 +105,7 @@ class RngStream:
 
     def index_sample(self, n: int, k: int) -> np.ndarray:
         """k distinct indices drawn uniformly from range(n), partial Fisher-Yates."""
+        n, k = _integers("n", n, scalar=True), _integers("k", k, scalar=True)
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} distinct indices from range({n})")
         u = self.uniform(k)

@@ -134,21 +134,22 @@ def _sequential(
     """The ST-HOSVD loop over ``cfg.plan(x.shape, kernel)``; the module docstring has the sign rule.
 
     A "left" step factors mode n of the original tensor with
-    ``_left_factor`` and projects the current core onto that factor. A
-    "sketch" step runs ``sketch``, or ``sub_sketch`` when power_iters > 0.
-    Randomized steps draw from rng, or from RngStream(cfg.seed) when it is
-    None. The kernels are looked up by name in this module at call time, so
-    a wrapper bound to one of those names sees the call.
+    ``_left_factor``, which unfolds x itself where its route needs the
+    unfolding, and projects the current core onto that factor. A "sketch"
+    step runs ``sketch``, or ``sub_sketch`` when power_iters > 0. The loop
+    holds a stream for every kernel: rng, or RngStream(cfg.seed) when it is
+    None, which a deterministic step never reads. The kernels are looked up
+    by name in this module at call time, so a wrapper bound to one of those
+    names sees the call.
     """
     x = as_tensor(x)
-    if kernel in ("rsvd", "sketch") and rng is None:
-        rng = RngStream(cfg.seed)
+    rng = RngStream(cfg.seed) if rng is None else rng
     core = x
     factors: list[np.ndarray | None] = [None] * x.ndim
     for step in cfg.plan(x.shape, kernel):
         n, r, m = step.mode, step.rank, unfold(core, step.mode)
         if step.kernel == "left":
-            u = _left_factor(x, r, n, m if core is x else None)
+            u = _left_factor(x, r, n)
             c = u.T @ m
         elif step.kernel == "svd":
             u, c = truncated_svd(m, r)

@@ -37,6 +37,10 @@ def test_package_exports_its_modules_public_names():
 
 
 def load_layertrace():
+    # Tracer.install wraps every layer module, so each must be imported,
+    # whichever tests ran before
+    for m in MODULES:
+        importlib.import_module(f"tucksketch.{m}")
     spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
@@ -102,3 +106,30 @@ def test_layer_tracer_sees_every_pipeline_run_trial_calls():
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
     assert {f"tucker.{pipeline}" for _, pipeline in ALGORITHMS.values()} <= names
+
+
+def test_sketch_entries_trace_apart():
+    # sketch and sub_sketch share a body and neither calls the other, so a
+    # Sketch-STHOSVD run records only linalg.sketch spans and a
+    # sub-Sketch-STHOSVD run only linalg.sub_sketch spans
+    layertrace = load_layertrace()
+    x = np.random.default_rng(0).standard_normal((10, 9, 8))
+    cfg = tucksketch.ApproxConfig(target_ranks=(3, 3, 3))
+    entries = {"sketch_sthosvd": "linalg.sketch", "sub_sketch_sthosvd": "linalg.sub_sketch"}
+    for pipeline, entry in entries.items():
+        tracer = layertrace.Tracer()
+        tracer.install()
+        try:
+            tracer.active, tracer.trial = True, 0
+            getattr(tucksketch.tucker, pipeline)(x, cfg, RngStream(0))
+        finally:
+            tracer.active = False
+            tracer.uninstall()
+        names = [span[0] for span in tracer.spans]
+        (other,) = set(entries.values()) - {entry}
+        assert names.count(entry) == 3 and other not in names, pipeline
+        for span in tracer.spans:
+            parent = span[3] if span[0] == entry else None
+            while parent is not None:
+                assert tracer.spans[parent][0] not in entries.values(), pipeline
+                parent = tracer.spans[parent][3]

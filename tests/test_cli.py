@@ -306,7 +306,9 @@ def test_io_error_exit_code(tmp_path):
         src = str(tmp_path / name)
         assert main(["decompose", "--in", src, "--algo", "sthosvd", "--ranks", "2x2x2"]) == 2
     bad_img = tmp_path / "bad.ppm"
-    for blob in (b"P6\n2 2\n255\nxx", b"P6 16 16"):  # truncated payload, then header
+    # a truncated payload, a truncated header, and a width of "1_6", which
+    # int() reads as 16, the width this payload fits
+    for blob in (b"P6\n2 2\n255\nxx", b"P6 16 16", b"P6\n1_6 16\n255\n" + bytes(768)):
         bad_img.write_bytes(blob)
         assert (
             main(["image-compress", "--in", str(bad_img), "--algo", "sthosvd",

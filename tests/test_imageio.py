@@ -153,6 +153,10 @@ _MALFORMED = {
     # a comment starts only where a token would; inside a token "#" is a byte
     b"P5#c 1 1 255\n\x00": "unsupported magic b'P5#c'; expected P5 or P6",
     b"P5 2#x 1 255\n\x00\x00": "non-numeric header field",
+    # int() takes these, but a header field is ASCII digits only
+    b"P5\n+4 1\n255\n\x00\x00\x00\x00": "non-numeric header field",
+    b"P5\n1_6 1\n255\n" + bytes(16): "non-numeric header field",
+    b"P5\n1 1\n2_55\n\x00": "non-numeric header field",
 }
 
 

@@ -310,14 +310,24 @@ def test_sketch_zero_matrix():
     assert np.allclose(xc, 0.0)
 
 
-@pytest.mark.parametrize(
-    "k,l",
-    [(0, 4), (3, 0), (5, 4), (9, 12), (3, 11)],
-)
+# (k, l) on a 10 x 8 matrix, and the message of the first rule it breaks:
+# (9, 12) breaks both size rules, and the k rule is checked first
+_SKETCH_VIOLATIONS = {
+    (0, 4): "sketch sizes must be positive",
+    (3, 0): "sketch sizes must be positive",
+    (5, 4): r"sketch size k=5 must satisfy k <= min\(l=4, n=8\)",
+    (9, 12): r"sketch size k=9 must satisfy k <= min\(l=12, n=8\)",
+    (3, 11): "sketch size l=11 must not exceed the row count 10",
+}
+
+
+@pytest.mark.parametrize("k,l", list(_SKETCH_VIOLATIONS))
 def test_sketch_parameter_violations(k, l):
     a = np.zeros((10, 8))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_SKETCH_VIOLATIONS[k, l]):
         sketch(a, k, l, RngStream(0))
+    with pytest.raises(ValueError, match=_SKETCH_VIOLATIONS[k, l]):
+        sub_sketch(a, k, l, 1, RngStream(0))
 
 
 def test_sketch_expected_error_bound_monte_carlo():
@@ -385,8 +395,10 @@ def test_sub_sketch_q0_equals_sketch_bitwise():
 
 
 def test_sub_sketch_rejects_negative_power():
-    with pytest.raises(ValueError):
-        sub_sketch(np.zeros((10, 8)), 2, 4, -1, RngStream(0))
+    # q is checked before the sizes: (0, 11) breaks two size rules
+    for k, l in ((2, 4), (0, 11)):
+        with pytest.raises(ValueError, match="power iteration count must be nonnegative"):
+            sub_sketch(np.zeros((10, 8)), k, l, -1, RngStream(0))
 
 
 def test_power_iteration_improves_slow_decay():

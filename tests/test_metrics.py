@@ -58,8 +58,9 @@ def test_psnr_values():
     assert psnr(x, x, 255.0) == math.inf
     shifted = x + 255.0  # MSE = peak^2 exactly
     assert psnr(x, shifted, 255.0) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        psnr(x, x, 0.0)
+    for peak in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"got {peak!r}$"):
+            psnr(x, shifted, peak)
 
 
 def test_scores_reject_a_shape_mismatch():

@@ -66,6 +66,42 @@ def test_signs_validates_shape(rows, cols):
         RngStream(0).signs(rows, cols)
 
 
+@pytest.mark.parametrize(
+    "draw, name",
+    [
+        pytest.param(lambda: RngStream(2.7), "seed", id="RngStream(2.7)"),
+        pytest.param(lambda: RngStream(2, 0.5), "stream", id="RngStream(2,0.5)"),
+        pytest.param(lambda: RngStream(0).uniform(3.0), "n", id="uniform(3.0)"),
+        pytest.param(lambda: RngStream(0).normal(2.7), "rows", id="normal(2.7)"),
+        pytest.param(lambda: RngStream(0).normal(2, 3.0), "cols", id="normal(2,3.0)"),
+        pytest.param(lambda: RngStream(0).signs(2.0, 3), "rows", id="signs(2.0,3)"),
+        pytest.param(lambda: RngStream(0).signs(2, 3.5), "cols", id="signs(2,3.5)"),
+        pytest.param(lambda: RngStream(0).index_sample(5.0, 2), "n", id="index_sample(5.0,2)"),
+        pytest.param(lambda: RngStream(0).index_sample(5, 2.0), "k", id="index_sample(5,2.0)"),
+    ],
+)
+def test_keys_and_sizes_take_integers_only(draw, name):
+    # int() would truncate: RngStream(2.7) would draw RngStream(2)'s stream
+    with pytest.raises(ValueError, match=f"^{name} takes integers only"):
+        draw()
+
+
+def test_keys_and_sizes_take_numpy_integers():
+    a = RngStream(np.uint64(5), np.int32(1)).normal(np.int64(4), np.int8(3))
+    assert np.array_equal(a, RngStream(5, 1).normal(4, 3))
+
+
+@pytest.mark.parametrize("shape", [(-1,), (-1, 2), (2, -1), (-1, -1)])
+def test_normal_rejects_a_negative_size(shape):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        RngStream(0).normal(*shape)
+
+
+def test_normal_of_zero_size_is_empty():
+    assert RngStream(0).normal(0).shape == (0,)
+    assert RngStream(0).normal(0, 3).shape == (0, 3)
+
+
 def test_sequential_draws_advance_state():
     s = RngStream(3)
     first = s.uniform(10)
