@@ -15,7 +15,6 @@ while timings vary; ``base_seed`` only seeds the data generation.
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -108,6 +107,8 @@ class ExperimentConfig:
                 object.__setattr__(self, name, _integers(name, getattr(self, name), scalar=name != "dims"))
         if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
+        if not self.algorithms:
+            raise ValueError("at least one algorithm is required")
         for key in self.algorithms:
             if key not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {key!r}")
@@ -228,7 +229,7 @@ def _format(value) -> str:
     if isinstance(value, tuple):
         return "x".join(str(v) for v in value)
     if isinstance(value, float):
-        return "inf" if math.isinf(value) else f"{value:.6e}"
+        return f"{value:.6e}"  # +inf prints as "inf"
     return str(value)
 
 

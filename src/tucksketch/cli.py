@@ -15,6 +15,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import zipfile
 
@@ -175,6 +176,7 @@ def _add_approx_flags(sub, ranks_help: str = "target ranks, e.g. 10x10x10") -> N
     )
 
 
+@functools.cache  # built once per process: a build costs over ten parses
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tucksketch", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)

@@ -17,7 +17,7 @@ def _integers(name: str, value, scalar: bool = False):
 
     So NumPy integers pass and a float, which ``int`` would truncate, is a
     ValueError that names the field. Every integer field of the package's
-    configs, and the generators' dims, go through it.
+    configs, the generators' dims and `tensor.fold`'s dims go through it.
     """
     try:
         return operator.index(value) if scalar else tuple(map(operator.index, value))

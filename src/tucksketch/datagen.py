@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import reduce
-from math import ceil, inf, isfinite
+from math import ceil, inf, isfinite, prod
 
 import numpy as np
 
@@ -29,26 +29,28 @@ __all__ = [
 ]
 
 
+# The paper's sparse family: the first 10 of its 200 rank-1 terms carry gamma.
+_LEADING_TERMS, _TOTAL_TERMS = 10, 200
+
+
 @dataclass(frozen=True)
 class SparseGenConfig:
-    """Cubic n x n x n tensor built from weighted sparse rank-1 terms.
+    """Cubic n x n x n tensor built from the paper's 200 weighted sparse rank-1 terms.
 
-    The first leading_terms terms carry weight gamma / i^2, the remaining
-    ones 1 / i^2; gamma controls the strength of the spectral gap between
-    the two groups. Each factor vector gets ceil(density * n) nonzeros at
-    uniformly drawn distinct positions with uniform(0, 1) values. gamma must
-    be positive and finite; n, the term counts and seed take integers only.
+    The first 10 terms carry weight gamma / i^2, the remaining 190 carry
+    1 / i^2; gamma controls the strength of the spectral gap between the two
+    groups. Each factor vector gets ceil(density * n) nonzeros at uniformly
+    drawn distinct positions with uniform(0, 1) values. gamma must be
+    positive and finite; n and seed take integers only.
     """
 
     n: int
     gamma: float
     density: float = 0.05
-    leading_terms: int = 10
-    total_terms: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "leading_terms", "total_terms", "seed"):
+        for name in ("n", "seed"):
             object.__setattr__(self, name, _integers(name, getattr(self, name), scalar=True))
         if self.n < 1:
             raise ValueError("side length must be positive")
@@ -56,8 +58,6 @@ class SparseGenConfig:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
         if not 0 < self.density <= 1:
             raise ValueError("density must lie in (0, 1]")
-        if not 1 <= self.leading_terms <= self.total_terms:
-            raise ValueError("need 1 <= leading_terms <= total_terms")
 
 
 def _dims(dims) -> tuple[int, ...]:
@@ -82,18 +82,18 @@ def hilbert_tensor(dims) -> np.ndarray:
 
 
 def term_weights(cfg: SparseGenConfig) -> np.ndarray:
-    """Per-term weights: gamma / i^2 for the leading group, 1 / i^2 after."""
-    i = np.arange(1, cfg.total_terms + 1, dtype=np.float64)
+    """The 200 per-term weights: gamma / i^2 for the first 10, 1 / i^2 after."""
+    i = np.arange(1, _TOTAL_TERMS + 1, dtype=np.float64)
     w = 1.0 / i**2
-    w[: cfg.leading_terms] *= cfg.gamma
+    w[:_LEADING_TERMS] *= cfg.gamma
     return w
 
 
 def sparse_factor_vectors(cfg: SparseGenConfig, rng: RngStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three (total_terms, n) stacks of sparse factor vectors, drawn in term order."""
+    """Three (200, n) stacks of sparse factor vectors, one row per term, drawn in term order."""
     nnz = ceil(cfg.density * cfg.n)
-    stacks = tuple(np.zeros((cfg.total_terms, cfg.n)) for _ in range(3))
-    for t in range(cfg.total_terms):
+    stacks = tuple(np.zeros((_TOTAL_TERMS, cfg.n)) for _ in range(3))
+    for t in range(_TOTAL_TERMS):
         for stack in stacks:
             positions = rng.index_sample(cfg.n, nnz)
             stack[t, positions] = rng.uniform(nnz)
@@ -113,8 +113,7 @@ def sparse_lowrank_tensor(cfg: SparseGenConfig, rng: RngStream | None = None) ->
 def gaussian_tensor(dims, rng: RngStream) -> np.ndarray:
     """Tensor of i.i.d. N(0, 1) entries, filled first-index-fastest."""
     dims = _dims(dims)
-    count = int(np.prod(dims, dtype=np.int64))
-    return rng.normal(count).reshape(dims, order="F")
+    return rng.normal(prod(dims)).reshape(dims, order="F")
 
 
 def add_scaled_noise(x: np.ndarray, delta: float, rng: RngStream) -> np.ndarray:

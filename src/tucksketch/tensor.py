@@ -20,6 +20,8 @@ import math
 import numpy as np
 from scipy.linalg.blas import dsyrk
 
+from .config import _integers
+
 __all__ = [
     "as_tensor",
     "unfold",
@@ -30,12 +32,14 @@ __all__ = [
 
 
 def as_tensor(data) -> np.ndarray:
-    """Coerce to a float64 tensor of order >= 1 and validate its entries."""
+    """Coerce to a float64 tensor and validate its shape and entries.
+
+    The tensor must have order >= 1 and positive dimensions; a scalar (order
+    0) is a ValueError, as is a zero dimension. Every entry must be finite.
+    """
     x = np.asarray(data, dtype=np.float64)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if any(d < 1 for d in x.shape):
-        raise ValueError(f"tensor dimensions must all be positive, got {x.shape}")
+    if x.ndim == 0 or any(d < 1 for d in x.shape):
+        raise ValueError(f"tensor order must be >= 1 and dimensions must all be positive, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("tensor entries must be finite")
     return x
@@ -82,11 +86,15 @@ def _unfolding_gram(x: np.ndarray, mode: int) -> np.ndarray:
 
 
 def fold(m: np.ndarray, mode: int, dims) -> np.ndarray:
-    """Inverse of unfold: rebuild the tensor of shape dims from its mode-n unfolding."""
-    dims = tuple(int(d) for d in dims)
+    """Inverse of unfold: rebuild the tensor of shape dims from its mode-n unfolding.
+
+    dims takes integers only, by the rule of the generators' dims: a float
+    is a ValueError, never truncated.
+    """
+    dims = _integers("dims", dims)
     _check_mode(mode, len(dims))
     rest = dims[: mode - 1] + dims[mode:]
-    expected = (dims[mode - 1], int(np.prod(rest, dtype=np.int64)))
+    expected = (dims[mode - 1], math.prod(rest))
     if tuple(m.shape) != expected:
         raise ValueError(
             f"matrix of shape {m.shape} is not a mode-{mode} unfolding of dims {dims}"

@@ -186,6 +186,9 @@ def test_descriptor_validation():
         small_hilbert_config(source="nope")
     with pytest.raises(ValueError):
         small_hilbert_config(algorithms=("thosvd", "bogus"))
+    # a sweep over no algorithm would write a report with only its header
+    with pytest.raises(ValueError, match="^at least one algorithm is required$"):
+        small_hilbert_config(algorithms=())
     with pytest.raises(ValueError):
         small_hilbert_config(rank_sets=())
     with pytest.raises(ValueError):

@@ -332,6 +332,34 @@ def test_module_entry_point_exits_with_main_s_code(tmp_path):
         assert done.stderr.startswith(message)
 
 
+def test_repeated_main_calls_answer_as_fresh_processes(tmp_path, capsys, monkeypatch):
+    # main reuses one parser per process; a usage error between two valid
+    # calls of different subcommands leaves nothing behind in it
+    runs = [
+        ["gen-hilbert", "--dims", "4x4x4", "--out", "x.npy"],
+        ["decompose", "--in", "x.npy", "--algo", "bogus", "--ranks", "2x2x2"],
+        ["bench", "--source", "hilbert", "--dims", "4x4x4", "--algo", "thosvd",
+         "--ranks", "2x2x2", "--out", "r.csv"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    expected = []
+    for argv in runs:
+        done = subprocess.run([sys.executable, "-m", "tucksketch.cli", *argv], cwd=fresh, env=env,
+                              capture_output=True, text=True, timeout=120)
+        expected.append((done.returncode, done.stdout, done.stderr))
+    assert [code for code, _, _ in expected] == [0, 1, 0]
+    monkeypatch.chdir(reused)
+    capsys.readouterr()
+    for argv, want in zip(runs, expected):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == want, argv
+
+
 def test_parameter_error_exit_code(tmp_path, capsys):
     src = tmp_path / "x.npy"
     np.save(src, hilbert_tensor((4, 4, 4)))
@@ -504,6 +532,19 @@ def test_non_finite_input_is_a_parameter_error(tmp_path, capsys, bad):
     assert main(["decompose", "--in", str(src), "--algo", "sthosvd", "--ranks", "2x2x2",
                  "--out", str(out)]) == 3
     assert capsys.readouterr().err == "parameter error: tensor entries must be finite\n"
+    assert not out.exists()
+
+
+def test_order_zero_input_is_a_parameter_error(tmp_path, capsys):
+    # a 0-d array is a tensor of order 0, which no pipeline takes
+    src, out = tmp_path / "x.npy", tmp_path / "m.tuck"
+    np.save(src, np.array(3.5))
+    capsys.readouterr()
+    assert main(["decompose", "--in", str(src), "--algo", "sthosvd", "--ranks", "1",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "parameter error: tensor order must be >= 1 and dimensions must all be positive, got shape ()\n"
+    )
     assert not out.exists()
 
 

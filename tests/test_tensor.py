@@ -102,6 +102,15 @@ def test_fold_shape_mismatch():
         fold(np.zeros((2, 5)), 1, (2, 3, 2))
 
 
+def test_fold_dims_take_only_integers():
+    # a float dim is a ValueError, never truncated to the matrix's shape
+    for bad in ((2, 3.5), (2.0, 3)):
+        with pytest.raises(ValueError, match=r"^dims takes integers only"):
+            fold(np.zeros((2, 3)), 1, bad)
+    x = fold(np.zeros((2, 3)), 1, np.array([2, 3], dtype=np.int32))
+    assert x.shape == (2, 3)
+
+
 @pytest.mark.parametrize("layout", ["F", "C"])
 @pytest.mark.parametrize("dims", [(30, 40, 50), (12, 13, 14, 15)], ids=["order3", "order4"])
 def test_unfolding_gram_is_the_unfoldings_gram_without_a_copy(dims, layout):
@@ -232,6 +241,7 @@ def test_as_tensor_validation():
         as_tensor(np.array([np.inf, 1.0]))
     with pytest.raises(ValueError, match="dimensions must all be positive"):
         as_tensor(np.zeros((2, 0, 3)))
-    x = as_tensor(3.5)
-    assert x.shape == (1,)
+    # a scalar is an order-0 tensor, which the order rule rejects
+    with pytest.raises(ValueError, match=r"order must be >= 1 .* dimensions must all be positive, got shape \(\)"):
+        as_tensor(3.5)
     assert as_tensor([[1, 2], [3, 4]]).dtype == np.float64

@@ -9,9 +9,11 @@ model's ``.tuck`` container is hashed. Those are the first 30 lines. Then
 come seed-0 lines of the five pipelines on the small inputs of ``SMALL``,
 which reach paths the workloads miss: a tall unfolding, unfoldings under 64
 columns (a Gaussian Omega), order 4, a row-major layout and a processing
-order other than the natural one. Each line ends with the model's
-relative error ``relative_error(x, reconstruct(model))`` as its ``repr``, so a
-change that moves bits shows by how much. A refactor that keeps behaviour
+order other than the natural one (lines 31 to 55), and last the paper's
+sparse family, ``SparseGenConfig(n=100, gamma=10.0, seed=0)`` at ranks
+(10, 10, 10) (lines 56 to 60). Each line ends with the model's relative
+error ``relative_error(x, reconstruct(model))`` as its ``repr``, so a change
+that moves bits shows by how much. A refactor that keeps behaviour
 keeps every line; run it on two checkouts and diff the outputs:
 
     python tools/model_hashes.py > hashes.txt
@@ -39,7 +41,7 @@ import numpy as np  # noqa: E402
 from tucksketch import tucker  # noqa: E402
 from tucksketch.bench import ALGORITHMS  # noqa: E402
 from tucksketch.config import ApproxConfig  # noqa: E402
-from tucksketch.datagen import hilbert_tensor  # noqa: E402
+from tucksketch.datagen import SparseGenConfig, hilbert_tensor, sparse_lowrank_tensor  # noqa: E402
 from tucksketch.metrics import relative_error  # noqa: E402
 from tucksketch.rng import RngStream  # noqa: E402
 from workloads import WORKLOADS, build_input  # noqa: E402
@@ -60,6 +62,8 @@ SMALL = (
     ("order4-8x9x10x11", lambda: _normal((8, 9, 10, 11), 243), (2, 3, 3, 2), None),
     ("rowmajor-12x10x14", lambda: np.ascontiguousarray(_normal((12, 10, 14), 244)), (4, 3, 5), None),
     ("hilbert-20x22x24-order-3,1,2", lambda: hilbert_tensor((20, 22, 24)), (3, 4, 5), (3, 1, 2)),
+    ("sparse-100-gamma-10", lambda: sparse_lowrank_tensor(SparseGenConfig(n=100, gamma=10.0, seed=0)),
+     (10, 10, 10), None),
 )
 
 
