@@ -38,7 +38,6 @@ __all__ = [
     "run_bench",
     "run_trial",
     "write_csv",
-    "read_csv",
 ]
 
 # algorithm key -> (report name, pipeline function in tucksketch.tucker)
@@ -126,7 +125,7 @@ class ExperimentConfig:
         else:
             # Check every rank set before any data is built or any trial runs.
             for acfg in self.approx:
-                acfg.plan(self.dims, "svd")
+                acfg.plan(self.dims)
 
 
 def build_source_tensor(cfg: ExperimentConfig) -> tuple[np.ndarray, float | None]:
@@ -199,7 +198,7 @@ def run_bench(cfg: ExperimentConfig) -> list[BenchRow]:
     if cfg.source == "image":
         # The image's shape is known only now; check it before any trial.
         for acfg in cfg.approx:
-            acfg.plan(x.shape, "svd")
+            acfg.plan(x.shape)
     rows: list[BenchRow] = []
     for acfg in cfg.approx:
         for key in cfg.algorithms:
@@ -233,16 +232,6 @@ def _format(value) -> str:
     return str(value)
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split("x"))
-
-
-# column -> parser of a nonblank cell (a blank cell reads as None); the
-# other columns are text as written. float() reads write_csv's "inf".
-_PARSERS = {"ranks": _parse_ints, "sketch_sizes": _parse_ints, "q": int, "seed": int}
-_PARSERS.update(dict.fromkeys(["rel_error", "psnr", "wall_ms"], float))
-
-
 def write_csv(rows: list[BenchRow], path) -> None:
     """Serialize the rows under the fixed header schema."""
     with open(path, "w", newline="") as f:
@@ -250,22 +239,3 @@ def write_csv(rows: list[BenchRow], path) -> None:
         writer.writerow(CSV_HEADER)
         for row in rows:
             writer.writerow([_format(getattr(row, name)) for name in CSV_HEADER])
-
-
-def _parse_cell(name: str, text: str):
-    if name not in _PARSERS:
-        return text
-    return _PARSERS[name](text) if text else None
-
-
-def read_csv(path) -> list[BenchRow]:
-    """Parse a file written by write_csv back into its rows."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)  # None for an empty file
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}")
-        return [
-            BenchRow(*(_parse_cell(name, text) for name, text in zip(CSV_HEADER, rec, strict=True)))
-            for rec in reader
-        ]

@@ -109,7 +109,7 @@ def _single_trial(args, load, peak: float | None = None):
     key = _parse_algos(args.algo)
     if len(key) != 1:
         raise _UsageError(f"{args.command} takes exactly one algorithm")
-    cfg = _approx_config(args, _parse_ints(args.ranks))
+    cfg = _approx_config(args, _parse_ints(args.ranks, what="rank list"))
     return run_trial(args.command, key[0], load(getattr(args, "in")), cfg, peak)
 
 
@@ -127,7 +127,7 @@ def _cmd_bench(args) -> int:
         source=args.source,
         algorithms=_parse_algos(args.algo),
         dims=_parse_ints(args.dims) if args.dims else None,
-        approx=tuple(_approx_config(args, _parse_ints(part)) for part in args.ranks.split(",")),
+        approx=tuple(_approx_config(args, _parse_ints(part, what="rank list")) for part in args.ranks.split(",")),
         image_path=args.image,
         trials=args.trials,
         base_seed=args.seed,

@@ -27,22 +27,20 @@ def _integers(name: str, value, scalar: bool = False):
 
 @dataclass(frozen=True)
 class ModePlan:
-    """One mode's step of a sequential pipeline: its kernel and that kernel's sizes.
+    """One mode's step of a sequential pipeline: the sizes a per-mode kernel may run with.
 
     mode         1-based mode index
     rank         target rank r_n
-    kernel       "left" (THOSVD's factor of the original unfolding),
-                 "svd" (deterministic truncated SVD), "rsvd" or "sketch"
-    p            oversampling of an "rsvd" step
-    l            sketch size of a "sketch" step, clamped to I_n and at least
-                 r_n + 2 (`ApproxConfig` says why)
+    p            oversampling of a randomized SVD step
+    l            sketch size of a two-sided sketch step, clamped to I_n and at
+                 least r_n + 2 (`ApproxConfig` says why); None where
+                 I_n < r_n + 2 and no sketch size fits
     """
 
     mode: int
     rank: int
-    kernel: str
-    p: int | None = None
-    l: int | None = None
+    p: int
+    l: int | None
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,8 @@ class ApproxConfig:
     2017, Thm 4.3): the default l_n = 2 r_n + 1 makes that factor 2, where
     l_n = r_n + 2 makes it r_n + 1. The theorem assumes l_n > k + 1, so a
     size below r_n + 2 is rejected here, and `plan` gives a mode with
-    I_n < r_n + 2, where the clamp to I_n would break that rule, the
-    deterministic SVD.
+    I_n < r_n + 2, where the clamp to I_n would break that rule, no sketch
+    size.
 
     Every tensor's multilinear rank has r_n <= prod_{m != n} r_m, since the
     mode-n unfolding of a Tucker model is U_n G_(n) (kron of the other
@@ -79,12 +77,13 @@ class ApproxConfig:
     are rejected here. So every unfolding a pipeline factors has at least
     r_n columns.
 
-    `plan(shape, kernel)` is the one place that turns these fields into
-    per-mode steps for a tensor of a given shape: it checks the ranks and the
-    order against the shape, and gives each mode, in processing order, a
-    `ModePlan` with its kernel, p or the clamped l_n, or the deterministic
-    fallback. All five pipelines run it, `metrics.bound_oracle` bounds it,
-    and the bench checks rank sets with it before building any data.
+    `plan(shape)` is the one place that turns these fields into per-mode
+    sizes for a tensor of a given shape: it checks the ranks and the order
+    against the shape, and gives each mode, in processing order, a
+    `ModePlan` with its p and its clamped l_n, or no l_n. Which kernel runs
+    on a mode is the pipeline's choice, made in `tucksketch.tucker`. All
+    five pipelines run it, `metrics.bound_oracle` bounds it, and the bench
+    checks rank sets with it before building any data.
     """
 
     target_ranks: tuple[int, ...]
@@ -119,27 +118,21 @@ class ApproxConfig:
                 if l < r + 2:
                     raise ValueError(f"sketch size {l} must be at least target rank {r} + 2")
 
-    def plan(self, shape: tuple[int, ...], kernel: str) -> tuple[ModePlan, ...]:
-        """Each mode's step for a tensor of this shape, in processing order.
+    def plan(self, shape: tuple[int, ...]) -> tuple[ModePlan, ...]:
+        """Each mode's sizes for a tensor of this shape, in processing order.
 
-        ``kernel`` is "left", "svd", "rsvd" or "sketch": the kernel the
-        pipeline would like to run on every mode. "left" and "svd" run on
-        every mode, with no sizes. Modes are visited in processing order while
-        the core shrinks, so a mode's unfolding has I_n rows and as columns the
-        product of the sizes left by the modes before it, each at least its
-        r_m; so by the rank rule (see above) r_n is within both sides of
-        every unfolding. "rsvd" runs with
-        p = min(oversample, min(rows, cols) - r_n). "sketch" runs with l_n
-        clamped to I_n, and falls back to "svd" only when I_n < r_n + 2,
-        where the clamped l_n would be below r_n + 2. So every sketch step
-        runs with r_n + 2 <= l_n <= I_n.
+        Modes are visited in processing order while the core shrinks, so a
+        mode's unfolding has I_n rows and as columns the product of the sizes
+        left by the modes before it, each at least its r_m; so by the rank
+        rule (see above) r_n is within both sides of every unfolding. Each
+        mode gets p = min(oversample, min(rows, cols) - r_n), and l_n clamped
+        to I_n, or None when I_n < r_n + 2, where the clamped l_n would be
+        below r_n + 2. So every sketch size is r_n + 2 <= l_n <= I_n.
 
         Raises ValueError when the rank count does not match the tensor's
         order, or a rank is outside 1..I_n (the processing order and the
         sketch sizes always match the ranks in length).
         """
-        if kernel not in ("left", "svd", "rsvd", "sketch"):
-            raise ValueError(f"unknown kernel {kernel!r}")
         ndim, ranks = len(shape), self.target_ranks
         if len(ranks) != ndim:
             raise ValueError(f"{len(ranks)} target ranks given for an order-{ndim} tensor")
@@ -157,12 +150,7 @@ class ApproxConfig:
         for n in order:
             r, rows = ranks[n - 1], dims[n - 1]
             cols = math.prod(dims) // rows
-            if kernel == "rsvd":
-                step = ModePlan(n, r, "rsvd", p=min(self.oversample, min(rows, cols) - r))
-            elif kernel == "sketch" and r + 2 <= rows:
-                step = ModePlan(n, r, "sketch", l=min(sizes[n - 1], rows))
-            else:
-                step = ModePlan(n, r, "svd" if kernel == "sketch" else kernel)
-            steps.append(step)
+            l = min(sizes[n - 1], rows) if r + 2 <= rows else None
+            steps.append(ModePlan(n, r, min(self.oversample, min(rows, cols) - r), l))
             dims[n - 1] = r
         return tuple(steps)

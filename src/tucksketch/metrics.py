@@ -204,10 +204,10 @@ def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
     (so Delta_n = tau_{r_n+1}^2), g = sigma_{r+1}/sigma_r is the singular
     gap, 0 when either vanishes or r_n = len(sigma), and q the power
     iteration count; "sketch" is q = 0, so its damping is 1. l_n is the
-    size the pipeline runs with, clamped to I_n, and a mode the pipeline
-    truncates deterministically gets Delta_n: both come from
-    `ApproxConfig.plan`, which also rejects the ranks that the pipelines
-    reject, and which sketches only with l_n >= r_n + 2. The minimum over
+    size the pipeline runs with, clamped to I_n, from `ApproxConfig.plan`,
+    which also rejects the ranks that the pipelines reject, and which gives
+    a mode no l_n where l_n >= r_n + 2 does not fit. Such a mode, which the
+    sketch pipelines truncate deterministically, gets Delta_n. The minimum over
     the split index rho (1 <= rho < r_n - 1) is evaluated exhaustively.
     Every factor is then finite. When r_n <= 2 the domain is empty, and the
     minimum is +inf by ``min``'s default, so the mode term is +inf and
@@ -222,8 +222,7 @@ def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
     """
     if variant not in BOUND_VARIANTS:
         raise ValueError(f"unknown bound variant {variant!r}")
-    kernel = "sketch" if variant in ("sketch", "sub_sketch") else "svd"
-    plan = sorted(cfg.plan(x.shape, kernel), key=lambda step: step.mode)
+    plan = sorted(cfg.plan(x.shape), key=lambda step: step.mode)
     spectra = spectrum_summary(x)
     power_iters = cfg.power_iters if variant == "sub_sketch" else 0
     modes: list[ModeBound] = []
@@ -231,7 +230,7 @@ def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
         n, r, l = step.mode, step.rank, step.l
         sigma = spectra[n - 1]
         delta_sq = tail_energy(sigma, r + 1)
-        if step.kernel == "svd":
+        if variant in ("thosvd", "sthosvd") or l is None:
             modes.append(ModeBound(delta_sq, None, delta_sq))
             continue
         # a Python float, so that every term is one; sigma_r exists by the

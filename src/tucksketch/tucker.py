@@ -12,12 +12,13 @@ factors):
 * sub_sketch_sthosvd-- as above with subspace power iteration.
 
 All five pipelines are one loop, ``_sequential``, and differ only in the
-kernel they ask ``ApproxConfig.plan`` for: "left", "svd", "rsvd" or
-"sketch". The plan fixes, mode by mode in processing order, which kernel
-runs with which p or l_n, and where a sketch pipeline falls back to the
-deterministic truncated SVD: on a mode with I_n < r_n + 2, where no sketch
-size l_n >= r_n + 2 fits ("rsvd" runs on every mode). Mode n's unfolding
-of the current core goes to its kernel, which returns its pair as it is:
+per-mode kernel they name, which this module alone knows: "left", "svd",
+"rsvd", "sketch" or "sub_sketch". ``ApproxConfig.plan`` fixes, mode by
+mode in processing order, the sizes: R-STHOSVD's p, and the sketch size
+l_n, or none on a mode with I_n < r_n + 2, where no l_n >= r_n + 2 fits
+and a sketch pipeline falls back to the deterministic truncated SVD
+("rsvd" runs on every mode). Mode n's unfolding of the current core goes
+to its kernel, which returns its pair as it is:
 the factor U_n (I_n x r_n, orthonormal columns) and the new core unfolding
 C (r_n x the unfolding's columns). The loop then fixes the signs, in one
 place, ``_canonical_signs``: every column of U_n whose largest-magnitude
@@ -125,40 +126,38 @@ def _canonical_signs(u: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _sequential(
-    x: np.ndarray,
-    cfg: ApproxConfig,
-    kernel: str,
-    rng: RngStream | None = None,
-    power_iters: int = 0,
+    x: np.ndarray, cfg: ApproxConfig, kernel: str, rng: RngStream | None = None
 ) -> TuckerModel:
-    """The ST-HOSVD loop over ``cfg.plan(x.shape, kernel)``; the module docstring has the sign rule.
+    """The ST-HOSVD loop over ``cfg.plan(x.shape)``; the module docstring has the sign rule.
 
-    A "left" step factors mode n of the original tensor with
-    ``_left_factor``, which unfolds x itself where its route needs the
-    unfolding, and projects the current core onto that factor. A "sketch"
-    step runs ``sketch``, or ``sub_sketch`` when power_iters > 0. The loop
-    holds a stream for every kernel: rng, or RngStream(cfg.seed) when it is
-    None, which a deterministic step never reads. The kernels are looked up
-    by name in this module at call time, so a wrapper bound to one of those
-    names sees the call.
+    kernel is the pipeline's per-mode step. A "left" step factors mode n of
+    the original tensor with ``_left_factor``, which unfolds x itself where
+    its route needs the unfolding, and projects the current core onto that
+    factor. An "rsvd" step runs with the plan's p, and a "sketch" or
+    "sub_sketch" step with its l_n (and cfg.power_iters), or runs
+    ``truncated_svd`` where the plan has no l_n, as an "svd" step always
+    does. The loop holds a stream for every kernel: rng, or
+    RngStream(cfg.seed) when it is None, which a deterministic step never
+    reads. The kernels are looked up by name in this module at call time,
+    so a wrapper bound to one of those names sees the call.
     """
     x = as_tensor(x)
     rng = RngStream(cfg.seed) if rng is None else rng
     core = x
     factors: list[np.ndarray | None] = [None] * x.ndim
-    for step in cfg.plan(x.shape, kernel):
+    for step in cfg.plan(x.shape):
         n, r, m = step.mode, step.rank, unfold(core, step.mode)
-        if step.kernel == "left":
+        if kernel == "left":
             u = _left_factor(x, r, n)
             c = u.T @ m
-        elif step.kernel == "svd":
-            u, c = truncated_svd(m, r)
-        elif step.kernel == "rsvd":
+        elif kernel == "rsvd":
             u, c = rsvd(m, r, step.p, rng)
-        elif power_iters == 0:
+        elif kernel == "svd" or step.l is None:
+            u, c = truncated_svd(m, r)
+        elif kernel == "sketch":
             u, c = sketch(m, r, step.l, rng)
         else:
-            u, c = sub_sketch(m, r, step.l, power_iters, rng)
+            u, c = sub_sketch(m, r, step.l, cfg.power_iters, rng)
         factors[n - 1], c = _canonical_signs(u, c)
         core = fold(c, n, core.shape[: n - 1] + (r,) + core.shape[n:])
     return TuckerModel(core, factors)
@@ -197,7 +196,7 @@ def sketch_sthosvd(x: np.ndarray, cfg: ApproxConfig, rng: RngStream | None = Non
 
 def sub_sketch_sthosvd(x: np.ndarray, cfg: ApproxConfig, rng: RngStream | None = None) -> TuckerModel:
     """Sequential truncation with a power-iterated two-sided sketch per mode."""
-    return _sequential(x, cfg, "sketch", rng, cfg.power_iters)
+    return _sequential(x, cfg, "sub_sketch", rng)
 
 
 _MAGIC = b"TUCK"

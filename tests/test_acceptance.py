@@ -21,7 +21,7 @@ from tucksketch.datagen import (
 )
 from tucksketch.imageio import load_image_tensor, save_image_tensor
 from tucksketch.linalg import sketch, sub_sketch
-from tucksketch.metrics import bound_oracle, psnr, relative_error, spectrum_summary
+from tucksketch.metrics import bound_oracle, psnr, relative_error
 from tucksketch.rng import RngStream
 from tucksketch.tensor import frobenius_norm
 from tucksketch.tucker import (
@@ -119,7 +119,6 @@ def test_criterion_01_exact_rank_recovery():
 def test_criterion_02_deterministic_bounds():
     start = time.perf_counter()
     x = hilbert_tensor((50, 50, 50))
-    summary = spectrum_summary(x)
     norm_sq = frobenius_norm(x) ** 2
     worst_margin = -np.inf
     for r in range(1, 11):
@@ -128,7 +127,6 @@ def test_criterion_02_deterministic_bounds():
         for pipeline in (thosvd, sthosvd):
             err_sq = frobenius_norm(x - reconstruct(pipeline(x, cfg))) ** 2
             worst_margin = max(worst_margin, err_sq - bound)
-    del summary
     check(
         "2 deterministic bounds",
         worst_margin <= 0.0,

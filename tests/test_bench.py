@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -10,7 +11,6 @@ from tucksketch.bench import (
     BenchRow,
     ExperimentConfig,
     build_source_tensor,
-    read_csv,
     run_bench,
     run_trial,
     write_csv,
@@ -263,47 +263,12 @@ def test_csv_empty_report(tmp_path):
     assert path.read_text().splitlines() == [",".join(CSV_HEADER)]
 
 
-def test_csv_roundtrip(tmp_path):
-    path = tmp_path / "rt.csv"
-    rows = sample_rows()
-    write_csv(rows, path)
-    back = read_csv(path)
-    assert len(back) == 2
-    for orig, parsed in zip(rows, back):
-        assert parsed.experiment == orig.experiment
-        assert parsed.algorithm == orig.algorithm
-        assert parsed.ranks == orig.ranks
-        assert parsed.sketch_sizes == orig.sketch_sizes
-        assert parsed.q == orig.q
-        assert parsed.seed == orig.seed
-        if orig.psnr is None:
-            assert parsed.psnr is None
-        else:
-            assert parsed.psnr == orig.psnr or math.isinf(parsed.psnr)
-        assert parsed.rel_error == pytest.approx(orig.rel_error, rel=1e-6)
-        assert parsed.wall_ms == pytest.approx(orig.wall_ms, rel=1e-6)
-
-
 def test_csv_roundtrip_of_real_run(tmp_path):
     rows = run_bench(small_hilbert_config(trials=2))
     path = tmp_path / "real.csv"
     write_csv(rows, path)
-    back = read_csv(path)
+    back = list(csv.DictReader(path.read_text().splitlines()))
     assert len(back) == len(rows)
     for orig, parsed in zip(rows, back):
-        assert parsed.rel_error == pytest.approx(orig.rel_error, rel=1e-6)
-        assert parsed.ranks == orig.ranks
-
-
-def test_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("nope,nope\n")
-    with pytest.raises(ValueError):
-        read_csv(path)
-
-
-def test_csv_rejects_empty_file(tmp_path):
-    path = tmp_path / "zero.csv"
-    path.write_bytes(b"")
-    with pytest.raises(ValueError, match="unexpected CSV header"):
-        read_csv(path)
+        assert float(parsed["rel_error"]) == pytest.approx(orig.rel_error, rel=1e-6)
+        assert parsed["ranks"] == "x".join(map(str, orig.ranks))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tucksketch import tucker
-from tucksketch.config import ApproxConfig, ModePlan
+from tucksketch.config import ApproxConfig
 from tucksketch.datagen import hilbert_tensor
 from tucksketch.linalg import rsvd, sketch, sub_sketch, truncated_svd
 from tucksketch.metrics import bound_oracle, relative_error, tail_energy
@@ -177,20 +177,21 @@ def test_seed_comes_from_config_when_rng_omitted():
 def reference_sequential(x, cfg, kernel, rng):
     """A plain ST-HOSVD loop over the public kernels, driven by the config's plan.
 
-    kernel is "rsvd", "sketch" or "sub_sketch". Each mode runs the kernel,
-    p or l_n that ``cfg.plan`` gives it ("sub_sketch" runs the "sketch" plan
-    with cfg.power_iters), or the truncated SVD where the plan falls back.
+    kernel is "rsvd", "sketch" or "sub_sketch". Each mode runs the kernel
+    with the p or l_n that ``cfg.plan`` gives it ("sub_sketch" with
+    cfg.power_iters), or the truncated SVD where a sketch kernel finds no
+    l_n in the plan.
     Every column of U_n whose largest-magnitude entry is negative is negated,
     and so is the matching row of the core unfolding.
     """
     core = x
     factors = [None] * x.ndim
-    for step in cfg.plan(x.shape, "rsvd" if kernel == "rsvd" else "sketch"):
+    for step in cfg.plan(x.shape):
         n, r = step.mode, step.rank
         m = unfold(core, n)
-        if step.kernel == "rsvd":
+        if kernel == "rsvd":
             u, c = rsvd(m, r, step.p, rng)
-        elif step.kernel == "svd":
+        elif step.l is None:
             u, c = truncated_svd(m, r)
         elif kernel == "sketch":
             u, c = sketch(m, r, step.l, rng)
@@ -308,18 +309,35 @@ def test_thosvd_factors_do_not_depend_on_the_processing_order(layout):
         assert np.max(np.abs(model.core - natural.core)) <= 1e-13 * scale, order
 
 
-def test_left_plan_gives_every_mode_the_left_step():
-    # THOSVD's plan: its kernel on every mode, in processing order, with no
-    # sizes and no fallback, also where a sketch plan would fall back
+def test_left_plan_gives_every_mode_the_left_step(monkeypatch):
+    # THOSVD runs its step on every mode of the plan, in processing order,
+    # with no fallback, also where the plan has no l_n for a sketch
     cases = [
         ((3, 5, 10), (3, 1, 2), (20, 8, 10)),
         ((50, 50, 3), None, (256, 256, 3)),
         ((3, 3), (2, 1), (4, 5)),
     ]
+    calls = []
+    real_left_factor = tucker._left_factor
+
+    def left_factor(x, r, n):
+        calls.append((n, r))
+        return real_left_factor(x, r, n)
+
+    monkeypatch.setattr(tucker, "_left_factor", left_factor)
+    rng = np.random.default_rng(3)
     for ranks, order, shape in cases:
-        steps = ApproxConfig(target_ranks=ranks, processing_order=order).plan(shape, "left")
+        cfg = ApproxConfig(target_ranks=ranks, processing_order=order)
         modes = order or range(1, len(shape) + 1)
-        assert steps == tuple(ModePlan(n, ranks[n - 1], "left") for n in modes)
+        steps = cfg.plan(shape)
+        assert [(step.mode, step.rank) for step in steps] == [(n, ranks[n - 1]) for n in modes]
+        # every mode carries its p, and its l_n unless I_n < r_n + 2
+        for step in steps:
+            assert 0 <= step.p <= cfg.oversample
+            assert (step.l is None) == (shape[step.mode - 1] < step.rank + 2)
+        calls.clear()
+        thosvd(rng.standard_normal(shape), cfg)
+        assert calls == [(n, ranks[n - 1]) for n in modes]
 
 
 @pytest.mark.parametrize("name", list(PIPELINES))
@@ -491,9 +509,9 @@ def test_config_fields_take_numpy_integers_as_ints():
 
 
 def plan_sizes(cfg, shape, kernel):
-    """Each mode's p ("rsvd") or clamped l_n ("sketch") in mode order; None on the SVD fallback."""
-    steps = sorted(cfg.plan(shape, kernel), key=lambda step: step.mode)
-    return tuple({"rsvd": step.p, "sketch": step.l, "svd": None}[step.kernel] for step in steps)
+    """Each mode's size for kernel, in mode order: p ("rsvd"), clamped l_n or None ("sketch"), None ("svd")."""
+    steps = sorted(cfg.plan(shape), key=lambda step: step.mode)
+    return tuple({"rsvd": step.p, "sketch": step.l, "svd": None}[kernel] for step in steps)
 
 
 def test_default_sketch_sizes_and_plan():
@@ -514,18 +532,20 @@ def test_default_sketch_sizes_and_plan():
     ]
     for ranks, order, shape, kernel, sizes in cases:
         cfg = ApproxConfig(target_ranks=ranks, processing_order=order)
-        steps = cfg.plan(shape, kernel)
+        steps = cfg.plan(shape)
         assert [step.mode for step in steps] == list(order or range(1, len(shape) + 1))
         assert all(step.rank == ranks[step.mode - 1] for step in steps)
-        # the default sketch size is l_n = 2 r_n + 1, clamped to I_n, and
-        # never below r_n + 2
+        # every mode carries its p, and its l_n unless I_n < r_n + 2; the
+        # default sketch size is l_n = 2 r_n + 1, clamped to I_n, and never
+        # below r_n + 2
         for step in steps:
-            if step.kernel == "sketch":
-                assert step.l == min(2 * step.rank + 1, shape[step.mode - 1])
+            rows = shape[step.mode - 1]
+            assert 0 <= step.p <= cfg.oversample
+            assert (step.l is None) == (rows < step.rank + 2)
+            if step.l is not None:
+                assert step.l == min(2 * step.rank + 1, rows)
                 assert step.l >= step.rank + 2
         assert plan_sizes(cfg, shape, kernel) == sizes, (ranks, order, shape, kernel)
-    with pytest.raises(ValueError, match="unknown kernel"):
-        cfg.plan((256, 256, 3), "sub_sketch")
     # no tensor has ranks (1, 1, 5), so no plan needs a fallback for the
     # 1-column unfolding its last mode would see
     with pytest.raises(ValueError, match="target rank 5 of mode 3 exceeds 1"):
