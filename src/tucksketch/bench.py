@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tucker
 from .config import ApproxConfig, _integers
-from .datagen import SparseGenConfig, add_awgn, add_scaled_noise, gaussian_tensor, hilbert_tensor, sparse_lowrank_tensor
+from .datagen import SparseGenConfig, add_scaled_noise, gaussian_tensor, hilbert_tensor, sparse_lowrank_tensor
 from .imageio import load_image_tensor
 from .metrics import psnr, relative_error
 from .rng import RngStream
@@ -82,8 +82,11 @@ CSV_HEADER = [f.name for f in fields(BenchRow)]
 class ExperimentConfig:
     """Descriptor for one benchmark sweep: the data, and one ApproxConfig per rank set.
 
-    trials, base_seed and dims take integers only, by the rule
-    `ApproxConfig` uses: a float is a ValueError, never truncated.
+    gamma sets the sparse source's spectral gap (its other constants are the
+    paper's, see `SparseGenConfig`), and delta, when set, adds delta times a
+    standard Gaussian tensor to the data of any source. trials, base_seed and
+    dims take integers only, by the rule `ApproxConfig` uses: a float is a
+    ValueError, never truncated.
     """
 
     experiment: str
@@ -95,9 +98,7 @@ class ExperimentConfig:
     trials: int = 1
     base_seed: int = 0  # seeds the data generation only
     gamma: float = 10.0
-    density: float = SparseGenConfig.density
     delta: float | None = None
-    snr_db: float | None = None
     aggregate: str = "none"  # one of AGGREGATES
 
     def __post_init__(self):
@@ -142,7 +143,7 @@ def build_source_tensor(cfg: ExperimentConfig) -> tuple[np.ndarray, float | None
     elif cfg.source == "sparse":
         if len(set(cfg.dims)) != 1 or len(cfg.dims) != 3:
             raise ValueError("sparse source requires cubic dims n x n x n")
-        sparse_cfg = SparseGenConfig(n=cfg.dims[0], gamma=cfg.gamma, density=cfg.density)
+        sparse_cfg = SparseGenConfig(n=cfg.dims[0], gamma=cfg.gamma)
         x, peak = sparse_lowrank_tensor(sparse_cfg, gen_rng), None
     elif cfg.source == "gaussian":
         x, peak = gaussian_tensor(cfg.dims, gen_rng), None
@@ -150,8 +151,6 @@ def build_source_tensor(cfg: ExperimentConfig) -> tuple[np.ndarray, float | None
         x, peak = load_image_tensor(cfg.image_path), 255.0
     if cfg.delta is not None:
         x = add_scaled_noise(x, cfg.delta, gen_rng)
-    if cfg.snr_db is not None:
-        x = add_awgn(x, cfg.snr_db, gen_rng)
     return x, peak
 
 

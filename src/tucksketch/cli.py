@@ -60,7 +60,7 @@ def _parse_algos(text: str) -> tuple[str, ...]:
 
 
 def _load_tensor(path: str) -> np.ndarray:
-    if path.endswith((".ppm", ".pgm")):
+    if path.lower().endswith((".ppm", ".pgm")):
         return load_image_tensor(path)
     try:
         with open(path, "rb") as f:
@@ -94,7 +94,7 @@ def _cmd_gen_hilbert(args) -> int:
 
 def _cmd_gen_sparse(args) -> int:
     cfg = SparseGenConfig(
-        n=args.n, gamma=args.gamma, density=args.density, seed=args.seed
+        n=args.n, gamma=args.gamma, seed=args.seed
     )
     np.save(args.out, sparse_lowrank_tensor(cfg))
     return 0
@@ -132,9 +132,7 @@ def _cmd_bench(args) -> int:
         trials=args.trials,
         base_seed=args.seed,
         gamma=args.gamma,
-        density=args.density,
         delta=args.delta,
-        snr_db=args.snr,
         aggregate=args.aggregate,
     )
     rows = run_bench(cfg)
@@ -189,7 +187,6 @@ def _build_parser() -> _Parser:
     gen_s = subs.add_parser("gen-sparse", help="write a sparse low-rank tensor as .npy")
     gen_s.add_argument("--n", type=int, required=True)
     gen_s.add_argument("--gamma", type=float, required=True)
-    gen_s.add_argument("--density", type=float, default=SparseGenConfig.density)
     gen_s.add_argument("--seed", type=int, default=SparseGenConfig.seed)
     gen_s.add_argument("--out", required=True)
     gen_s.set_defaults(func=_cmd_gen_sparse)
@@ -210,9 +207,7 @@ def _build_parser() -> _Parser:
     _add_approx_flags(ben, "comma list of rank tuples, e.g. 10x10x10,20x20x20")
     ben.add_argument("--trials", type=int, default=ExperimentConfig.trials)
     ben.add_argument("--gamma", type=float, default=ExperimentConfig.gamma)
-    ben.add_argument("--density", type=float, default=ExperimentConfig.density)
     ben.add_argument("--delta", type=float, default=None, help="additive noise scale")
-    ben.add_argument("--snr", type=float, default=None, help="white-noise SNR in dB")
     ben.add_argument("--aggregate", choices=AGGREGATES, default=ExperimentConfig.aggregate)
     ben.add_argument("--out", required=True)
     ben.set_defaults(func=_cmd_bench)

@@ -1,13 +1,12 @@
-"""Generators for the experiment tensor families and the two noise models.
+"""Generators for the experiment tensor families and the scaled-noise model.
 
 Every generator returns a column-major tensor, the layout that
-`tensor.unfold` reads without a copy in modes 1 and N, and the noise models
-keep the layout of their input.
+`tensor.unfold` reads without a copy in modes 1 and N, and the noise model
+keeps the layout of its input.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 from math import ceil, inf, isfinite, prod
@@ -25,12 +24,12 @@ __all__ = [
     "sparse_factor_vectors",
     "gaussian_tensor",
     "add_scaled_noise",
-    "add_awgn",
 ]
 
 
-# The paper's sparse family: the first 10 of its 200 rank-1 terms carry gamma.
-_LEADING_TERMS, _TOTAL_TERMS = 10, 200
+# The paper's sparse family: the first 10 of its 200 rank-1 terms carry gamma,
+# and 5% of each factor vector's entries are nonzero.
+_LEADING_TERMS, _TOTAL_TERMS, _DENSITY = 10, 200, 0.05
 
 
 @dataclass(frozen=True)
@@ -39,14 +38,13 @@ class SparseGenConfig:
 
     The first 10 terms carry weight gamma / i^2, the remaining 190 carry
     1 / i^2; gamma controls the strength of the spectral gap between the two
-    groups. Each factor vector gets ceil(density * n) nonzeros at uniformly
+    groups. Each factor vector gets ceil(0.05 n) nonzeros at uniformly
     drawn distinct positions with uniform(0, 1) values. gamma must be
     positive and finite; n and seed take integers only.
     """
 
     n: int
     gamma: float
-    density: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -56,8 +54,6 @@ class SparseGenConfig:
             raise ValueError("side length must be positive")
         if not (self.gamma > 0 and isfinite(self.gamma)):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
-        if not 0 < self.density <= 1:
-            raise ValueError("density must lie in (0, 1]")
 
 
 def _dims(dims) -> tuple[int, ...]:
@@ -91,7 +87,7 @@ def term_weights(cfg: SparseGenConfig) -> np.ndarray:
 
 def sparse_factor_vectors(cfg: SparseGenConfig, rng: RngStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Three (200, n) stacks of sparse factor vectors, one row per term, drawn in term order."""
-    nnz = ceil(cfg.density * cfg.n)
+    nnz = ceil(_DENSITY * cfg.n)
     stacks = tuple(np.zeros((_TOTAL_TERMS, cfg.n)) for _ in range(3))
     for t in range(_TOTAL_TERMS):
         for stack in stacks:
@@ -119,33 +115,12 @@ def gaussian_tensor(dims, rng: RngStream) -> np.ndarray:
 def add_scaled_noise(x: np.ndarray, delta: float, rng: RngStream) -> np.ndarray:
     """x plus delta times a standard Gaussian tensor; delta = 0 draws nothing.
 
-    delta must be finite and nonnegative.
+    delta must be finite and nonnegative. For a target signal-to-noise ratio
+    of s dB on a tensor whose mean squared entry is P, take
+    delta = sqrt(P / 10^(s/10)).
     """
     if not 0 <= delta < inf:
         raise ValueError(f"noise scale must be finite and nonnegative, got {delta!r}")
     if delta == 0.0:
         return x.copy(order="K")
     return x + delta * gaussian_tensor(x.shape, rng)
-
-
-_SNR_CAP_DB = 300.0
-
-
-def add_awgn(x: np.ndarray, snr_db: float, rng: RngStream) -> np.ndarray:
-    """White Gaussian noise at the requested signal-to-noise ratio (dB).
-
-    Signal power is measured as the mean squared entry. A zero tensor has no
-    measurable signal, so it is returned unchanged with a warning. An SNR
-    that leaves no finite noise scale, such as -4000 dB, -inf or NaN, is a
-    ValueError.
-    """
-    power = float(np.mean(np.square(x)))
-    if power == 0.0:
-        warnings.warn("zero signal: returning the input unchanged", RuntimeWarning)
-        return x.copy(order="K")
-    snr_db = min(float(snr_db), _SNR_CAP_DB)
-    ratio = 10.0 ** (snr_db / 10.0)
-    sigma = np.sqrt(power / ratio) if ratio > 0.0 else inf
-    if not isfinite(sigma):
-        raise ValueError(f"SNR {snr_db} dB at signal power {power} gives no finite noise scale")
-    return x + sigma * gaussian_tensor(x.shape, rng)

@@ -60,10 +60,16 @@ def load_image_tensor(path) -> np.ndarray:
 
 
 def save_image_tensor(x: np.ndarray, path) -> None:
-    """Write an (H, W, C) tensor as P5/P6, clamping to [0, 255] and rounding."""
+    """Write an (H, W, C) tensor as P5/P6, clamping to [0, 255] and rounding.
+
+    +-inf clamp to 255 and 0; a NaN entry has no pixel value, so it is a
+    ValueError, raised before the file is opened.
+    """
     x = np.asarray(x)
     if x.ndim != 3 or x.shape[2] not in (1, 3):
         raise ValueError(f"expected an (H, W, 1|3) tensor, got shape {x.shape}")
+    if np.isnan(x).any():
+        raise ValueError("image tensor has a NaN entry, which no pixel value represents")
     height, width, channels = x.shape
     magic = b"P6" if channels == 3 else b"P5"
     payload = np.clip(np.rint(x), 0, 255).astype(np.uint8)

@@ -132,7 +132,7 @@ def relative_error(x: np.ndarray, xhat: np.ndarray) -> float:
 
 
 def psnr(x: np.ndarray, xhat: np.ndarray, peak: float) -> float:
-    """Peak signal-to-noise ratio in dB; +inf when the inputs are identical.
+    """Peak signal-to-noise ratio in dB; +inf when the error is zero (identical or empty inputs).
 
     The mean squared error comes from the blocked float64 sums of
     `_sum_squares`, as in `relative_error`, and may differ in the last bits
@@ -140,13 +140,13 @@ def psnr(x: np.ndarray, xhat: np.ndarray, peak: float) -> float:
     """
     if not 0 < peak < math.inf:
         raise ValueError(f"peak must be positive and finite, got {peak!r}")
-    scale, _, err_sq = _sum_squares(x, xhat)
-    mse = err_sq / x.size  # in units of scale**2, as is peak / scale
-    if mse == 0.0:
+    scale, _, err_sq = _sum_squares(x, xhat)  # err_sq in units of scale**2, as is peak / scale
+    if err_sq == 0.0:  # also an empty pair, whose mean has no entries
         return math.inf
-    # in logarithms: peak**2, or peak / scale for tiny entries, can leave the
+    # in logarithms: peak**2, peak / scale for tiny entries, and the mean
+    # squared error err_sq / x.size of a subnormal err_sq can leave the
     # float range
-    return 20.0 * (math.log10(peak) - math.log10(scale)) - 10.0 * math.log10(mse)
+    return 20.0 * (math.log10(peak) - math.log10(scale)) - 10.0 * (math.log10(err_sq) - math.log10(x.size))
 
 
 def tail_energy(sigma: np.ndarray, j: int) -> float:

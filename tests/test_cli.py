@@ -279,6 +279,11 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["bench", "--source", "hilbert", "--ranks", "2x2"]) == 1  # missing --out
     assert main(["gen-hilbert", "--dims", "axb", "--out", "x.npy"]) == 1
     assert main(["decompose", "--in", "x.npy", "--algo", "thosvd", "--ranks", ""]) == 1
+    # the sparse family's density is a constant, and noise has one scale, --delta
+    assert main(["gen-sparse", "--n", "20", "--gamma", "5", "--density", "0.1",
+                 "--out", str(tmp_path / "s.npy")]) == 1
+    assert main(["bench", "--source", "hilbert", "--dims", "6x6x6", "--ranks", "2x2x2",
+                 "--snr", "20", "--out", str(tmp_path / "r.csv")]) == 1
     src = tmp_path / "x.npy"
     np.save(src, hilbert_tensor((4, 4, 4)))
     assert main(["decompose", "--in", str(src), "--algo", "thosvd", "--ranks", "2x2x2",
@@ -444,8 +449,6 @@ def test_bench_source_errors_exit_3(tmp_path, capsys, flags, message):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["bench", "--source", "hilbert", "--dims", "6x6x6", "--ranks", "2x2x2", "--snr=-4000"],
-         "SNR -4000.0 dB at signal power"),
         (["gen-sparse", "--n", "20", "--gamma=inf"], "gamma must be positive and finite, got inf"),
         (["gen-sparse", "--n", "20", "--gamma=nan"], "gamma must be positive and finite, got nan"),
         (["bench", "--source", "hilbert", "--dims", "6x6x6", "--ranks", "2x2x2", "--delta=inf"],
@@ -455,7 +458,7 @@ def test_bench_source_errors_exit_3(tmp_path, capsys, flags, message):
         (["bench", "--source", "hilbert", "--dims", "6x6x6", "--ranks", "2x2x2", "--delta=-1"],
          "noise scale must be finite and nonnegative, got -1.0"),
     ],
-    ids=["snr-underflow", "gamma-inf", "gamma-nan", "delta-inf", "delta-nan", "delta-negative"],
+    ids=["gamma-inf", "gamma-nan", "delta-inf", "delta-nan", "delta-negative"],
 )
 def test_non_finite_data_parameters_exit_3(tmp_path, capsys, flags, message):
     out = tmp_path / ("r.csv" if flags[0] == "bench" else "s.npy")
@@ -573,6 +576,20 @@ def test_decompose_reads_images(tmp_path, capsys):
     # a constant image is exactly rank one
     err = float(out.split("rel_error=")[1].split()[0])
     assert err <= 1e-10
+
+
+@pytest.mark.parametrize("channels, suffix", [(3, "ppm"), (1, "pgm")])
+def test_decompose_reads_upper_case_image_suffixes(tmp_path, capsys, channels, suffix):
+    # photo.PPM is the image that photo.ppm is, not an .npy file
+    img = np.clip(120 + 40 * np.random.default_rng(5).standard_normal((9, 7, channels)), 0, 255)
+    errors = []
+    for name in (f"photo.{suffix}", f"PHOTO.{suffix.upper()}"):
+        save_image_tensor(img, tmp_path / name)
+        capsys.readouterr()
+        assert main(["decompose", "--in", str(tmp_path / name), "--algo", "sthosvd",
+                     "--ranks", f"2x2x{channels}"]) == 0, name
+        errors.append(capsys.readouterr().out.split("rel_error=")[1].split()[0])
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -9,7 +10,6 @@ import scipy.linalg
 from tucksketch import datagen
 from tucksketch.datagen import (
     SparseGenConfig,
-    add_awgn,
     add_scaled_noise,
     gaussian_tensor,
     hilbert_tensor,
@@ -67,7 +67,8 @@ def test_term_weights_gap():
 
 
 def test_sparse_vectors_structure():
-    cfg = SparseGenConfig(n=100, gamma=2.0, density=0.05)
+    assert datagen._DENSITY == 0.05
+    cfg = SparseGenConfig(n=100, gamma=2.0)
     xs, ys, zs = sparse_factor_vectors(cfg, RngStream(cfg.seed))
     for stack in (xs, ys, zs):
         assert stack.shape == (200, 100)
@@ -81,18 +82,18 @@ def test_sparse_vector_position_frequencies():
     # over many draws each position is occupied at roughly the density rate,
     # so a fixed entry of one outer-product term is nonzero with probability
     # about density**3; the per-draw nonzero fraction is exactly density**3
-    cfg = SparseGenConfig(n=100, gamma=2.0, density=0.05)
+    cfg, density = SparseGenConfig(n=100, gamma=2.0), datagen._DENSITY
     rng = RngStream(7)
     draws = 10_000
-    nnz = math.ceil(cfg.density * cfg.n)
+    nnz = math.ceil(density * cfg.n)
     hits = np.zeros(cfg.n)
     for _ in range(draws):
         hits[rng.index_sample(cfg.n, nnz)] += 1
     freq = hits / draws
-    assert np.all(np.abs(freq - cfg.density) <= 0.2 * cfg.density)
+    assert np.all(np.abs(freq - density) <= 0.2 * density)
     xs, ys, zs = sparse_factor_vectors(cfg, RngStream(3))
     term = np.einsum("i,j,k->ijk", xs[0], ys[0], zs[0])
-    assert np.count_nonzero(term) / term.size == pytest.approx(cfg.density**3)
+    assert np.count_nonzero(term) / term.size == pytest.approx(density**3)
 
 
 def test_sparse_tensor_deterministic():
@@ -151,8 +152,8 @@ def test_sparse_config_validation():
         SparseGenConfig(n=0, gamma=1.0)
     with pytest.raises(ValueError):
         SparseGenConfig(n=5, gamma=0.0)
-    with pytest.raises(ValueError):
-        SparseGenConfig(n=5, gamma=1.0, density=1.5)
+    # the paper's term counts and density are constants of the family, not fields
+    assert [f.name for f in dataclasses.fields(SparseGenConfig)] == ["n", "gamma", "seed"]
 
 
 # ----------------------------------------------------------------- gaussian
@@ -201,41 +202,16 @@ def test_scaled_noise_chi_concentration():
     assert abs(ratio - 1.0) <= 0.05
 
 
-def test_awgn_empirical_snr():
+def test_delta_for_a_target_snr():
+    # a target SNR of s dB on a tensor of mean square P is delta = sqrt(P / 10^(s/10))
     x = hilbert_tensor((100, 100, 100))
     for target in (10.0, 20.0):
-        noisy = add_awgn(x, target, RngStream(8))
+        delta = math.sqrt(float(np.mean(np.square(x))) / 10.0 ** (target / 10.0))
+        noisy = add_scaled_noise(x, delta, RngStream(8))
         measured = 10 * np.log10(
             frobenius_norm(x) ** 2 / frobenius_norm(noisy - x) ** 2
         )
         assert abs(measured - target) <= 0.2
-
-
-def test_awgn_huge_snr_capped():
-    x = hilbert_tensor((20, 20, 20))
-    noisy = add_awgn(x, 1e9, RngStream(9))
-    assert frobenius_norm(noisy - x) <= 1e-10 * frobenius_norm(x)
-
-
-@pytest.mark.parametrize("snr_db", [-4000.0, -3300.0, -3200.0, -math.inf, math.nan])
-def test_awgn_without_finite_noise_scale_is_a_parameter_error(snr_db):
-    # 10 ** (snr / 10) underflows to 0, or power / it overflows, or is NaN
-    with pytest.raises(ValueError, match=r"^SNR .* dB at signal power .* gives no finite noise scale$"):
-        add_awgn(hilbert_tensor((6, 6, 6)), snr_db, RngStream(11))
-
-
-@pytest.mark.parametrize("snr_db", [-3000.0, 20.0, 1e6])
-def test_awgn_keeps_its_bits_where_the_scale_is_finite(snr_db):
-    x = hilbert_tensor((6, 6, 6))
-    sigma = np.sqrt(float(np.mean(np.square(x))) / 10.0 ** (min(snr_db, 300.0) / 10.0))
-    expected = x + sigma * gaussian_tensor(x.shape, RngStream(11))
-    assert add_awgn(x, snr_db, RngStream(11)).tobytes() == expected.tobytes()
-
-
-def test_awgn_zero_signal_warns():
-    with pytest.warns(RuntimeWarning):
-        y = add_awgn(np.zeros((3, 3)), 20.0, RngStream(10))
-    assert not y.any()
 
 
 def test_noise_floor_for_downstream_decompositions():

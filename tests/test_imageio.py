@@ -115,6 +115,17 @@ def test_save_clamps_and_rounds(tmp_path):
     assert loaded[0, 0, 2] == 128.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_save_clamps_infinities_and_rejects_nan_before_opening(tmp_path):
+    path = tmp_path / "inf.ppm"
+    save_image_tensor(np.array([[[np.inf, -np.inf, 7.0]]]), path)
+    assert load_image_tensor(path).ravel().tolist() == [255.0, 0.0, 7.0]
+    nan = tmp_path / "nan.pgm"
+    with pytest.raises(ValueError, match="NaN entry"):
+        save_image_tensor(np.array([[[1.0]], [[np.nan]]]), nan)
+    assert not nan.exists()
+
+
 def test_save_zero_image_payload(tmp_path):
     path = tmp_path / "z.pgm"
     save_image_tensor(np.zeros((2, 2, 1)), path)

@@ -875,3 +875,34 @@ def test_subspace_tolerance_rejects_a_gram_factor_of_a_graded_spectrum():
     assert np.linalg.norm(g @ g.T - v @ v.T) > 1e3 * _subspace_tolerance(a, 8)
     u = _left_factor(a, 8)
     assert np.linalg.norm(u @ u.T - v @ v.T) <= _subspace_tolerance(a, 8)
+
+
+# the public kernels as (a, rng) -> (basis, coefficients), at their default-like sizes
+_PUBLIC_KERNELS = {
+    "rsvd": lambda a, rng: rsvd(a, 5, 5, rng),
+    "sketch": lambda a, rng: sketch(a, 5, 11, rng),
+    "sub_sketch": lambda a, rng: sub_sketch(a, 5, 11, 1, rng),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e200, 1e307])
+@pytest.mark.parametrize("kernel", _PUBLIC_KERNELS)
+def test_public_kernels_keep_their_result_across_the_double_range(kernel, scale):
+    # A scaled matrix's approximation is the scaled approximation of the
+    # matrix, and near the largest double the overflow is named. The Gram
+    # floor, the Gram eigh's finiteness check and the sketch product's
+    # overflow check hold this: without them rsvd and sub_sketch lose digits
+    # at 1e-160 and raise LinAlgError at 1e160 and 1e200, and at 1e307 none
+    # of the three names the overflow. rsvd's factor signs may differ, so
+    # the products are compared.
+    run = _PUBLIC_KERNELS[kernel]
+    for seed in range(5):
+        a = np.random.default_rng(seed).standard_normal((60, 300))
+        u, c = run(a, RngStream(seed))
+        if scale == 1e307:
+            with pytest.raises(ValueError, match="^sketch product overflowed: "):
+                run(a * scale, RngStream(seed))
+            continue
+        us, cs = run(a * scale, RngStream(seed))
+        assert np.linalg.norm(us @ (cs / scale) - u @ c) <= 1e-12 * np.linalg.norm(u @ c), seed

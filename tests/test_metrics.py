@@ -61,6 +61,15 @@ def test_psnr_values():
     for peak in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"got {peak!r}$"):
             psnr(x, shifted, peak)
+    # an empty pair has zero error, as relative_error's 0.0 says
+    empty = np.zeros((0, 3))
+    assert psnr(empty, empty, 255.0) == math.inf and relative_error(empty, empty) == 0.0
+    # a nonzero error whose mean underflows: err_sq is subnormal (1e-320), so
+    # err_sq / x.size rounds to 0, and the PSNR is still finite
+    x, xhat = np.zeros(100_000), np.zeros(100_000)
+    x[:2] = 1.0, 1e-160
+    xhat[0] = 1.0
+    assert psnr(x, xhat, 1.0) == pytest.approx(10 * (320 + 5), rel=1e-3)
 
 
 def test_scores_reject_a_shape_mismatch():

@@ -1,19 +1,22 @@
-"""Print the sha256 and relative error of every pipeline's saved model on the benchmark inputs.
+"""Print the sha256 of the benchmark inputs, and of every pipeline's saved model on them with its relative error.
 
 For each workload of ``perfbench/workloads.py`` (tucker-200, hilbert-100 and
 image-256 on its seed-0 image), each of the five pipelines and each trial
 seed j in 0 and 1, the pipeline of ``tucksketch.bench.ALGORITHMS`` runs as
 ``fn(x, ApproxConfig(target_ranks=ranks, seed=j))``, so the randomized ones
 draw from ``RngStream(j)`` as a benchmark library trial does, and the
-model's ``.tuck`` container is hashed. Those are the first 30 lines. Then
-come seed-0 lines of the five pipelines on the small inputs of ``SMALL``,
-which reach paths the workloads miss: a tall unfolding, unfoldings under 64
-columns (a Gaussian Omega), order 4, a row-major layout and a processing
-order other than the natural one (lines 31 to 55), and last the paper's
-sparse family, ``SparseGenConfig(n=100, gamma=10.0, seed=0)`` at ranks
-(10, 10, 10) (lines 56 to 60). Each line ends with the model's relative
-error ``relative_error(x, reconstruct(model))`` as its ``repr``, so a change
-that moves bits shows by how much. A refactor that keeps behaviour
+model's ``.tuck`` container is hashed: 30 model lines. Then come seed-0
+lines of the five pipelines on the small inputs of ``SMALL``, which reach
+paths the workloads miss: a tall unfolding, unfoldings under 64 columns (a
+Gaussian Omega), order 4, a row-major layout and a processing order other
+than the natural one (25 lines), and last the paper's sparse family,
+``SparseGenConfig(n=100, gamma=10.0, seed=0)`` at ranks (10, 10, 10) (5
+lines). Each model line ends with the model's relative error
+``relative_error(x, reconstruct(model))`` as its ``repr``, so a change that
+moves bits shows by how much. Before its model lines each input has one
+``<name> input <sha256>`` line: ``build_input``'s digest for a workload, the
+sha256 of ``x.tobytes(order="A")`` for a small input. So a generator change
+shows as its own line (69 lines in all). A refactor that keeps behaviour
 keeps every line; run it on two checkouts and diff the outputs:
 
     python tools/model_hashes.py > hashes.txt
@@ -79,13 +82,16 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "model.tuck")
         for wl in WORKLOADS.values():
-            x = build_input(wl.name, 0, workdir).x
+            inp = build_input(wl.name, 0, workdir)
+            x = inp.x
+            print(f"{wl.name} input {inp.digest}", flush=True)
             for key in ALGORITHMS:
                 for j in SEEDS:
                     cfg = ApproxConfig(target_ranks=wl.ranks, seed=j)
                     print(_line(wl.name, key, x, cfg, path), flush=True)
         for name, build, ranks, order in SMALL:
             x = build()
+            print(f"{name} input {hashlib.sha256(x.tobytes(order='A')).hexdigest()}", flush=True)
             for key in ALGORITHMS:
                 cfg = ApproxConfig(target_ranks=ranks, processing_order=order, seed=0)
                 print(_line(name, key, x, cfg, path), flush=True)
