@@ -101,22 +101,26 @@ The randomized kernels are the interesting part:
                    applications of A and A.T with re-orthonormalization in
                    between (subspace power iteration).
 
-On unfoldings of 64 or more columns the column test matrix Omega is a
-matrix of random signs drawn from raw Philox bits (``RngStream.signs``),
-the standard drop-in for a Gaussian one (Halko, Martinsson and Tropp, SIAM
-Review 2011, section 4.6; Martinsson and Tropp, Acta Numerica 2020): 64
-entries per raw word instead of one Box-Muller normal each. Below 64
-columns Omega is Gaussian, because a sign matrix with few rows is often
-rank-deficient. ``rsvd`` and the sketches take their range basis from one
-helper, ``_range_basis``, which makes that choice and draws no Omega when
-it would be square (k equals the column count, which ``ApproxConfig.plan``'s
-clamp produces on small modes).
-The row test matrix Psi of the sketches stays Gaussian, with its rows
+Both test matrices follow one rule, ``_test_matrix``: the column test
+matrix Omega on unfoldings of 64 or more columns, and the sketches' row
+test matrix Psi on unfoldings of 64 or more rows, are random signs drawn
+from raw Philox bits (``RngStream.signs``), the standard drop-in for a
+Gaussian one (Halko, Martinsson and Tropp, SIAM Review 2011, section 4.6;
+Martinsson and Tropp, Acta Numerica 2020): 64 entries per raw word instead
+of one Box-Muller normal each. Below 64 they are Gaussian, because a sign
+matrix with few rows is often rank-deficient. ``rsvd`` and the sketches
+take their range basis from one helper, ``_range_basis``, which draws no
+Omega when it would be square (k equals the column count, which
+``ApproxConfig.plan``'s clamp produces on small modes). Psi's rows are
 replaced by the orthonormal Q^T of a Householder QR (``thin_qr``) of its
-transpose. The expected-error bound that ``metrics.bound_oracle`` evaluates
-is a theorem for Gaussian test matrices; for the sign Omega it is an
+transpose. On a 256 x 256 x 3 image at ranks (50, 50, 3), the draw and
+QR of the 256 x 101 Psi^T of each of the first two modes took 2.18 ms
+Gaussian and 0.85 ms as signs (one OpenBLAS thread on a shared 2-core
+x86-64 machine, fastest of 200).
+The expected-error bound that ``metrics.bound_oracle`` evaluates is a
+theorem for Gaussian test matrices; for sign test matrices it is an
 empirical check (the acceptance suite's Monte Carlo test measures a mean
-squared error of 4.76 against a bound of 21.3).
+squared error of 4.58 against a bound of 21.3).
 """
 
 from __future__ import annotations
@@ -275,8 +279,28 @@ def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :r], s[:r, None] * vt[:r]
 
 
-# Below this many columns, Omega is Gaussian instead of random signs.
-_SIGN_MIN_COLS = 64
+# Below this many rows, a test matrix is Gaussian instead of random signs.
+_SIGN_MIN_ROWS = 64
+
+
+def _test_matrix(n: int, k: int, rng: RngStream, row_major: bool = False) -> np.ndarray:
+    """An n x k random test matrix: random signs from ``_SIGN_MIN_ROWS`` rows on, Gaussian below.
+
+    This is the rule for both test matrices of the kernels: Omega, whose n
+    is the column count of A, and Psi^T, whose n is its row count. A sign
+    matrix with few rows is often rank-deficient (two columns of a 4 x 2
+    one are parallel with probability 1/8, and 66% of all 4 x 4 sign
+    matrices are singular), and the missing directions are then set by
+    rounding, which moves the model when the input is rescaled; a square
+    sign matrix of order 64 or more is singular with probability near eps.
+    The signs fill the matrix column by column (``RngStream.signs``). The
+    Gaussian fills it column by column too (``normal(n, k)``), or row by row
+    with row_major (``normal(k, n).T``): Psi^T takes that order, which keeps
+    the bits of the sketches on inputs of fewer than 64 rows.
+    """
+    if n >= _SIGN_MIN_ROWS:
+        return rng.signs(n, k)
+    return rng.normal(k, n).T if row_major else rng.normal(n, k)
 
 
 def _range_basis(a: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
@@ -284,18 +308,12 @@ def _range_basis(a: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
 
     Omega is used raw: orthonormalizing it would not change the range. When
     k equals the column count n, Q is taken from a itself and no Omega is
-    drawn: any invertible Omega leaves range(a @ Omega) = range(a). Below
-    ``_SIGN_MIN_COLS`` columns Omega is Gaussian, and random signs from 64
-    columns on. A sign matrix with few rows is often rank-deficient (two
-    columns of a 4 x 2 one are parallel with probability 1/8, and 66% of all
-    4 x 4 sign matrices are singular), and Q's missing directions are then
-    set by rounding, which moves the model when the input is rescaled; a
-    square sign matrix of order 64 or more is singular with probability
-    near eps.
+    drawn: any invertible Omega leaves range(a @ Omega) = range(a).
+    Otherwise Omega is ``_test_matrix(n, k)``: random signs from 64
+    columns of a on, Gaussian below.
     """
     n = a.shape[1]
-    draw = rng.signs if n >= _SIGN_MIN_COLS else rng.normal
-    return thin_qr(a if k == n else _times_transpose(a, draw(n, k).T))[0]
+    return thin_qr(a if k == n else _times_transpose(a, _test_matrix(n, k, rng).T))[0]
 
 
 def _times_transpose(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -381,7 +399,7 @@ def _two_sided_sketch(
         raise ValueError(f"sketch size l={l} must not exceed the row count {a.shape[0]}")
     # Omega is drawn before Psi; Psi gets orthonormal rows, `sketch` says why.
     q = _range_basis(a, k, rng)
-    psi = thin_qr(rng.normal(l, a.shape[0]).T)[0].T
+    psi = thin_qr(_test_matrix(a.shape[0], l, rng, row_major=True))[0].T
     for _ in range(power_iters):
         b = q.T @ a
         g = b if _gram_eigh(b, k) is not None else thin_qr(b.T)[0].T
@@ -394,12 +412,12 @@ def sketch(a: np.ndarray, k: int, l: int, rng: RngStream) -> tuple[np.ndarray, n
 
     A ValueError names the first broken size rule, in this order: k and l
     positive, k <= min(l, n), l <= m. ``_two_sided_sketch``, the body it
-    shares with `sub_sketch`, checks them. The column test matrix Omega is
-    random signs from raw Philox bits, or Gaussian when a has fewer than
-    ``_SIGN_MIN_COLS`` columns (``_range_basis``), used raw:
-    orthonormalizing it would not change range(a @ Omega), so q, and
-    q @ xc, are the same up to rounding. The row test matrix Psi stays
-    Gaussian and is given orthonormal rows, because re-weighting the rows
+    shares with `sub_sketch`, checks them. Both test matrices follow the
+    rule of ``_test_matrix``: random signs from raw Philox bits, or Gaussian
+    below ``_SIGN_MIN_ROWS``, Omega by the column count of a and Psi by its
+    row count. Omega is drawn first and used raw: orthonormalizing it would
+    not change range(a @ Omega), so q, and q @ xc, are the same up to
+    rounding. Psi is given orthonormal rows, because re-weighting the rows
     of Psi does change the least-squares solution
     xc = (Psi @ q)^+ (Psi @ a). A rotation R of
     orthonormal rows does not, since (R Psi q)^+ R Psi a = (Psi q)^+ Psi a,
@@ -408,8 +426,8 @@ def sketch(a: np.ndarray, k: int, l: int, rng: RngStream) -> tuple[np.ndarray, n
     xc is formed as ((Psi @ q)^+ Psi) @ a, one k-row product with a; the
     l x n row sketch Psi @ a is never formed.
     The expected-error bound of Tropp, Yurtsever, Udell and Cevher (SIMAX
-    2017, Thm 4.3) is proved for Gaussian test matrices; with the sign Omega
-    it holds as an empirical check.
+    2017, Thm 4.3) is proved for Gaussian test matrices; with sign test
+    matrices it holds as an empirical check.
     """
     return _two_sided_sketch(a, k, l, 0, rng)
 

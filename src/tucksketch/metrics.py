@@ -214,11 +214,11 @@ def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
     ``chosen_rho`` None, with no warning.
 
     The theorem is proved for Gaussian test matrices. The sketch kernels
-    keep Psi Gaussian but draw Omega as random signs (``RngStream.signs``)
-    on unfoldings of 64 or more columns, so for them this bound is an
-    empirical check, not a theorem: on the acceptance suite's Monte Carlo
-    test (criterion 4) the measured mean squared error is 4.76 against a
-    bound of 21.3.
+    draw Omega and Psi by one rule, random signs (``RngStream.signs``) on
+    unfoldings of 64 or more columns for Omega and 64 or more rows for Psi,
+    so for them this bound is an empirical check, not a theorem: on the
+    acceptance suite's Monte Carlo test (criterion 4) the measured mean
+    squared error is 4.58 against a bound of 21.3.
     """
     if variant not in BOUND_VARIANTS:
         raise ValueError(f"unknown bound variant {variant!r}")

@@ -6,12 +6,12 @@ are derived directly from the raw 64-bit output, normals via Box-Muller, and
 random signs from the bits of the raw words, so a given key always produces
 the same sequence of draws, bit for bit.
 
-The randomized kernels draw their column test matrices Omega with ``signs``
-on unfoldings of 64 or more columns (``normal`` below): one raw word gives
-64 entries, where Box-Muller spends one raw word plus a log, sqrt, cos and
-sin per normal (1.5 ms against 48 ms for a million entries on a 2-core
-x86-64 box, NumPy 2.4.6). Their row test matrices Psi stay Gaussian
-(``normal(rows, cols)``).
+The randomized kernels draw their test matrices with ``signs``: the column
+test matrix Omega on unfoldings of 64 or more columns, and the sketches'
+row test matrix Psi on unfoldings of 64 or more rows (``normal`` below).
+One raw word gives 64 entries, where Box-Muller spends one raw word plus a
+log, sqrt, cos and sin per normal (1.5 ms against 48 ms for a million
+entries on a 2-core x86-64 box, NumPy 2.4.6).
 """
 
 from __future__ import annotations

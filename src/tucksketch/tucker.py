@@ -98,11 +98,24 @@ class TuckerModel:
 
 
 def reconstruct(model: TuckerModel) -> np.ndarray:
-    """Expand the model back to a full tensor of shape (I_1, ..., I_N)."""
+    """Expand the model back to a full tensor of shape (I_1, ..., I_N), column-major.
+
+    Mode n's product multiplies the size of the tensor by I_n / r_n, so the
+    products run in increasing I_n / r_n, which keeps every intermediate
+    smallest; the sort is stable, so modes of equal ratio keep their natural
+    order, and a model whose ratios are all equal is expanded as it would
+    be mode by mode from 1 to N. On a 256 x 256 x 3 image at ranks
+    (50, 50, 3) the product of the colour mode (I_3 = r_3) then runs on the
+    50 x 50 x 3 core instead of the full image: 1.80 ms became 1.03 ms on
+    one OpenBLAS thread (fastest of 200). A last product of mode N leaves
+    the result column-major; after another last mode it is copied to that
+    layout.
+    """
     x = model.core
-    for n, u in enumerate(model.factors, start=1):
-        x = mode_n_product(x, u, n)
-    return x
+    ratio = [u.shape[0] / u.shape[1] for u in model.factors]
+    for n in sorted(range(len(ratio)), key=ratio.__getitem__):
+        x = mode_n_product(x, model.factors[n], n + 1)
+    return np.asfortranarray(x)
 
 
 def _canonical_signs(u: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,14 +128,15 @@ def _canonical_signs(u: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
     flip = peak < 0
-    u = u * np.where(flip, -1.0, 1.0)
-    # Row by row, not through a boolean index (a gather and a scatter of
-    # the flipped rows), and by a multiply: on an AVX-512 x86-64 CPU, NumPy
-    # 2.4.6's in-place np.negative wrote wrong values through a 64-byte
-    # stride, which is a row of an F-ordered c with 8 rows.
-    for i in np.flatnonzero(flip):
-        c[i] *= -1.0
-    return u, c
+    sign = np.where(flip, -1.0, 1.0)
+    if flip.any():
+        # One pass by a multiply, not one strided pass per flipped row (1.28
+        # against 3.45 ms on a 20 x 40000 F-ordered c with 15 flips), and
+        # not np.negative: on an AVX-512 x86-64 CPU, NumPy 2.4.6's in-place
+        # np.negative wrote wrong values through a 64-byte stride, which is
+        # a row of an F-ordered c with 8 rows.
+        c *= sign[:, None]
+    return u * sign, c
 
 
 def _sequential(

@@ -498,16 +498,21 @@ def _draw_omega(rng, n, k):
     return rng.signs(n, k) if n >= 64 else rng.normal(n, k)
 
 
+def _draw_psi_t(rng, m, l):
+    """Psi^T as the sketches draw it: random signs from 64 rows on, the transposed l x m Gaussian below."""
+    return rng.signs(m, l) if m >= 64 else rng.normal(l, m).T
+
+
 def _sketch_with_orthonormal_omega(a, k, l, power_iters, seed, psi_basis=_svd_basis):
     """The two-sided sketch with Omega orthonormalized by an SVD, from the same draws.
 
-    Psi's rows are psi_basis of the transposed Gaussian draw: by default its
+    Psi's rows are psi_basis of the kernels' draw of Psi^T: by default its
     left singular vectors, a basis other than the library's Householder Q.
     """
     m, n = a.shape
     rng = RngStream(seed)
     omega = _svd_basis(_draw_omega(rng, n, k))
-    psi = psi_basis(rng.normal(l, m).T).T
+    psi = psi_basis(_draw_psi_t(rng, m, l)).T
     q = np.linalg.qr(a @ omega)[0]
     for _ in range(power_iters):
         q = np.linalg.qr(a @ np.linalg.qr(a.T @ q)[0])[0]
@@ -542,7 +547,7 @@ def test_sketch_does_not_depend_on_the_basis_of_psi(power_iters):
     # the two bases differ: the test compares two rotations, not one matrix twice
     rng = RngStream(seed)
     _draw_omega(rng, a.shape[1], k)
-    g = rng.normal(l, a.shape[0]).T
+    g = _draw_psi_t(rng, a.shape[0], l)
     assert not np.allclose(np.abs(thin_qr(g)[0]), np.abs(_svd_basis(g)))
 
 
@@ -707,15 +712,16 @@ def _svd_of_projection_rsvd(a, r, p, seed):
     return q @ u[:, :r], s[:r, None] * vt[:r]
 
 
-def _householder_sub_sketch(a, k, l, power_iters, seed):
+def _householder_sub_sketch(a, k, l, power_iters, seed, draw_psi_t=_draw_psi_t):
     """sub_sketch with the Householder power step: the Q of (Q^T a)^T, formed in full.
 
-    The correction is formed as the library forms it, ((Psi Q)^+ Psi) a.
+    Psi^T is draw_psi_t(rng, m, l), by default as the sketches draw it. The
+    correction is formed as the library forms it, ((Psi Q)^+ Psi) a.
     """
     m, n = a.shape
     rng = RngStream(seed)
     y = a if k == n else a @ _draw_omega(rng, n, k)
-    psi = thin_qr(rng.normal(l, m).T)[0].T
+    psi = thin_qr(draw_psi_t(rng, m, l))[0].T
     q, _ = thin_qr(y)
     for _ in range(power_iters):
         q, _ = thin_qr(a @ thin_qr((q.T @ a).T)[0])
@@ -811,6 +817,42 @@ def test_sub_sketch_graded_spectrum_keeps_householder_bits(layout):
     # lambda_8 / lambda_1 of the projected Gram matrix is far below sqrt(eps)
     assert _gram_eigh(q_ref.T @ a, k) is None
     q, xc = sub_sketch(a, k, l, 2, RngStream(seed))
+    assert np.array_equal(q, q_ref)
+    assert np.array_equal(xc, xc_ref)
+
+
+@pytest.mark.parametrize("power_iters", [0, 2])
+def test_sketches_of_64_or_more_rows_draw_no_normal(power_iters, monkeypatch):
+    # Omega and Psi are both random signs: 64 rows and 100 columns, rank 5
+    a = matrix_with_spectrum(64, 100, 2.0 ** -np.arange(5), seed=68)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gaussian draw")
+
+    monkeypatch.setattr(RngStream, "normal", refuse)
+    q, xc = (
+        sketch(a, 5, 11, RngStream(69))
+        if power_iters == 0
+        else sub_sketch(a, 5, 11, power_iters, RngStream(69))
+    )
+    assert_orthonormal_columns(q)
+    assert np.linalg.norm(a - q @ xc) <= 1e-12 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("power_iters", [0, 2])
+def test_sketches_under_64_rows_draw_the_transposed_gaussian_psi(power_iters):
+    # 30 rows: Psi^T is the transpose of an l x m Gaussian draw, bit for bit;
+    # the graded spectrum keeps the power steps on the Householder route
+    a = unfold(hilbert_tensor((30, 30, 30)), 1)
+    k, l, seed = 6, 13, 70
+    q_ref, xc_ref = _householder_sub_sketch(
+        a, k, l, power_iters, seed, draw_psi_t=lambda rng, m, l: rng.normal(l, m).T
+    )
+    q, xc = (
+        sketch(a, k, l, RngStream(seed))
+        if power_iters == 0
+        else sub_sketch(a, k, l, power_iters, RngStream(seed))
+    )
     assert np.array_equal(q, q_ref)
     assert np.array_equal(xc, xc_ref)
 

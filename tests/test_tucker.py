@@ -284,13 +284,12 @@ def test_canonical_signs_negate_rows_of_c_in_place():
     assert np.array_equal(fixed, c)
     # any layout: an F-ordered c with 8 rows has rows of a 64-byte stride,
     # through which an in-place np.negative has written wrong values
-    for order in "CF":
-        for rows in (4, 8, 9):
-            u = rng.standard_normal((rows + 2, rows))
-            u[0] = np.where(np.arange(rows) % 2 == 0, -10.0, 10.0)
-            c = np.asarray(rng.standard_normal((rows, 12)), order=order)
-            expected = c * np.where(np.arange(rows) % 2 == 0, -1.0, 1.0)[:, None]
-            assert np.array_equal(_canonical_signs(u, c)[1], expected), (order, rows)
+    for order, rows, cols in [*itertools.product("CF", (4, 8, 9), (12,)), ("F", 8, 64)]:
+        u = rng.standard_normal((rows + 2, rows))
+        u[0] = np.where(np.arange(rows) % 2 == 0, -10.0, 10.0)
+        c = np.asarray(rng.standard_normal((rows, cols)), order=order)
+        expected = c * np.where(np.arange(rows) % 2 == 0, -1.0, 1.0)[:, None]
+        assert np.array_equal(_canonical_signs(u, c)[1], expected), (order, rows, cols)
 
 
 @pytest.mark.parametrize("layout", ["F", "C"])
@@ -383,6 +382,32 @@ def test_reconstruct_matches_kronecker_route():
         assert np.allclose(
             fold(via_kron, n, dims), x, atol=1e-10 * frobenius_norm(x)
         )
+
+
+def _natural_order_reconstruct(model):
+    x = model.core
+    for n, u in enumerate(model.factors, start=1):
+        x = mode_n_product(x, u, n)
+    return x
+
+
+@pytest.mark.parametrize(
+    "dims, ranks",
+    [((20, 20, 20), (4, 4, 4)), ((64, 48, 3), (8, 6, 3)), ((10, 40, 40), (10, 4, 4))],
+    ids=["equal-ratios", "colour-mode-first", "full-rank-first"],
+)
+def test_reconstruct_order_matches_the_natural_loop(dims, ranks):
+    rng = np.random.default_rng(21)
+    core = rng.standard_normal(ranks)
+    factors = [np.linalg.qr(rng.standard_normal((d, r)))[0] for d, r in zip(dims, ranks)]
+    model = TuckerModel(core, factors)
+    x, expected = reconstruct(model), _natural_order_reconstruct(model)
+    assert x.shape == dims and x.flags.f_contiguous
+    if len(set(d / r for d, r in zip(dims, ranks))) == 1:
+        # equal ratios keep the natural order, so the same bits
+        assert np.array_equal(x, expected)
+    else:
+        assert np.linalg.norm(x - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def test_processing_order_invariance_supersymmetric():
