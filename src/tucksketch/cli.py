@@ -201,13 +201,13 @@ def _build_parser() -> _Parser:
     ben = subs.add_parser("bench", help="run a sweep and write a CSV report")
     ben.add_argument("--experiment", default="bench")
     ben.add_argument("--source", required=True, choices=SOURCES)
-    ben.add_argument("--dims", default=None, help="e.g. 100x100x100")
-    ben.add_argument("--image", default=None, help="PPM/PGM path for source=image")
+    ben.add_argument("--dims", default=ExperimentConfig.dims, help="e.g. 100x100x100")
+    ben.add_argument("--image", default=ExperimentConfig.image_path, help="PPM/PGM path for source=image")
     ben.add_argument("--algo", default="all", help="all or comma list")
     _add_approx_flags(ben, "comma list of rank tuples, e.g. 10x10x10,20x20x20")
     ben.add_argument("--trials", type=int, default=ExperimentConfig.trials)
     ben.add_argument("--gamma", type=float, default=ExperimentConfig.gamma)
-    ben.add_argument("--delta", type=float, default=None, help="additive noise scale")
+    ben.add_argument("--delta", type=float, default=ExperimentConfig.delta, help="additive noise scale")
     ben.add_argument("--aggregate", choices=AGGREGATES, default=ExperimentConfig.aggregate)
     ben.add_argument("--out", required=True)
     ben.set_defaults(func=_cmd_bench)

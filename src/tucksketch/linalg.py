@@ -87,7 +87,8 @@ route's, and the residuals ||A - Q Q^T A|| agreed to 2e-18 ||A||.
 
 So a randomized mode costs its GEMMs over A plus factorizations of k x k
 matrices; on a separated spectrum no n x k matrix is factored. STHOSVD stays
-on ``truncated_svd``; the README says why.
+on ``truncated_svd``: in the one-process benchmark a faster STHOSVD
+slowed the trials after it, as the README records.
 
 The randomized kernels are the interesting part:
 
@@ -107,7 +108,8 @@ test matrix Psi on unfoldings of 64 or more rows, are random signs drawn
 from raw Philox bits (``RngStream.signs``), the standard drop-in for a
 Gaussian one (Halko, Martinsson and Tropp, SIAM Review 2011, section 4.6;
 Martinsson and Tropp, Acta Numerica 2020): 64 entries per raw word instead
-of one Box-Muller normal each. Below 64 they are Gaussian, because a sign
+of one Box-Muller normal each. Below 64 they are Gaussian, both drawn
+column by column by one call, ``RngStream.normal(n, k)``, because a sign
 matrix with few rows is often rank-deficient. ``rsvd`` and the sketches
 take their range basis from one helper, ``_range_basis``, which draws no
 Omega when it would be square (k equals the column count, which
@@ -283,7 +285,7 @@ def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
 _SIGN_MIN_ROWS = 64
 
 
-def _test_matrix(n: int, k: int, rng: RngStream, row_major: bool = False) -> np.ndarray:
+def _test_matrix(n: int, k: int, rng: RngStream) -> np.ndarray:
     """An n x k random test matrix: random signs from ``_SIGN_MIN_ROWS`` rows on, Gaussian below.
 
     This is the rule for both test matrices of the kernels: Omega, whose n
@@ -293,14 +295,10 @@ def _test_matrix(n: int, k: int, rng: RngStream, row_major: bool = False) -> np.
     matrices are singular), and the missing directions are then set by
     rounding, which moves the model when the input is rescaled; a square
     sign matrix of order 64 or more is singular with probability near eps.
-    The signs fill the matrix column by column (``RngStream.signs``). The
-    Gaussian fills it column by column too (``normal(n, k)``), or row by row
-    with row_major (``normal(k, n).T``): Psi^T takes that order, which keeps
-    the bits of the sketches on inputs of fewer than 64 rows.
+    Either draw fills the matrix column by column: ``RngStream.signs(n, k)``
+    or ``RngStream.normal(n, k)``.
     """
-    if n >= _SIGN_MIN_ROWS:
-        return rng.signs(n, k)
-    return rng.normal(k, n).T if row_major else rng.normal(n, k)
+    return rng.signs(n, k) if n >= _SIGN_MIN_ROWS else rng.normal(n, k)
 
 
 def _range_basis(a: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
@@ -375,7 +373,7 @@ def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     q, r = thin_qr(a)
     diag = np.abs(np.diagonal(r))
-    if diag.size and diag.min() > max(a.shape) * np.finfo(np.float64).eps * diag.max():
+    if diag.min() > max(a.shape) * np.finfo(np.float64).eps * diag.max():
         return dtrsm(1.0, r, (q.T @ b).T, side=1, trans_a=1, overwrite_b=1).T
     warnings.warn(
         "rank-deficient system in sketch correction solve; "
@@ -399,7 +397,7 @@ def _two_sided_sketch(
         raise ValueError(f"sketch size l={l} must not exceed the row count {a.shape[0]}")
     # Omega is drawn before Psi; Psi gets orthonormal rows, `sketch` says why.
     q = _range_basis(a, k, rng)
-    psi = thin_qr(_test_matrix(a.shape[0], l, rng, row_major=True))[0].T
+    psi = thin_qr(_test_matrix(a.shape[0], l, rng))[0].T
     for _ in range(power_iters):
         b = q.T @ a
         g = b if _gram_eigh(b, k) is not None else thin_qr(b.T)[0].T

@@ -24,7 +24,6 @@ __all__ = [
     "relative_error",
     "psnr",
     "tail_energy",
-    "f_factor",
     "bound_oracle",
     "BOUND_VARIANTS",
 ]
@@ -160,15 +159,6 @@ def tail_energy(sigma: np.ndarray, j: int) -> float:
     return float(np.sum(sigma[j - 1 :] ** 2))
 
 
-def f_factor(s: float, t: float) -> float:
-    """s / (t - s - 1); +inf at t == s + 1 where the bound turns vacuous."""
-    if t < s + 1:
-        raise ValueError(f"f({s}, {t}) requires t >= s + 1")
-    if t == s + 1:
-        return math.inf
-    return s / (t - s - 1)
-
-
 @dataclass
 class ModeBound:
     """One mode's contribution to an expected-error bound."""
@@ -199,26 +189,28 @@ def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
 
         (1 + f(r_n, l_n)) * min_rho (1 + f(rho, r_n) * g^(4q)) * tau_{rho+1}^2,
 
-    where sigma is the mode's spectrum, ``spectrum_summary(x)[n - 1]``,
-    tau_j^2 = ``tail_energy(sigma, j)`` is the tail energy from sigma_j on
-    (so Delta_n = tau_{r_n+1}^2), g = sigma_{r+1}/sigma_r is the singular
-    gap, 0 when either vanishes or r_n = len(sigma), and q the power
-    iteration count; "sketch" is q = 0, so its damping is 1. l_n is the
-    size the pipeline runs with, clamped to I_n, from `ApproxConfig.plan`,
-    which also rejects the ranks that the pipelines reject, and which gives
-    a mode no l_n where l_n >= r_n + 2 does not fit. Such a mode, which the
-    sketch pipelines truncate deterministically, gets Delta_n. The minimum over
-    the split index rho (1 <= rho < r_n - 1) is evaluated exhaustively.
-    Every factor is then finite. When r_n <= 2 the domain is empty, and the
-    minimum is +inf by ``min``'s default, so the mode term is +inf and
-    ``chosen_rho`` None, with no warning.
+    where f(s, t) = s / (t - s - 1), sigma is the mode's spectrum,
+    ``spectrum_summary(x)[n - 1]``, tau_j^2 = ``tail_energy(sigma, j)`` is
+    the tail energy from sigma_j on (so Delta_n = tau_{r_n+1}^2),
+    g = sigma_{r+1}/sigma_r is the singular gap, 0 when either vanishes or
+    r_n = len(sigma), and q the power iteration count; "sketch" is q = 0, so
+    its damping is 1. l_n is the size the pipeline runs with, clamped to
+    I_n, from `ApproxConfig.plan`, which also rejects the ranks that the
+    pipelines reject, and which gives a mode no l_n where l_n >= r_n + 2
+    does not fit. Such a mode, which the sketch pipelines truncate
+    deterministically, gets Delta_n. The minimum over the split index rho
+    (1 <= rho < r_n - 1) is evaluated exhaustively. With l_n >= r_n + 2 and
+    rho <= r_n - 2 both denominators of f are at least 1, so every factor is
+    finite. When r_n <= 2 the domain is empty, and the minimum is +inf by
+    ``min``'s default, so the mode term is +inf and ``chosen_rho`` None,
+    with no warning.
 
     The theorem is proved for Gaussian test matrices. The sketch kernels
     draw Omega and Psi by one rule, random signs (``RngStream.signs``) on
     unfoldings of 64 or more columns for Omega and 64 or more rows for Psi,
-    so for them this bound is an empirical check, not a theorem: on the
-    acceptance suite's Monte Carlo test (criterion 4) the measured mean
-    squared error is 4.58 against a bound of 21.3.
+    Gaussian below, so for them this bound is an empirical check, not a
+    theorem: on the acceptance suite's Monte Carlo test (criterion 4) the
+    measured mean squared error is 4.58 against a bound of 21.3.
     """
     if variant not in BOUND_VARIANTS:
         raise ValueError(f"unknown bound variant {variant!r}")
@@ -239,9 +231,9 @@ def bound_oracle(x: np.ndarray, cfg: ApproxConfig, variant: str) -> BoundReport:
         damping = gap ** (4 * power_iters)
         # the first rho of the smallest product; +inf and no rho when r <= 2
         best, best_rho = min(
-            (((1.0 + f_factor(rho, r) * damping) * tail_energy(sigma, rho + 1), rho) for rho in range(1, r - 1)),
+            (((1.0 + rho / (r - rho - 1) * damping) * tail_energy(sigma, rho + 1), rho) for rho in range(1, r - 1)),
             default=(math.inf, None),
         )
-        term = (1.0 + f_factor(r, l)) * best
+        term = (1.0 + r / (l - r - 1)) * best
         modes.append(ModeBound(delta_sq, best_rho, term))
     return BoundReport(modes)

@@ -48,7 +48,8 @@ range(A^T Q) in between, keeping the Householder QR of (Q^T A)^T for
 spectra that fail the guard. So R-STHOSVD and sub-Sketch-STHOSVD cost a
 few GEMMs over each unfolding plus k x k factorizations wherever the guard
 passes, as the paper counts them. ``sthosvd`` keeps the full truncated SVD
-for now; the README says why.
+for now: in the one-process benchmark a faster STHOSVD slowed the trials
+after it, as the README records.
 
 The randomized pipelines draw from ``RngStream(cfg.seed)`` when no rng is
 passed. The command line and the bench reach the pipelines by name through

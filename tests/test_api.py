@@ -1,5 +1,6 @@
-"""The public names of the package resolve, and the layer tracer can wrap them."""
+"""The public names of the package resolve, its modules carry no dead names, and the layer tracer can wrap them."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -13,6 +14,10 @@ from tucksketch.rng import RngStream
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tucksketch.__path__))
 LAYERTRACE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+SOURCES = {
+    path.stem: ast.parse(path.read_text())
+    for path in sorted(pathlib.Path(tucksketch.__file__).parent.glob("*.py"))
+}
 
 
 @pytest.mark.parametrize("name", ["tucksketch"] + [f"tucksketch.{m}" for m in MODULES])
@@ -34,6 +39,60 @@ def test_package_exports_its_modules_public_names():
     assert tucksketch.__all__ == expected
     assert len(expected) == len(set(expected))
     assert all(hasattr(tucksketch, name) for name in expected)
+
+
+def _references(tree, skip=None):
+    """Every name tree reads, as a loaded name or an attribute, outside the node skip."""
+    inside = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_module_uses_every_name_it_imports(module):
+    # __future__ imports and the package root's star imports bind no name
+    # the module reads
+    tree = SOURCES[module]
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names if alias.name != "*"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
+
+
+def _private_definitions(tree):
+    """(name, node) of each module-level function, class and constant whose name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_every_private_definition_has_a_reader(module):
+    # a private helper or constant that nothing in the package reads, outside
+    # its own definition, is dead code
+    unread = [
+        name
+        for name, node in _private_definitions(SOURCES[module])
+        if not any(name in _references(tree, node if other == module else None) for other, tree in SOURCES.items())
+    ]
+    assert unread == []
 
 
 def load_layertrace():

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from tucksketch import cli
-from tucksketch.bench import AGGREGATES, ALGORITHMS, SOURCES
+from tucksketch.bench import AGGREGATES, ALGORITHMS, SOURCES, ExperimentConfig
 from tucksketch.cli import _add_approx_flags, _approx_config, main
 from tucksketch.config import ApproxConfig
-from tucksketch.datagen import hilbert_tensor
+from tucksketch.datagen import SparseGenConfig, hilbert_tensor
 from tucksketch.imageio import load_image_tensor, save_image_tensor
 from tucksketch.rng import RngStream
 from tucksketch.tensor import unfold
@@ -243,6 +243,18 @@ def test_approx_flag_defaults_are_the_config_defaults():
         assert getattr(args, flag) == defaults[field], flag
     assert args.sketch_extra is None
     assert _approx_config(args, (2, 2)) == ApproxConfig(target_ranks=(2, 2))
+
+
+def test_bench_and_gen_sparse_flag_defaults_are_the_config_defaults():
+    parser = cli._build_parser()
+    args = parser.parse_args(["bench", "--source", "hilbert", "--ranks", "2x2", "--out", "x.csv"])
+    fields = {"trials": "trials", "gamma": "gamma", "delta": "delta", "dims": "dims",
+              "image": "image_path", "aggregate": "aggregate"}
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    for flag, field in fields.items():
+        assert getattr(args, flag) == defaults[field], flag
+    args = parser.parse_args(["gen-sparse", "--n", "4", "--gamma", "1", "--out", "x.npy"])
+    assert args.seed == {f.name: f.default for f in dataclasses.fields(SparseGenConfig)}["seed"]
 
 
 def test_bench_choices_are_the_bench_tables():

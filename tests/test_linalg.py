@@ -493,14 +493,9 @@ def _svd_basis(a):
     return np.linalg.svd(a, full_matrices=False)[0]
 
 
-def _draw_omega(rng, n, k):
-    """Omega as the kernels draw it: random signs from 64 columns on, Gaussian below."""
+def _draw_test_matrix(rng, n, k):
+    """Omega or Psi^T, n x k, as the kernels draw both: random signs from n = 64 on, Gaussian below."""
     return rng.signs(n, k) if n >= 64 else rng.normal(n, k)
-
-
-def _draw_psi_t(rng, m, l):
-    """Psi^T as the sketches draw it: random signs from 64 rows on, the transposed l x m Gaussian below."""
-    return rng.signs(m, l) if m >= 64 else rng.normal(l, m).T
 
 
 def _sketch_with_orthonormal_omega(a, k, l, power_iters, seed, psi_basis=_svd_basis):
@@ -511,8 +506,8 @@ def _sketch_with_orthonormal_omega(a, k, l, power_iters, seed, psi_basis=_svd_ba
     """
     m, n = a.shape
     rng = RngStream(seed)
-    omega = _svd_basis(_draw_omega(rng, n, k))
-    psi = psi_basis(_draw_psi_t(rng, m, l)).T
+    omega = _svd_basis(_draw_test_matrix(rng, n, k))
+    psi = psi_basis(_draw_test_matrix(rng, m, l)).T
     q = np.linalg.qr(a @ omega)[0]
     for _ in range(power_iters):
         q = np.linalg.qr(a @ np.linalg.qr(a.T @ q)[0])[0]
@@ -546,8 +541,8 @@ def test_sketch_does_not_depend_on_the_basis_of_psi(power_iters):
     assert np.linalg.norm(by_qr - by_svd) <= 1e-12 * np.linalg.norm(by_svd)
     # the two bases differ: the test compares two rotations, not one matrix twice
     rng = RngStream(seed)
-    _draw_omega(rng, a.shape[1], k)
-    g = _draw_psi_t(rng, a.shape[0], l)
+    _draw_test_matrix(rng, a.shape[1], k)
+    g = _draw_test_matrix(rng, a.shape[0], l)
     assert not np.allclose(np.abs(thin_qr(g)[0]), np.abs(_svd_basis(g)))
 
 
@@ -702,7 +697,7 @@ def test_left_factor_rejects_bad_rank():
 def _range_sample(a, k, seed):
     """rsvd's Y: a @ Omega for an Omega of k columns, or a itself when k is the column count."""
     n = a.shape[1]
-    return a if k == n else a @ _draw_omega(RngStream(seed), n, k)
+    return a if k == n else a @ _draw_test_matrix(RngStream(seed), n, k)
 
 
 def _svd_of_projection_rsvd(a, r, p, seed):
@@ -712,7 +707,7 @@ def _svd_of_projection_rsvd(a, r, p, seed):
     return q @ u[:, :r], s[:r, None] * vt[:r]
 
 
-def _householder_sub_sketch(a, k, l, power_iters, seed, draw_psi_t=_draw_psi_t):
+def _householder_sub_sketch(a, k, l, power_iters, seed, draw_psi_t=_draw_test_matrix):
     """sub_sketch with the Householder power step: the Q of (Q^T a)^T, formed in full.
 
     Psi^T is draw_psi_t(rng, m, l), by default as the sketches draw it. The
@@ -720,7 +715,7 @@ def _householder_sub_sketch(a, k, l, power_iters, seed, draw_psi_t=_draw_psi_t):
     """
     m, n = a.shape
     rng = RngStream(seed)
-    y = a if k == n else a @ _draw_omega(rng, n, k)
+    y = a if k == n else a @ _draw_test_matrix(rng, n, k)
     psi = thin_qr(draw_psi_t(rng, m, l))[0].T
     q, _ = thin_qr(y)
     for _ in range(power_iters):
@@ -840,13 +835,14 @@ def test_sketches_of_64_or_more_rows_draw_no_normal(power_iters, monkeypatch):
 
 
 @pytest.mark.parametrize("power_iters", [0, 2])
-def test_sketches_under_64_rows_draw_the_transposed_gaussian_psi(power_iters):
-    # 30 rows: Psi^T is the transpose of an l x m Gaussian draw, bit for bit;
-    # the graded spectrum keeps the power steps on the Householder route
+def test_sketches_under_64_rows_draw_psi_t_as_omega_is_drawn(power_iters):
+    # 30 rows: Psi^T is the m x l Gaussian draw normal(m, l), filled column
+    # by column as Omega is, bit for bit; the graded spectrum keeps the
+    # power steps on the Householder route
     a = unfold(hilbert_tensor((30, 30, 30)), 1)
     k, l, seed = 6, 13, 70
     q_ref, xc_ref = _householder_sub_sketch(
-        a, k, l, power_iters, seed, draw_psi_t=lambda rng, m, l: rng.normal(l, m).T
+        a, k, l, power_iters, seed, draw_psi_t=lambda rng, m, l: rng.normal(m, l)
     )
     q, xc = (
         sketch(a, k, l, RngStream(seed))

@@ -14,7 +14,6 @@ from tucksketch.metrics import (
     _BLOCK,
     BOUND_VARIANTS,
     bound_oracle,
-    f_factor,
     psnr,
     relative_error,
     spectrum_summary,
@@ -277,19 +276,6 @@ def test_mode_tail_delta_matches_projection_oracle():
         err_sq = frobenius_norm(mode_n_product(x, proj, n)) ** 2
         delta = tail_energy(summary[n - 1], r + 1)
         assert abs(err_sq - delta) <= 1e-10 * max(delta, 1e-30)
-
-
-# ----------------------------------------------------------------- f_factor
-
-
-def test_f_factor_values():
-    assert f_factor(10, 22) == pytest.approx(10 / 11)
-    assert f_factor(1, 3) == pytest.approx(1.0)
-    for r in (2, 5, 17):
-        assert f_factor(r, r + 2) == pytest.approx(float(r))
-    assert f_factor(4, 5) == math.inf
-    with pytest.raises(ValueError):
-        f_factor(4, 4.5)
 
 
 # ------------------------------------------------------------- bound oracle

@@ -8,8 +8,9 @@ draw from ``RngStream(j)`` as a benchmark library trial does, and the
 model's ``.tuck`` container is hashed: 30 model lines. Then come seed-0
 lines of the five pipelines on the small inputs of ``SMALL``, which reach
 paths the workloads miss: a tall unfolding, unfoldings under 64 columns (a
-Gaussian Omega), order 4, a row-major layout and a processing order other
-than the natural one (25 lines), and last the paper's sparse family,
+Gaussian Omega), sketched unfoldings under 64 rows (a Gaussian Psi), order
+4, a row-major layout and a processing order other than the natural one
+(25 lines), and last the paper's sparse family,
 ``SparseGenConfig(n=100, gamma=10.0, seed=0)`` at ranks (10, 10, 10) (5
 lines). Each model line ends with the model's relative error
 ``relative_error(x, reconstruct(model))`` as its ``repr``, so a change that
@@ -44,7 +45,7 @@ import numpy as np  # noqa: E402
 from tucksketch import tucker  # noqa: E402
 from tucksketch.bench import ALGORITHMS  # noqa: E402
 from tucksketch.config import ApproxConfig  # noqa: E402
-from tucksketch.datagen import SparseGenConfig, hilbert_tensor, sparse_lowrank_tensor  # noqa: E402
+from tucksketch.datagen import SparseGenConfig, gaussian_tensor, hilbert_tensor, sparse_lowrank_tensor  # noqa: E402
 from tucksketch.metrics import relative_error  # noqa: E402
 from tucksketch.rng import RngStream  # noqa: E402
 from workloads import WORKLOADS, build_input  # noqa: E402
@@ -52,18 +53,13 @@ from workloads import WORKLOADS, build_input  # noqa: E402
 SEEDS = (0, 1)
 
 
-def _normal(shape, seed):
-    """A column-major tensor of ``RngStream(seed)`` normals."""
-    return RngStream(seed).normal(int(np.prod(shape))).reshape(shape, order="F")
-
-
 # name, input, ranks, processing order
 SMALL = (
     # the 30 x 16 mode-1 unfolding is tall: THOSVD takes the truncated SVD
-    ("tall-30x4x4", lambda: _normal((30, 4, 4), 241), (3, 3, 3), None),
-    ("small-6x7x8", lambda: _normal((6, 7, 8), 242), (2, 2, 2), None),
-    ("order4-8x9x10x11", lambda: _normal((8, 9, 10, 11), 243), (2, 3, 3, 2), None),
-    ("rowmajor-12x10x14", lambda: np.ascontiguousarray(_normal((12, 10, 14), 244)), (4, 3, 5), None),
+    ("tall-30x4x4", lambda: gaussian_tensor((30, 4, 4), RngStream(241)), (3, 3, 3), None),
+    ("small-6x7x8", lambda: gaussian_tensor((6, 7, 8), RngStream(242)), (2, 2, 2), None),
+    ("order4-8x9x10x11", lambda: gaussian_tensor((8, 9, 10, 11), RngStream(243)), (2, 3, 3, 2), None),
+    ("rowmajor-12x10x14", lambda: np.ascontiguousarray(gaussian_tensor((12, 10, 14), RngStream(244))), (4, 3, 5), None),
     ("hilbert-20x22x24-order-3,1,2", lambda: hilbert_tensor((20, 22, 24)), (3, 4, 5), (3, 1, 2)),
     ("sparse-100-gamma-10", lambda: sparse_lowrank_tensor(SparseGenConfig(n=100, gamma=10.0, seed=0)),
      (10, 10, 10), None),
