@@ -24,7 +24,7 @@ from . import tucker
 from .config import ApproxConfig, _integers
 from .datagen import SparseGenConfig, add_scaled_noise, gaussian_tensor, hilbert_tensor, sparse_lowrank_tensor
 from .imageio import load_image_tensor
-from .metrics import psnr, relative_error
+from .metrics import _scores
 from .rng import RngStream
 from .tucker import TuckerModel, reconstruct
 
@@ -166,13 +166,15 @@ def run_trial(
     pipelines (None, a blank column, for the library's l_n = 2 r_n + 1,
     clamped to I_n as `ApproxConfig.plan` clamps every size),
     ``acfg.power_iters`` for sub-Sketch and ``acfg.seed`` for the randomized
-    pipelines; ``peak`` (if any) adds the PSNR.
+    pipelines; ``peak`` (if any) adds the PSNR, which comes from the same
+    pass over x and its reconstruction as the error (``metrics._scores``).
     """
     name, pipeline = ALGORITHMS[key]
     start = time.perf_counter()
     model = getattr(tucker, pipeline)(x, acfg)
     wall_ms = (time.perf_counter() - start) * 1e3
     xhat = reconstruct(model)
+    rel_error, psnr = _scores(x, xhat, peak)
     row = BenchRow(
         experiment=experiment,
         algorithm=name,
@@ -180,8 +182,8 @@ def run_trial(
         sketch_sizes=acfg.sketch_sizes if key in _SKETCHED else None,
         q=acfg.power_iters if key == "subsketch" else None,
         seed=acfg.seed if key in _RANDOMIZED else None,
-        rel_error=relative_error(x, xhat),
-        psnr=psnr(x, xhat, peak) if peak is not None else None,
+        rel_error=rel_error,
+        psnr=psnr,
         wall_ms=wall_ms,
     )
     return model, xhat, row

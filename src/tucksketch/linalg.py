@@ -38,6 +38,13 @@ correction X_c. ``thin_svd`` returns NumPy's (u, s, vt). Nothing here fixes
 signs, ``_left_factor`` included: ``tucker._sequential`` applies the sign
 rule to every step's pair, in one place.
 
+No rank-r kernel, nor ``_left_factor``, returns on a NaN or an inf in A. Every SVD runs through
+``thin_svd``, which raises on one (NumPy's SVD never returns on an inf), a
+sketch or range basis that is not finite raises the overflow ValueError
+(``_times_transpose``, ``_range_basis``), and the Gram route refuses a Gram
+matrix that is not finite. ``tucker._sequential`` relies on this to read
+the entries of its input only after a failure.
+
 Short, wide stages take the Gram route of Vannieuwenhoven, Vandebril and
 Meerbergen (SISC 2012): ``eigh`` of the small Gram matrix B B^T instead of
 a Householder factorization of the long B^T, when lambda_r > sqrt(eps)
@@ -192,7 +199,14 @@ def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A wide a is factored as a.T with u and vt swapped back: LAPACK's divide
     and conquer SVD is faster on the tall orientation of the same matrix.
+
+    An a with a NaN or an inf is a ValueError, checked in one pass before
+    LAPACK sees it: NumPy 2.4.6's SVD (OpenBLAS 0.3.31) raises "SVD did not
+    converge" on a NaN but never returns on an inf, at any shape tried from
+    3 x 5 to 200 x 20. Every SVD in this module runs through here.
     """
+    if not np.isfinite(a).all():
+        raise ValueError("SVD input has a NaN or an inf")
     if a.shape[0] < a.shape[1]:
         v, s, ut = np.linalg.svd(a.T, full_matrices=False)
         return ut.T, s, v.T
@@ -241,7 +255,7 @@ def _qr_left_factor(a: np.ndarray, r: int) -> np.ndarray:
     never formed.
     """
     v, _ = _householder(a.T)
-    return np.linalg.svd(np.triu(v[: a.shape[0]]))[2][:r].T
+    return thin_svd(np.triu(v[: a.shape[0]]))[2][:r].T
 
 
 def _left_factor(a: np.ndarray, r: int, mode: int = 1) -> np.ndarray:
@@ -309,9 +323,27 @@ def _range_basis(a: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
     drawn: any invertible Omega leaves range(a @ Omega) = range(a).
     Otherwise Omega is ``_test_matrix(n, k)``: random signs from 64
     columns of a on, Gaussian below.
+
+    A Q that is not finite raises ``_times_transpose``'s overflow
+    ValueError: a finite sketch (or a) with entries near the largest double
+    can still overflow the Householder QR (a 4 x 1 sketch of the 1e307
+    constant tensor, largest entry 7.4e307, gave a NaN Q), and a NaN or an
+    inf in a reaches Q when k equals n. So no caller solves with a NaN
+    basis, which would warn of a rank-deficient system and then fail in
+    SciPy's input check.
     """
     n = a.shape[1]
-    return thin_qr(a if k == n else _times_transpose(a, _test_matrix(n, k, rng).T))[0]
+    return _finite(thin_qr(a if k == n else _times_transpose(a, _test_matrix(n, k, rng).T))[0])
+
+
+def _finite(y: np.ndarray) -> np.ndarray:
+    """y, or a ValueError that names the overflow if any entry of y is not finite."""
+    if not np.isfinite(y).all():
+        raise ValueError(
+            "sketch product overflowed: the entries are too close to the largest "
+            "double (about 1.8e308); rescale the tensor"
+        )
+    return y
 
 
 def _times_transpose(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -321,13 +353,7 @@ def _times_transpose(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     double overflow the sketch, though not a, and would reach LAPACK as inf.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        y = (g @ a.T).T
-    if not np.isfinite(y).all():
-        raise ValueError(
-            "sketch product overflowed: the entries are too close to the largest "
-            "double (about 1.8e308); rescale the tensor"
-        )
-    return y
+        return _finite((g @ a.T).T)
 
 
 def rsvd(a: np.ndarray, r: int, p: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:

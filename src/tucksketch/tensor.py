@@ -31,15 +31,28 @@ __all__ = [
 ]
 
 
-def as_tensor(data) -> np.ndarray:
-    """Coerce to a float64 tensor and validate its shape and entries.
+def _as_array(data) -> np.ndarray:
+    """Coerce to a float64 tensor of order >= 1 and positive dimensions; the entries are not read.
 
-    The tensor must have order >= 1 and positive dimensions; a scalar (order
-    0) is a ValueError, as is a zero dimension. Every entry must be finite.
+    A scalar (order 0) is a ValueError, as is a zero dimension. The caller's
+    layout is kept, and a float64 array is returned as it is, with no copy.
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim == 0 or any(d < 1 for d in x.shape):
         raise ValueError(f"tensor order must be >= 1 and dimensions must all be positive, got shape {x.shape}")
+    return x
+
+
+def as_tensor(data) -> np.ndarray:
+    """Coerce to a float64 tensor and validate its shape and entries.
+
+    The tensor must have order >= 1 and positive dimensions; a scalar (order
+    0) is a ValueError, as is a zero dimension. Every entry must be finite,
+    which costs one full pass and a temporary bool array of ``x.size``
+    bytes: the pipelines make it only after a failure (``tucker._sequential``
+    says why that suffices), so a finite input never pays for it there.
+    """
+    x = _as_array(data)
     if not np.all(np.isfinite(x)):
         raise ValueError("tensor entries must be finite")
     return x

@@ -51,6 +51,14 @@ passes, as the paper counts them. ``sthosvd`` keeps the full truncated SVD
 for now: in the one-process benchmark a faster STHOSVD slowed the trials
 after it, as the README records.
 
+Every pipeline coerces its input to float64 and checks its order and
+dimensions up front, but reads its entries for finiteness only after a
+failure, when a step raises or the model is not finite: the first step
+reads every entry anyway, so a NaN or an inf cannot pass unseen
+(``_sequential`` gives the argument). A non-finite input is still the
+ValueError "tensor entries must be finite", and a finite one pays no extra
+pass over its entries.
+
 The randomized pipelines draw from ``RngStream(cfg.seed)`` when no rng is
 passed. The command line and the bench reach the pipelines by name through
 `tucksketch.bench.ALGORITHMS`.
@@ -67,7 +75,7 @@ import numpy as np
 from .config import ApproxConfig
 from .linalg import _left_factor, rsvd, sketch, sub_sketch, truncated_svd
 from .rng import RngStream
-from .tensor import as_tensor, fold, mode_n_product, unfold
+from .tensor import _as_array, as_tensor, fold, mode_n_product, unfold
 
 __all__ = [
     "TuckerModel",
@@ -155,26 +163,53 @@ def _sequential(
     RngStream(cfg.seed) when it is None, which a deterministic step never
     reads. The kernels are looked up by name in this module at call time,
     so a wrapper bound to one of those names sees the call.
+
+    x is coerced to float64 and its order and dimensions are checked, but
+    its entries are not scanned up front: on a 200^3 tensor that pass and
+    its 8 MB bool temporary took 7-8 ms on one OpenBLAS thread, a tenth of a
+    Sketch-STHOSVD benchmark trial.
+    ``tensor.as_tensor``, which raises "tensor entries must be finite" for a
+    NaN or an inf, reads them only when a step (or the plan) raises, or when
+    the model holds a value that is not finite; otherwise the step's
+    exception propagates, or the model is returned. That finds every
+    non-finite input, because the first step of every pipeline reads every
+    entry of x with a nonzero weight. THOSVD's Gram matrix has each entry
+    squared on its diagonal; STHOSVD's SVD reads all of the unfolding; the
+    randomized steps form A Omega, whose Omega has entries of +-1 or
+    Gaussian ones, never 0, or take the QR of A itself when k equals the
+    column count, and a sketch pipeline's mode with no l_n takes the SVD.
+    So a NaN or an inf either reaches U_1 or C, and from there the model,
+    which costs O(prod r_n + sum I_n r_n) to check, or meets a guard of
+    ``linalg`` that raises first: the overflow checks of
+    ``_times_transpose`` and ``_range_basis``, and ``thin_svd``'s refusal
+    of a NaN or an inf, without which LAPACK's SVD would never return on
+    an inf.
     """
-    x = as_tensor(x)
+    x = _as_array(x)
     rng = RngStream(cfg.seed) if rng is None else rng
     core = x
     factors: list[np.ndarray | None] = [None] * x.ndim
-    for step in cfg.plan(x.shape):
-        n, r, m = step.mode, step.rank, unfold(core, step.mode)
-        if kernel == "left":
-            u = _left_factor(x, r, n)
-            c = u.T @ m
-        elif kernel == "rsvd":
-            u, c = rsvd(m, r, step.p, rng)
-        elif kernel == "svd" or step.l is None:
-            u, c = truncated_svd(m, r)
-        elif kernel == "sketch":
-            u, c = sketch(m, r, step.l, rng)
-        else:
-            u, c = sub_sketch(m, r, step.l, cfg.power_iters, rng)
-        factors[n - 1], c = _canonical_signs(u, c)
-        core = fold(c, n, core.shape[: n - 1] + (r,) + core.shape[n:])
+    try:
+        for step in cfg.plan(x.shape):
+            n, r, m = step.mode, step.rank, unfold(core, step.mode)
+            if kernel == "left":
+                u = _left_factor(x, r, n)
+                c = u.T @ m
+            elif kernel == "rsvd":
+                u, c = rsvd(m, r, step.p, rng)
+            elif kernel == "svd" or step.l is None:
+                u, c = truncated_svd(m, r)
+            elif kernel == "sketch":
+                u, c = sketch(m, r, step.l, rng)
+            else:
+                u, c = sub_sketch(m, r, step.l, cfg.power_iters, rng)
+            factors[n - 1], c = _canonical_signs(u, c)
+            core = fold(c, n, core.shape[: n - 1] + (r,) + core.shape[n:])
+    except Exception:
+        as_tensor(x)  # a non-finite entry is named instead of what it broke
+        raise
+    if not all(np.isfinite(a).all() for a in (core, *factors)):
+        as_tensor(x)
     return TuckerModel(core, factors)
 
 

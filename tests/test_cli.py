@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -674,6 +675,24 @@ def test_sketch_overflow_near_the_largest_double_exits_3_naming_it(tmp_path, cap
     assert err.startswith("parameter error: sketch product overflowed: ")
     assert "largest double" in err
     assert not (tmp_path / f"{algo}.tuck").exists()
+
+
+def test_sketch_basis_overflow_on_the_1e307_constant_exits_3_naming_it(tmp_path, capsys):
+    # A Omega is finite (largest entry about 7.4e307), but the Householder QR
+    # of the 4 x 1 sketch overflows; the solve must not run on its NaN basis
+    src, out = tmp_path / "x.npy", tmp_path / "m.tuck"
+    np.save(src, np.full((4, 4, 4), 1e307))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["decompose", "--in", str(src), "--algo", "sketch", "--ranks", "1x1x1",
+                     "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: sketch product overflowed: ")
+    assert "largest double" in err
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("algo", list(ALGORITHMS))

@@ -177,6 +177,18 @@ def test_thin_svd_of_transpose_swaps_factors(shape):
         assert np.allclose(x, y * signs, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
+def test_svds_reject_non_finite_entries(shape, bad):
+    # LAPACK's SVD, as NumPy calls it, never returns on an inf; the SVD
+    # routes raise before they reach it
+    a = laid_out(shape, "F", seed=43)
+    a[1, 2] = bad
+    for factor in (thin_svd, lambda a: truncated_svd(a, 2), lambda a: _qr_left_factor(a.T @ a, 2)):
+        with pytest.raises(ValueError, match="SVD input has a NaN or an inf"):
+            factor(a)
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize(
     "shape",

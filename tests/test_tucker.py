@@ -658,6 +658,18 @@ def test_non_finite_input_rejected():
         sthosvd(x, ApproxConfig(target_ranks=(2, 2, 2)))
 
 
+@pytest.mark.parametrize("name", list(PIPELINES))
+def test_finite_input_is_not_scanned_for_non_finite_entries(monkeypatch, name):
+    # the entry scan runs only after a failure, so a finite input never pays for it
+    def scan(x):
+        raise AssertionError("the entries of a finite input were scanned")
+
+    monkeypatch.setattr(tucker, "as_tensor", scan)
+    x = random_tucker_tensor((6, 7, 8), (2, 3, 2), seed=20)
+    model = PIPELINES[name](x, ApproxConfig(target_ranks=(2, 3, 2)), RngStream(20))
+    assert relative_error(x, reconstruct(model)) < 1e-10
+
+
 # ------------------------------------------------------------ serialization
 
 
