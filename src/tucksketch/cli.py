@@ -5,8 +5,9 @@ Every flag that fills a config field takes its default from that field
 ``--sketch-extra`` the sketch sizes stay None, so the sketch pipelines run the
 library's l_n = 2 r_n + 1; ``--sketch-extra e`` asks for l_n = r_n + e, e >= 2.
 ``decompose`` and ``image-compress`` run one timed trial through
-`bench.run_trial`, and ``bench`` runs a sweep; the algorithm keys are those
-of `bench.ALGORITHMS`.
+`bench.run_trial` and take one ``--algo`` key, which argparse checks against
+the keys of `bench.ALGORITHMS`; ``bench`` runs a sweep over ``all`` of them
+or a comma list.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numerical-parameter
 violation.
@@ -101,16 +102,15 @@ def _cmd_gen_sparse(args) -> int:
 
 
 def _single_trial(args, load, peak: float | None = None):
-    """Parse the one --algo and the config, then load --in and run one timed trial.
+    """Parse the config, then load --in and run one timed trial of the one --algo key.
 
-    Every flag is checked before the input is read, so a usage error is
-    reported as one (exit 1) whatever the state of --in.
+    argparse has already checked --algo against the keys of
+    `bench.ALGORITHMS`, and the config is built here before the input is
+    read, so a usage error is reported as one (exit 1) whatever the state of
+    --in.
     """
-    key = _parse_algos(args.algo)
-    if len(key) != 1:
-        raise _UsageError(f"{args.command} takes exactly one algorithm")
     cfg = _approx_config(args, _parse_ints(args.ranks, what="rank list"))
-    return run_trial(args.command, key[0], load(getattr(args, "in")), cfg, peak)
+    return run_trial(args.command, args.algo, load(getattr(args, "in")), cfg, peak)
 
 
 def _cmd_decompose(args) -> int:
@@ -193,7 +193,7 @@ def _build_parser() -> _Parser:
 
     dec = subs.add_parser("decompose", help="decompose a tensor file once")
     dec.add_argument("--in", required=True, help=".npy, .ppm, or .pgm input")
-    dec.add_argument("--algo", required=True, help="|".join(ALGORITHMS))
+    dec.add_argument("--algo", required=True, choices=ALGORITHMS)
     _add_approx_flags(dec)
     dec.add_argument("--out", default=None, help="write the model container here")
     dec.set_defaults(func=_cmd_decompose)
@@ -214,7 +214,7 @@ def _build_parser() -> _Parser:
 
     img = subs.add_parser("image-compress", help="low-rank compress a PPM/PGM image")
     img.add_argument("--in", required=True)
-    img.add_argument("--algo", required=True)
+    img.add_argument("--algo", required=True, choices=ALGORITHMS)
     _add_approx_flags(img)
     img.add_argument("--out", required=True, help="reconstructed image path")
     img.add_argument("--model", default=None, help="also save the model container")

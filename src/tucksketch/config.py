@@ -130,14 +130,15 @@ class ApproxConfig:
         below r_n + 2. So every sketch size is r_n + 2 <= l_n <= I_n.
 
         Raises ValueError when the rank count does not match the tensor's
-        order, or a rank is outside 1..I_n (the processing order and the
-        sketch sizes always match the ranks in length).
+        order, or a rank is above I_n (the constructor has rejected ranks
+        below 1, and the processing order and the sketch sizes always match
+        the ranks in length).
         """
         ndim, ranks = len(shape), self.target_ranks
         if len(ranks) != ndim:
             raise ValueError(f"{len(ranks)} target ranks given for an order-{ndim} tensor")
         for r, d in zip(ranks, shape):
-            if not 1 <= r <= d:
+            if r > d:
                 raise ValueError(f"target rank {r} out of range for dimension {d}")
         order = self.processing_order
         if order is None:

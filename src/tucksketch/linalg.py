@@ -39,7 +39,8 @@ signs, ``_left_factor`` included: ``tucker._sequential`` applies the sign
 rule to every step's pair, in one place.
 
 No rank-r kernel, nor ``_left_factor``, returns on a NaN or an inf in A. Every SVD runs through
-``thin_svd``, which raises on one (NumPy's SVD never returns on an inf), a
+``thin_svd``, which raises on one (what NumPy's SVD does on an inf depends
+on the OpenBLAS kernel: NaN singular values, an error, or no return), a
 sketch or range basis that is not finite raises the overflow ValueError
 (``_times_transpose``, ``_range_basis``), and the Gram route refuses a Gram
 matrix that is not finite. ``tucker._sequential`` relies on this to read
@@ -200,10 +201,14 @@ def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A wide a is factored as a.T with u and vt swapped back: LAPACK's divide
     and conquer SVD is faster on the tall orientation of the same matrix.
 
-    An a with a NaN or an inf is a ValueError, checked in one pass before
-    LAPACK sees it: NumPy 2.4.6's SVD (OpenBLAS 0.3.31) raises "SVD did not
-    converge" on a NaN but never returns on an inf, at any shape tried from
-    3 x 5 to 200 x 20. Every SVD in this module runs through here.
+    An a with a NaN or an inf is a ValueError that names the input, checked
+    in one pass before LAPACK sees it. NumPy 2.4.6's SVD (OpenBLAS 0.3.31,
+    one thread) raises "SVD did not converge" on a NaN at every shape, but
+    what it does on an inf depends on the OpenBLAS kernel: on a SkylakeX
+    core it returned NaN singular values for 5 x 3, 3 x 5 and 4 x 4, and
+    raised for a 40000 x 200 F-ordered a, while on another machine it never
+    returned at any shape tried from 3 x 5 to 200 x 20. Every SVD in this
+    module runs through here.
     """
     if not np.isfinite(a).all():
         raise ValueError("SVD input has a NaN or an inf")
@@ -270,10 +275,12 @@ def _left_factor(a: np.ndarray, r: int, mode: int = 1) -> np.ndarray:
     for the first or last mode of a column-major a, a copy for a middle one.
     A matrix a with the default mode 1 is its own unfolding. The column
     signs are the route's; ``tucker._sequential`` fixes them.
+
+    The caller guarantees 1 <= r <= I_n, which is not checked here:
+    THOSVD's step takes r from ``ApproxConfig.plan``, and ``rsvd`` passes a
+    B of r + p >= r rows. The tall route's ``truncated_svd`` still checks r.
     """
     m = a.shape[mode - 1]
-    if not 1 <= r <= m:
-        raise ValueError(f"rank {r} out of range for {m} rows")
     wide = m <= a.size // m
     v = _gram_eigh(a, r, mode) if wide else None
     if v is not None:

@@ -81,8 +81,10 @@ def _unfolding_gram(x: np.ndarray, mode: int) -> np.ndarray:
     unfolding is a view and the Gram matrix is one product; an x that is
     neither row- nor column-major is unfolded, with a copy. Entries whose
     squares overflow give inf, not a warning: the caller's guard reads it.
+
+    The caller guarantees 1 <= mode <= x.ndim, which is not checked here:
+    ``linalg._gram_eigh`` passes a plan's mode, or 1 for a matrix.
     """
-    _check_mode(mode, x.ndim)
     if x.flags.c_contiguous and not x.flags.f_contiguous:
         x, mode = x.T, x.ndim + 1 - mode
     p, i, s = math.prod(x.shape[: mode - 1]), x.shape[mode - 1], math.prod(x.shape[mode:])

@@ -182,8 +182,9 @@ def _sequential(
     which costs O(prod r_n + sum I_n r_n) to check, or meets a guard of
     ``linalg`` that raises first: the overflow checks of
     ``_times_transpose`` and ``_range_basis``, and ``thin_svd``'s refusal
-    of a NaN or an inf, without which LAPACK's SVD would never return on
-    an inf.
+    of a NaN or an inf, without which LAPACK's SVD, depending on the
+    OpenBLAS kernel, returns NaN singular values, raises, or never returns
+    on an inf.
     """
     x = _as_array(x)
     rng = RngStream(cfg.seed) if rng is None else rng

@@ -415,12 +415,17 @@ def test_bad_approx_flags_exit_3_before_reading_input(tmp_path, capsys, flags, m
     assert capsys.readouterr().err == f"parameter error: {message}\n"
 
 
-def test_decompose_takes_exactly_one_algorithm(tmp_path, capsys):
-    src = tmp_path / "x.npy"
-    np.save(src, hilbert_tensor((4, 4, 4)))
-    capsys.readouterr()
-    assert main(["decompose", "--in", str(src), "--algo", "all", "--ranks", "2x2x2"]) == 1
-    assert capsys.readouterr().err == "usage error: decompose takes exactly one algorithm\n"
+def test_single_trial_commands_take_exactly_one_algorithm(tmp_path, capsys):
+    # argparse checks --algo against the keys before --in is read: a missing input
+    # would exit 2, and nothing is written
+    for command in ("decompose", "image-compress"):
+        for algo in ("all", "thosvd,sketch"):
+            argv = [command, "--in", str(tmp_path / "missing.npy"), "--algo", algo,
+                    "--ranks", "2x2x2", "--out", str(tmp_path / "out")]
+            assert main(argv) == 1, (command, algo)
+            assert capsys.readouterr().err.startswith(
+                "usage error: argument --algo: invalid choice:"), (command, algo)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unparsable_ranks_name_the_rank_list(tmp_path, capsys):

@@ -180,8 +180,8 @@ def test_thin_svd_of_transpose_swaps_factors(shape):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
 def test_svds_reject_non_finite_entries(shape, bad):
-    # LAPACK's SVD, as NumPy calls it, never returns on an inf; the SVD
-    # routes raise before they reach it
+    # on an inf, LAPACK's SVD as NumPy calls it returns NaNs, raises or never
+    # returns, by the OpenBLAS kernel; the SVD routes raise before it runs
     a = laid_out(shape, "F", seed=43)
     a[1, 2] = bad
     for factor in (thin_svd, lambda a: truncated_svd(a, 2), lambda a: _qr_left_factor(a.T @ a, 2)):
@@ -694,13 +694,6 @@ def test_gram_eigh_agrees_with_the_index_subset_eigh(m, r, spectrum, scale, pass
 def test_left_factor_tall_keeps_truncated_svd():
     a = np.random.default_rng(55).standard_normal((30, 4))
     assert np.array_equal(signed(_left_factor(a, 3)), signed(truncated_svd(a, 3)[0]))
-
-
-def test_left_factor_rejects_bad_rank():
-    a = np.ones((4, 10))
-    for r in (0, 5):
-        with pytest.raises(ValueError):
-            _left_factor(a, r)
 
 
 # ------------------------------------------------ randomized kernels, Gram route
